@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,17 @@ def _write_json(path: Path, payload: dict) -> None:
 
 # --- config access helpers -------------------------------------------------
 
+def _finite(value) -> float | None:
+    """float(value) for a finite JSON number, else None (bools are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _expect(block: dict, path: str, key: str, kind, required: bool = True, default=None):
     if key not in block:
         if required:
@@ -90,9 +102,10 @@ def _expect(block: dict, path: str, key: str, kind, required: bool = True, defau
         return default
     value = block[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
-        return float(value)
+        number = _finite(value)
+        if number is None:
+            raise ConfigError(f"{path}.{key}", f"expected a finite number, got {value!r}")
+        return number
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
@@ -108,9 +121,10 @@ def _number_list(block: dict, path: str, key: str, required: bool = True, defaul
         return default
     out = []
     for i, value in enumerate(raw):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}[{i}]", f"expected a number, got {value!r}")
-        out.append(float(value))
+        number = _finite(value)
+        if number is None:
+            raise ConfigError(f"{path}.{key}[{i}]", f"expected a finite number, got {value!r}")
+        out.append(number)
     return out
 
 
@@ -119,8 +133,9 @@ def _build_lagrangian(config: dict):
     text = _expect(block, "lagrangian", "text", str)
     params = _expect(block, "lagrangian", "params", dict, required=False, default={})
     for name, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"lagrangian.params.{name}", f"expected a number, got {value!r}")
+        if _finite(value) is None:
+            raise ConfigError(f"lagrangian.params.{name}",
+                              f"expected a finite number, got {value!r}")
     try:
         return parse_lagrangian(text, params)
     except FieldLabError as exc:
@@ -167,7 +182,10 @@ def _build_initial(block: dict, path: str, cfg: LatticeConfig, base_dir: Path):
         file_path = (base_dir / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
         if not file_path.exists():
             raise ConfigError(f"{path}.path", f"file {file_path} does not exist")
-        state = load_state(file_path, derivative=cfg.derivative)
+        try:
+            state = load_state(file_path, derivative=cfg.derivative)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}.path", str(exc)) from exc
         if state.cfg != cfg:
             raise ConfigError(f"{path}.path", "stored lattice differs from the config lattice")
         return state
@@ -269,7 +287,7 @@ def _build_schedule_factory(block: dict, path: str, start: SpacelikeSurface,
         for i, entry in enumerate(raw):
             if (not isinstance(entry, list) or len(entry) != 2
                     or isinstance(entry[0], bool) or not isinstance(entry[0], int)
-                    or isinstance(entry[1], bool) or not isinstance(entry[1], (int, float))):
+                    or _finite(entry[1]) is None):
                 raise ConfigError(f"{path}.moves[{i}]", "expected [site, dt] pairs")
             if not 0 <= entry[0] < start.n_sites:
                 raise ConfigError(f"{path}.moves[{i}]", f"site {entry[0]} out of range")
@@ -291,6 +309,11 @@ def cmd_surface(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     block = config["surface"]
     total_time = _expect(block, "surface", "total_time", float)
     dt_values = _number_list(block, "surface", "dt_values")
+    if not dt_values:
+        raise ConfigError("surface.dt_values", "needs at least one step size")
+    for i, dt in enumerate(dt_values):
+        if dt <= 0:
+            raise ConfigError(f"surface.dt_values[{i}]", "must be positive")
     integrator = _expect(block, "surface", "integrator", str, required=False, default="exact")
     ratio_floor = _expect(block, "surface", "ratio_floor", float, required=False, default=1.8)
     if integrator not in ("exact", "crank_nicolson"):
@@ -404,7 +427,8 @@ def cmd_classical(config: dict, outdir: Path, meta: dict) -> None:
         fh.write("t,x,z\n")
         for r in range(sol.z.shape[0]):
             for j in range(sol.z.shape[1]):
-                fh.write(f"{sol.row_times[r, j]!r},{j * bd.spacing!r},{sol.z[r, j]!r}\n")
+                row = (sol.row_times[r, j], j * bd.spacing, sol.z[r, j])
+                fh.write(",".join(repr(float(x)) for x in row) + "\n")
     _write_json(outdir / "meta.json", meta)
 
 

@@ -36,8 +36,19 @@ class EvolveParams:
             raise ValueError(f"unknown method {self.method!r}")
 
 
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec for complex vec, without upcasting a real mat to complex."""
+    if np.isrealobj(mat):
+        return mat @ vec.real + 1j * (mat @ vec.imag)
+    return mat @ vec
+
+
 class ExactPropagator:
-    """Dense Hermitian eigendecomposition of the compiled operator."""
+    """Dense Hermitian eigendecomposition of the compiled operator.
+
+    A real operator (no first-derivative terms) takes the real symmetric
+    ``eigh`` and keeps real eigenvectors.
+    """
 
     def __init__(self, hamiltonian: LatticeHamiltonian):
         if hamiltonian.cfg.dim > DENSE_GUARD:
@@ -48,9 +59,9 @@ class ExactPropagator:
         self.eigvals, self.eigvecs = np.linalg.eigh(mat)
 
     def propagate(self, state: WaveFunctional, t: float) -> WaveFunctional:
-        coeff = self.eigvecs.conj().T @ state.psi.ravel()
+        coeff = _matvec(self.eigvecs.conj().T, state.psi.ravel())
         coeff = coeff * np.exp(-1j * t * self.eigvals / self.cfg.hbar)
-        return WaveFunctional(self.cfg, self.eigvecs @ coeff)
+        return WaveFunctional(self.cfg, _matvec(self.eigvecs, coeff))
 
     def ground_energy(self) -> float:
         return float(self.eigvals[0])
@@ -83,13 +94,6 @@ def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
     return WaveFunctional(cfg, psi)
 
 
-def _gmres(op, rhs, x0, tol, maxiter):
-    try:
-        return spla.gmres(op, rhs, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter)
-    except TypeError:  # older scipy spells the relative tolerance 'tol'
-        return spla.gmres(op, rhs, x0=x0, tol=tol, atol=0.0, maxiter=maxiter)
-
-
 def crank_nicolson_step(hamiltonian: LatticeHamiltonian, psi: np.ndarray,
                         dt: float, tol: float, maxiter: int) -> np.ndarray:
     """One Cayley step (1 + i dt H / 2h) psi' = (1 - i dt H / 2h) psi, matrix-free."""
@@ -102,7 +106,7 @@ def crank_nicolson_step(hamiltonian: LatticeHamiltonian, psi: np.ndarray,
 
     op = spla.LinearOperator((cfg.dim, cfg.dim), matvec=matvec, dtype=np.complex128)
     rhs = (psi - 1j * alpha * hamiltonian.apply(psi)).ravel()
-    sol, info = _gmres(op, rhs, psi.ravel(), tol, maxiter)
+    sol, info = spla.gmres(op, rhs, x0=psi.ravel(), rtol=tol, atol=0.0, maxiter=maxiter)
     if info != 0:
         raise SolverDivergence(f"gmres failed to reach tol {tol} (info={info})")
     return sol.reshape(cfg.shape)

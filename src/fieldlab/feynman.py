@@ -26,7 +26,7 @@ from .errors import EnumerationTooLarge, ShapeMismatch
 from .evolve import ExactPropagator
 from .lagrangian import LagrangianSpec, legendre_transform
 from .lattice import LatticeConfig, WaveFunctional, norm
-from .operators import compile_hamiltonian, momentum_grids
+from .operators import compile_hamiltonian, fourier_matrix, momentum_grids
 from .surface import fit_order
 
 ENUMERATION_GUARD = 2 ** 22
@@ -75,15 +75,13 @@ def discrete_action(history: np.ndarray, pspec: PathIntegralSpec,
 def one_site_kinetic_matrix(pspec: PathIntegralSpec, lagr: LagrangianSpec,
                             cfg: LatticeConfig) -> np.ndarray:
     """(Q, Q) one-step kinetic kernel including the quadrature weight."""
-    q = cfg.q_points
     a, h, dt = cfg.spacing, cfg.hbar, pspec.dt
     c2, c1 = lagr.kinetic_coeff, lagr.kinetic_linear
     if pspec.kernel == "fresnel_exact":
         k2, k1 = momentum_grids(cfg)
         h_over_a = h / a
         mult = a * (h_over_a ** 2 * k2 - 2.0 * c1 * h_over_a * k1 + c1 ** 2) / (4.0 * c2)
-        phase = np.exp(-1j * dt * mult / h)
-        return np.fft.ifft(phase[:, None] * np.fft.fft(np.eye(q), axis=0), axis=0)
+        return fourier_matrix(np.exp(-1j * dt * mult / h))
     if dt == 0.0:
         raise ValueError("the lagrangian_riemann kernel needs dt > 0")
     zg = cfg.z_values()

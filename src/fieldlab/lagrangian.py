@@ -104,9 +104,10 @@ class _Poly:
 
 
 class _Parser:
-    def __init__(self, tokens, params):
+    def __init__(self, tokens, params, max_degree):
         self.tokens = tokens
         self.params = params
+        self.max_degree = max_degree
         self.i = 0
 
     def peek(self):
@@ -164,7 +165,10 @@ class _Parser:
             kind, value, pos = self.next()
             if kind != "number" or not re.fullmatch(r"\d+", value):
                 raise LagrangianSyntaxError("exponent must be a nonnegative integer", pos)
-            return base ** int(value)
+            power = int(value)
+            if power > self.max_degree:
+                raise DegreeTooHigh(f"exponent {power} exceeds maximum degree {self.max_degree}")
+            return base ** power
         return base
 
     def atom(self):
@@ -264,12 +268,13 @@ def parse_lagrangian(text: str, params: dict[str, float] | None = None,
     """Parse Lagrangian text over {z, zt, zx} with named-parameter substitution.
 
     Raises LagrangianSyntaxError (with position), NonQuadraticKinetic when any
-    zt power exceeds 2 or the zt^2 coefficient is not positive, and
-    UnsupportedMixing for monomials outside the supported forms.
+    zt power exceeds 2 or the zt^2 coefficient is not positive,
+    UnsupportedMixing for monomials outside the supported forms, and
+    DegreeTooHigh for a potential degree or any exponent above ``max_degree``.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    poly = _Parser(_tokenize(text), params or {}).parse()
+    poly = _Parser(_tokenize(text), params or {}, max_degree).parse()
 
     kinetic = 0.0
     kinetic_linear = 0.0

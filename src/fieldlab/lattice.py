@@ -41,11 +41,12 @@ class LatticeConfig:
         q = self.q_points
         if q < 4 or q > 128 or (q & (q - 1)) != 0:
             raise ValueError(f"q_points must be a power of two in [4, 128], got {q}")
-        if q ** self.n_sites > MEMORY_GUARD:
-            raise ValueError(f"Q^N = {q ** self.n_sites} exceeds the memory guard {MEMORY_GUARD}")
+        # Q >= 2, so n_sites past the guard's bit length exceeds it without the power
+        if self.n_sites > MEMORY_GUARD.bit_length() or q ** self.n_sites > MEMORY_GUARD:
+            raise ValueError(f"Q^N = {q}^{self.n_sites} exceeds the memory guard {MEMORY_GUARD}")
         for name in ("spacing", "q_extent", "hbar"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.derivative not in ("spectral", "fd"):
             raise ValueError(f"derivative must be 'spectral' or 'fd', got {self.derivative!r}")
 
@@ -209,14 +210,17 @@ def save_state(state: WaveFunctional, path) -> None:
 
 
 def load_state(path, derivative: str = "spectral") -> WaveFunctional:
+    """Read a ``save_state`` snapshot; ValueError when its length disagrees with the header."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        n, a, q, lq, h = _HEADER.unpack(header)
-        cfg = LatticeConfig(n, a, q, lq, h, derivative)
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != cfg.dim:
-        raise ValueError(f"expected {cfg.dim} amplitudes, found {data.size}")
-    return WaveFunctional(cfg, data.copy())
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{len(raw)} bytes is shorter than the {_HEADER.size}-byte header")
+    cfg = LatticeConfig(*_HEADER.unpack_from(raw), derivative)
+    expected = _HEADER.size + 16 * cfg.dim
+    if len(raw) != expected:
+        raise ValueError(f"header needs {expected} bytes ({cfg.dim} amplitudes), "
+                         f"file has {len(raw)}")
+    return WaveFunctional(cfg, np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).copy())
 
 
 def state_to_csv(state: WaveFunctional, path, meta_line: str | None = None) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionTooLarge, NotSpacelike, UnsupportedOrdering
 from .lagrangian import HamiltonianDensity
@@ -44,6 +45,33 @@ def momentum_grids(cfg: LatticeConfig):
         k2 = (2.0 - 2.0 * np.cos(2.0 * np.pi * m / q)) / dz ** 2
         k1 = np.sin(2.0 * np.pi * m / q) / dz
     return k2, k1
+
+
+def fourier_matrix(multiplier: np.ndarray) -> np.ndarray:
+    """(Q, Q) matrix of a one-axis Fourier multiplier, ifft(mult * fft(column))."""
+    q = multiplier.shape[0]
+    return np.fft.ifft(multiplier[:, None] * np.fft.fft(np.eye(q), axis=0), axis=0)
+
+
+def _hermitian_block(multiplier: np.ndarray, real: bool) -> np.ndarray:
+    """Exactly Hermitian (real symmetric if ``real``) matrix of a real multiplier."""
+    block = fourier_matrix(multiplier)
+    if real:
+        block = block.real
+    return 0.5 * (block + block.conj().T)
+
+
+def _site_diagonal(mat: np.ndarray, n: int, q: int, site: int) -> np.ndarray:
+    """Writable (L, R, Q, Q) view of the entries of ``mat`` that differ only on ``site``.
+
+    Element [l, r, i, j] is the (row, column) pair (l, i, r), (l, j, r) of the
+    row-major state index, so adding a Q x Q block to it adds I (x) block (x) I.
+    """
+    left, right = q ** site, q ** (n - site - 1)
+    view = mat.reshape(left, q, right, left, q, right)
+    s = view.strides
+    return as_strided(view, shape=(left, right, q, q),
+                      strides=(s[0] + s[3], s[2] + s[5], s[1], s[4]))
 
 
 @dataclass
@@ -120,16 +148,33 @@ class LatticeHamiltonian:
         return mult
 
     def dense_matrix(self) -> np.ndarray:
-        dim = self.cfg.dim
+        """The operator as an exactly Hermitian (dim, dim) array.
+
+        Assembled from the structure: each site term adds its one-axis
+        momentum block as a Kronecker sum and its cross term as
+        (f P + P f) / 2, then the diagonal.  The array is float64 when no
+        term has a first-derivative part, complex128 otherwise.
+        """
+        cfg = self.cfg
+        dim, n, q = cfg.dim, cfg.n_sites, cfg.q_points
         if dim > DENSE_GUARD:
             raise DimensionTooLarge(f"dimension {dim} exceeds dense guard {DENSE_GUARD}")
-        mat = np.empty((dim, dim), dtype=np.complex128)
-        basis = np.zeros(self.cfg.shape, dtype=np.complex128)
-        flat = basis.ravel()
-        for i in range(dim):
-            flat[i] = 1.0
-            mat[:, i] = self.apply(basis).ravel()
-            flat[i] = 0.0
+        k2, k1 = momentum_grids(cfg)
+        h_over_a = cfg.hbar / cfg.spacing
+        real = all(t.lin_const == 0.0 and t.cross is None for t in self.terms)
+        mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
+        for term in self.terms:
+            block = _site_diagonal(mat, n, q, term.site)
+            if term.quad or term.lin_const:
+                mult = term.quad * (h_over_a ** 2) * k2 + term.lin_const * h_over_a * k1
+                block += _hermitian_block(mult, real)
+            if term.cross is not None:
+                p = _hermitian_block(h_over_a * k1, real=False)
+                # f over the full grid, laid out as (L, R, Q) to match the block view
+                f = np.broadcast_to(self._cross_view(term), cfg.shape).reshape(
+                    block.shape[0], q, block.shape[1]).transpose(0, 2, 1)
+                block += 0.5 * (f[..., :, None] + f[..., None, :]) * p
+        mat.reshape(-1)[::dim + 1] += self.diag.ravel()
         return mat
 
 

@@ -168,7 +168,9 @@ class SurfaceEvolver:
         if dt == 0.0:
             return state.copy(), new_surface
         if self.integrator == "exact":
-            v_site = float(surface.site_slopes()[site])
+            # surface times accumulate roundoff; rounding the slope gives equal
+            # slopes one cache key, and the pair operator is built from the key
+            v_site = round(float(surface.site_slopes()[site]), 12)
             psi = self._apply_local_exact(state.psi, site, v_site, dt)
             return WaveFunctional(self.cfg, psi), new_surface
         op = local_density_operator(self.density, self.cfg, surface, site)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,16 @@ def test_classical_zero_boundary(tmp_path):
     assert (tmp_path / "out" / "extremal.csv").exists()
 
 
+def test_classical_extremal_csv_plain_floats(tmp_path):
+    cfg = classical_config({"t0": [0.0], "t1": [1.0], "z0": [0.3], "z1": [-0.4]}, checks=())
+    assert run(tmp_path, cfg) == 0
+    lines = (tmp_path / "out" / "extremal.csv").read_text().splitlines()
+    assert lines[1] == "t,x,z"
+    assert lines[2] == "0.0,0.0,0.3"
+    for line in lines[2:]:
+        assert [repr(float(v)) for v in line.split(",")] == line.split(",")
+
+
 def test_classical_oscillator_closed_form(tmp_path):
     cfg = classical_config({"t0": [0.0], "t1": [1.0], "z0": [0.3], "z1": [-0.4]},
                            checks=(), dt_c=1e-3)
@@ -255,6 +266,14 @@ MALFORMED = [
                                  "z1": [0.1]}}}, "classical.boundary"),
     ({"classical": {"boundary": {"t0": [0.0], "t1": ["later"], "z0": [0.1],
                                  "z1": [0.1]}}}, "classical.boundary.t1[0]"),
+    ({"evolve": {"steps": 1, "initial": {"kind": "ground_state", "mass": 1.0},
+                 "dt": float("nan")}}, "evolve.dt"),
+    ({"surface": {"total_time": 0.1, "dt_values": [0.05, 0.0], "initial":
+      {"kind": "ground_state", "mass": 1.0}, "schedule_a": {"kind": "sweep"},
+      "schedule_b": {"kind": "sweep"}}}, "surface.dt_values[1]"),
+    ({"surface": {"total_time": 0.1, "dt_values": [], "initial":
+      {"kind": "ground_state", "mass": 1.0}, "schedule_a": {"kind": "sweep"},
+      "schedule_b": {"kind": "sweep"}}}, "surface.dt_values"),
 ]
 
 
@@ -263,6 +282,30 @@ def test_malformed_configs_rejected(tmp_path, capsys, block, needle):
     cfg = base_config(block)
     assert run(tmp_path, cfg) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_non_finite_lattice_number_rejected(tmp_path, capsys):
+    cfg = evolve_config(5)
+    cfg["lattice"]["q_extent"] = float("inf")
+    assert run(tmp_path, cfg) == 2
+    assert "lattice.q_extent" in capsys.readouterr().err
+
+
+def test_huge_exponent_rejected_quickly(tmp_path, capsys):
+    cfg = base_config({"legendre": {}})
+    cfg["lagrangian"]["text"] = "0.5*zt^2 - 0.5*z^99999999"
+    start = time.perf_counter()
+    assert run(tmp_path, cfg) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "lagrangian.text" in capsys.readouterr().err
+
+
+def test_truncated_state_file_rejected(tmp_path, capsys):
+    assert run(tmp_path, evolve_config(0), out="first") == 0
+    state_bytes = (tmp_path / "first" / "final_state.bin").read_bytes()
+    (tmp_path / "cut.bin").write_bytes(state_bytes[:-8])
+    assert run(tmp_path, evolve_config(5, initial={"kind": "file", "path": "cut.bin"})) == 2
+    assert "evolve.initial.path" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

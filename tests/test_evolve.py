@@ -52,6 +52,18 @@ def test_exact_t0_identity(rng):
     assert np.array_equal(out.psi, state.psi)
 
 
+def test_exact_real_operator_keeps_real_eigenvectors(rng):
+    """A flat operator takes the real eigh; propagation matches the complex one."""
+    cfg, op, _ = free_setup()
+    prop = ExactPropagator(op)
+    assert prop.eigvecs.dtype == np.float64
+    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    state = normalize(WaveFunctional(cfg, psi))
+    w, vecs = np.linalg.eigh(op.dense_matrix().astype(np.complex128))
+    expected = vecs @ (np.exp(-0.7j * w) * (vecs.conj().T @ state.psi.ravel()))
+    assert np.max(np.abs(prop.propagate(state, 0.7).psi.ravel() - expected)) < 1e-12
+
+
 def test_exact_unitarity(rng):
     cfg, op, _ = free_setup()
     psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)

@@ -84,6 +84,14 @@ def test_parse_degree_guard():
     assert spec.potential[8] == 1.0
 
 
+def test_parse_huge_exponent_rejected_before_expanding():
+    # expanding z^99999999 term by term would not finish
+    with pytest.raises(DegreeTooHigh):
+        parse_lagrangian("0.5*zt^2 - 0.5*z^99999999")
+    with pytest.raises(DegreeTooHigh):
+        parse_lagrangian("0.5*zt^2 - 0.5*(z - 1)^7")
+
+
 def test_parse_syntax_error_positions():
     with pytest.raises(LagrangianSyntaxError) as err:
         parse_lagrangian("0.5*zt^2 - 0.5*q^2")

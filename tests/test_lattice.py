@@ -42,6 +42,12 @@ def test_config_validation():
         LatticeConfig(1, -1.0, 8, 6.0)
     with pytest.raises(ValueError):
         LatticeConfig(1, 1.0, 8, 6.0, derivative="upwind")
+    with pytest.raises(ValueError):
+        LatticeConfig(10 ** 18, 1.0, 8, 6.0)  # rejected without computing Q^N
+    with pytest.raises(ValueError):
+        LatticeConfig(1, 1.0, 8, float("inf"))
+    with pytest.raises(ValueError):
+        LatticeConfig(1, float("nan"), 8, 6.0)
 
 
 def test_constant_functional_norm():
@@ -163,3 +169,14 @@ def test_serialization_round_trip(tmp_path, rng):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "index,re,im"
     assert len(lines) == 1 + cfg.dim
+
+
+@pytest.mark.parametrize("keep", [0, 20, 40, 40 + 16 * 63, 40 + 16 * 65])
+def test_load_state_rejects_length_mismatch(tmp_path, keep):
+    cfg = LatticeConfig(2, 1.0, 8, 6.0)
+    path = tmp_path / "state.bin"
+    save_state(WaveFunctional(cfg, np.ones(cfg.shape)), path)
+    raw = path.read_bytes() + b"\0" * 16
+    path.write_bytes(raw[:keep])
+    with pytest.raises(ValueError):
+        load_state(path)

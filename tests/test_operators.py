@@ -218,3 +218,41 @@ def test_cross_term_matches_dense_symmetrization(free_lagr):
         f_mat = np.diag(f_diag)
         oracle += 0.5 * (f_mat @ pj + pj @ f_mat) + np.diag(d_diag)
     assert np.max(np.abs(compiled - oracle)) < 1e-11
+
+
+QUARTIC = "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4"
+LINEAR_ZT = "0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2"
+FREE = "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2"
+
+# (text, n_sites, derivative, link slopes, sites, real structure)
+DENSE_CASES = {
+    "flat_real": (QUARTIC, 2, "spectral", None, None, True),
+    "linear_zt": (LINEAR_ZT, 2, "spectral", None, None, False),
+    "sloped_cross": (FREE, 3, "spectral", [0.1, -0.2, 0.05], None, False),
+    "sloped_wrapping_site": (LINEAR_ZT, 3, "spectral", [0.3, -0.1, 0.2], [2], False),
+    "one_site": ("0.5*zt^2 - 0.5*z^2 - 0.1*z^4", 1, "spectral", None, None, True),
+    "fd_flat": (FREE, 2, "fd", None, None, True),
+    "fd_sloped": (FREE, 3, "fd", [0.1, 0.2, -0.3], None, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_dense_matrix_structural_assembly(case, rng):
+    """dense_matrix is exactly Hermitian, real exactly when the structure is, and equals apply."""
+    text, n, derivative, slopes, sites, real = DENSE_CASES[case]
+    cfg = LatticeConfig(n, 1.0, 8 if n == 3 else 16, 6.0, derivative=derivative)
+    op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, slopes, sites)
+    mat = op.dense_matrix()
+    assert mat.dtype == (np.float64 if real else np.complex128)
+    assert np.array_equal(mat, mat.conj().T)
+    for _ in range(3):
+        x = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+        x /= np.linalg.norm(x)
+        assert np.max(np.abs(mat @ x.ravel() - op.apply(x).ravel())) < 1e-12
+
+
+def test_dense_matrix_diagonal_density_is_real_diagonal():
+    cfg = LatticeConfig(2, 1.0, 8, 6.0)
+    mat = compile_hamiltonian(diagonal_density(0.5, (0.0, 0.0, 0.5)), cfg, 0.3).dense_matrix()
+    assert mat.dtype == np.float64
+    assert np.array_equal(mat, np.diag(np.diag(mat)))

@@ -1,5 +1,8 @@
 """Single-site deformations, schedules, and the path-independence study."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -237,3 +240,20 @@ def test_deform_step_not_spacelike():
     evolver = SurfaceEvolver(density, cfg, "exact")
     with pytest.raises(NotSpacelike):
         evolver.deform_step(state, SpacelikeSurface.flat(3), 0, 2.0)
+
+
+def test_pair_cache_one_entry_per_slope():
+    """The sample sweep ladder meets 7 distinct site slopes; time roundoff must not split them."""
+    config = json.loads((Path(__file__).parents[1] / "configs" / "surface_sweeps.json").read_text())
+    lattice, block = config["lattice"], config["surface"]
+    cfg = LatticeConfig(lattice["n_sites"], 1.0, lattice["q_points"], lattice["q_extent"])
+    density = legendre_transform(parse_lagrangian(config["lagrangian"]["text"]))
+    state = init_wavefunctional(free_ground_state_covariance(cfg, 1.0), cfg)
+    evolver = SurfaceEvolver(density, cfg, "exact")
+    start = SpacelikeSurface.flat(cfg.n_sites)
+    for dt in block["dt_values"]:
+        for name in ("schedule_a", "schedule_b"):
+            direction = block[name]["direction"]
+            schedule = DeformationSchedule.sweep(start, block["total_time"], dt, direction)
+            evolver.run_schedule(state, schedule)
+    assert len(evolver._eig_cache) == 7
