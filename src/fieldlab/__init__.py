@@ -14,7 +14,6 @@ from .classical import (
 from .evolve import (
     EvolveParams,
     ExactPropagator,
-    evolve,
     evolve_crank_nicolson,
     evolve_exact,
     evolve_strang,

@@ -158,25 +158,34 @@ def _build_lattice(config: dict) -> LatticeConfig:
         raise ConfigError("lattice", str(exc)) from exc
 
 
+def _build_at(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with the errors it raises reported as config errors at ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except _CONFIG_STAGE_ERRORS as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _build_initial(block: dict, path: str, cfg: LatticeConfig, base_dir: Path):
     kind = _expect(block, path, "kind", str)
     if kind == "ground_state":
         mass = _expect(block, path, "mass", float)
-        spec = free_ground_state_covariance(cfg, mass)
+        spec = _build_at(f"{path}.mass", free_ground_state_covariance, cfg, mass)
         centers = _number_list(block, path, "centers", required=False)
         if centers is not None:
             if len(centers) != cfg.n_sites:
                 raise ConfigError(f"{path}.centers", f"expected {cfg.n_sites} entries")
             spec = GaussianStateSpec(tuple(centers), covariance=spec.covariance)
-        return init_wavefunctional(spec, cfg)
+        return _build_at(path, init_wavefunctional, spec, cfg)
     if kind == "gaussian":
         centers = _number_list(block, path, "centers")
         widths = _number_list(block, path, "widths")
         phase = _expect(block, path, "phase", float, required=False, default=0.0)
         if len(centers) != cfg.n_sites or len(widths) != cfg.n_sites:
             raise ConfigError(path, f"centers and widths must have {cfg.n_sites} entries")
-        spec = GaussianStateSpec(tuple(centers), widths=tuple(widths), phase=phase)
-        return init_wavefunctional(spec, cfg)
+        spec = _build_at(f"{path}.widths", GaussianStateSpec, tuple(centers),
+                         widths=tuple(widths), phase=phase)
+        return _build_at(f"{path}.widths", init_wavefunctional, spec, cfg)
     if kind == "file":
         rel = _expect(block, path, "path", str)
         file_path = (base_dir / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
@@ -224,6 +233,8 @@ def cmd_evolve(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
         raise ConfigError("evolve.dt", "must be positive")
     if log_every < 1:
         raise ConfigError("evolve.log_every", "must be at least 1")
+    if cn_tol <= 0:
+        raise ConfigError("evolve.cn_tol", "must be positive")
     if method not in ("exact", "strang", "crank_nicolson"):
         raise ConfigError("evolve.method", f"unknown method {method!r}")
     initial = _build_initial(_expect(block, "evolve", "initial", dict), "evolve.initial",

@@ -32,6 +32,8 @@ class EvolveParams:
             raise ValueError("dt must be positive")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
+        if self.cn_tol <= 0:
+            raise ValueError("cn_tol must be positive")
         if self.method not in ("exact", "strang", "crank_nicolson"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -86,30 +88,46 @@ def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
     h = cfg.hbar
     half_phase = np.exp(-0.5j * params.dt * hamiltonian.diag / h)
     kin_phase = np.exp(-1j * params.dt * hamiltonian.kinetic_multiplier() / h)
-    psi = state.psi
+    psi = state.psi.copy()
     for _ in range(params.steps):
-        psi = half_phase * psi
-        psi = np.fft.ifftn(kin_phase * np.fft.fftn(psi))
-        psi = half_phase * psi
+        psi *= half_phase
+        np.fft.fftn(psi, out=psi)
+        psi *= kin_phase
+        np.fft.ifftn(psi, out=psi)
+        psi *= half_phase
     return WaveFunctional(cfg, psi)
 
 
 def crank_nicolson_step(hamiltonian: LatticeHamiltonian, psi: np.ndarray,
                         dt: float, tol: float, maxiter: int) -> np.ndarray:
-    """One Cayley step (1 + i dt H / 2h) psi' = (1 - i dt H / 2h) psi, matrix-free."""
+    """One Cayley step (1 + i dt H / 2h) psi' = (1 - i dt H / 2h) psi, matrix-free.
+
+    GMRES solves for the change psi' - psi, whose right-hand side -i dt H psi / h
+    costs no product beyond H psi, with the inverse of the system's diagonal
+    in the field basis as a (Jacobi) preconditioner.  It stops when the true
+    residual is within ``tol`` of the norm of the full right-hand side.
+    """
     cfg = hamiltonian.cfg
     alpha = 0.5 * dt / cfg.hbar
 
     def matvec(x):
         arr = x.reshape(cfg.shape)
-        return (arr + 1j * alpha * hamiltonian.apply(arr)).ravel()
+        out = hamiltonian.apply(arr)
+        out *= 1j * alpha
+        out += arr
+        return out.ravel()
 
+    jacobi = (1.0 / (1.0 + 1j * alpha * hamiltonian.field_diagonal())).ravel()
     op = spla.LinearOperator((cfg.dim, cfg.dim), matvec=matvec, dtype=np.complex128)
-    rhs = (psi - 1j * alpha * hamiltonian.apply(psi)).ravel()
-    sol, info = spla.gmres(op, rhs, x0=psi.ravel(), rtol=tol, atol=0.0, maxiter=maxiter)
+    precond = spla.LinearOperator((cfg.dim, cfg.dim), matvec=lambda x: jacobi * x.ravel(),
+                                  dtype=np.complex128)
+    h_psi = hamiltonian.apply(psi)
+    rhs_norm = np.linalg.norm(psi - 1j * alpha * h_psi)
+    change, info = spla.gmres(op, (-2j * alpha * h_psi).ravel(), rtol=0.0,
+                              atol=tol * rhs_norm, maxiter=maxiter, M=precond)
     if info != 0:
         raise SolverDivergence(f"gmres failed to reach tol {tol} (info={info})")
-    return sol.reshape(cfg.shape)
+    return psi + change.reshape(cfg.shape)
 
 
 def evolve_crank_nicolson(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
@@ -118,15 +136,6 @@ def evolve_crank_nicolson(hamiltonian: LatticeHamiltonian, state: WaveFunctional
     for _ in range(params.steps):
         psi = crank_nicolson_step(hamiltonian, psi, params.dt, params.cn_tol, params.cn_maxiter)
     return WaveFunctional(state.cfg, psi.copy())
-
-
-def evolve(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
-           params: EvolveParams) -> WaveFunctional:
-    if params.method == "exact":
-        return evolve_exact(hamiltonian, state, params.dt * params.steps)
-    if params.method == "strang":
-        return evolve_strang(hamiltonian, state, params)
-    return evolve_crank_nicolson(hamiltonian, state, params)
 
 
 def observables(state: WaveFunctional,

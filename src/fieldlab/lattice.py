@@ -118,6 +118,8 @@ class GaussianStateSpec:
     def __post_init__(self):
         if (self.widths is None) == (self.covariance is None):
             raise ValueError("exactly one of widths / covariance must be given")
+        if self.widths is not None and not all(w > 0 for w in self.widths):
+            raise NonPositiveCovariance(f"widths must be positive, got {self.widths}")
 
     def matrix(self) -> np.ndarray:
         if self.widths is not None:

@@ -15,6 +15,7 @@ needs an ordering rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -96,32 +97,61 @@ class LatticeHamiltonian:
         """True when the operator splits into a k-diagonal plus a z-diagonal part."""
         return all(t.cross is None for t in self.terms)
 
-    def _momentum_apply(self, psi, j, multiplier):
-        shape = [1] * self.cfg.n_sites
-        shape[j] = self.cfg.q_points
-        return np.fft.ifft(np.fft.fft(psi, axis=j) * multiplier.reshape(shape), axis=j)
+    @cached_property
+    def _kernels(self) -> list[tuple]:
+        """Per term: (axis, momentum multiplier or None, P/2 multiplier, cross f or None).
 
-    def _cross_view(self, term):
-        """Reshape the stored (Q, Q) array onto the pair of state axes."""
-        n, q = self.cfg.n_sites, self.cfg.q_points
-        shape = [1] * n
-        shape[term.site] = q
-        shape[term.neighbor] = q
-        return term.cross.reshape(shape)
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
+        Each array is shaped to broadcast against the state.
+        """
         cfg = self.cfg
         k2, k1 = momentum_grids(cfg)
         h_over_a = cfg.hbar / cfg.spacing
-        out = self.diag * psi
+        kernels = []
         for term in self.terms:
-            mult = term.quad * (h_over_a ** 2) * k2 + term.lin_const * h_over_a * k1
+            shape = [1] * cfg.n_sites
+            shape[term.site] = cfg.q_points
+            mult = None
             if term.quad or term.lin_const:
-                out = out + self._momentum_apply(psi, term.site, mult)
+                mult = (term.quad * (h_over_a ** 2) * k2
+                        + term.lin_const * h_over_a * k1).reshape(shape)
+            half_p = (0.5 * h_over_a * k1).reshape(shape)
+            f = None
             if term.cross is not None:
-                f = self._cross_view(term)
-                p_psi = self._momentum_apply(psi, term.site, h_over_a * k1)
-                out = out + 0.5 * (f * p_psi + self._momentum_apply(f * psi, term.site, h_over_a * k1))
+                # the (Q, Q) array is stored in axis order, so this lines up for any pair
+                shape[term.neighbor] = cfg.q_points
+                f = term.cross.reshape(shape)
+            if mult is not None or f is not None:
+                kernels.append((term.site, mult, half_p, f))
+        return kernels
+
+    @cached_property
+    def _work(self) -> np.ndarray:
+        """Two state-sized buffers reused by every ``apply``."""
+        return np.empty((2,) + self.cfg.shape, dtype=np.complex128)
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """H psi with one forward/inverse FFT pair per term, two more for a cross term.
+
+        A cross term (f P + P f) / 2 shares fft(psi) with the momentum part
+        and folds P f psi / 2 into the same inverse transform.
+        """
+        out = np.multiply(self.diag, psi, dtype=np.complex128)
+        w0, w1 = self._work
+        for axis, mult, half_p, f in self._kernels:
+            fpsi = np.fft.fft(psi, axis=axis, out=w0)
+            if f is None:
+                fpsi *= mult
+                out += np.fft.ifft(fpsi, axis=axis, out=fpsi)
+                continue
+            half_p_psi = np.fft.ifft(np.multiply(fpsi, half_p, out=w1), axis=axis, out=w1)
+            half_p_psi *= f
+            out += half_p_psi
+            inverse = np.fft.fft(np.multiply(f, psi, out=w1), axis=axis, out=w1)
+            inverse *= half_p
+            if mult is not None:
+                fpsi *= mult
+                inverse += fpsi
+            out += np.fft.ifft(inverse, axis=axis, out=inverse)
         return out
 
     def __call__(self, state: WaveFunctional) -> WaveFunctional:
@@ -132,19 +162,24 @@ class LatticeHamiltonian:
         den = np.vdot(state.psi, state.psi)
         return float((num / den).real)
 
+    def field_diagonal(self) -> np.ndarray:
+        """The operator's diagonal in the field basis, computed once per operator."""
+        return self._field_diagonal
+
+    @cached_property
+    def _field_diagonal(self) -> np.ndarray:
+        # a one-axis Fourier multiplier puts its mean on the diagonal; a cross
+        # term puts f * mean(k1) there, and the mean of k1 is zero
+        return self.diag + sum(float(np.mean(mult))
+                               for _, mult, _, _ in self._kernels if mult is not None)
+
     def kinetic_multiplier(self) -> np.ndarray:
         """Fourier multiplier of the momentum part; requires separability."""
-        cfg = self.cfg
-        k2, k1 = momentum_grids(cfg)
-        h_over_a = cfg.hbar / cfg.spacing
-        mult = np.zeros(cfg.shape)
-        for term in self.terms:
-            if term.cross is not None:
+        mult = np.zeros(self.cfg.shape)
+        for _, term_mult, _, f in self._kernels:
+            if f is not None:
                 raise UnsupportedOrdering("cross terms have no global Fourier multiplier")
-            shape = [1] * cfg.n_sites
-            shape[term.site] = cfg.q_points
-            mult = mult + (term.quad * (h_over_a ** 2) * k2
-                           + term.lin_const * h_over_a * k1).reshape(shape)
+            mult = mult + term_mult
         return mult
 
     def dense_matrix(self) -> np.ndarray:
@@ -159,21 +194,18 @@ class LatticeHamiltonian:
         dim, n, q = cfg.dim, cfg.n_sites, cfg.q_points
         if dim > DENSE_GUARD:
             raise DimensionTooLarge(f"dimension {dim} exceeds dense guard {DENSE_GUARD}")
-        k2, k1 = momentum_grids(cfg)
-        h_over_a = cfg.hbar / cfg.spacing
         real = all(t.lin_const == 0.0 and t.cross is None for t in self.terms)
         mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
-        for term in self.terms:
-            block = _site_diagonal(mat, n, q, term.site)
-            if term.quad or term.lin_const:
-                mult = term.quad * (h_over_a ** 2) * k2 + term.lin_const * h_over_a * k1
-                block += _hermitian_block(mult, real)
-            if term.cross is not None:
-                p = _hermitian_block(h_over_a * k1, real=False)
+        for axis, mult, half_p, f in self._kernels:
+            block = _site_diagonal(mat, n, q, axis)
+            if mult is not None:
+                block += _hermitian_block(mult.ravel(), real)
+            if f is not None:
+                half_p_block = _hermitian_block(half_p.ravel(), real=False)
                 # f over the full grid, laid out as (L, R, Q) to match the block view
-                f = np.broadcast_to(self._cross_view(term), cfg.shape).reshape(
+                f = np.broadcast_to(f, cfg.shape).reshape(
                     block.shape[0], q, block.shape[1]).transpose(0, 2, 1)
-                block += 0.5 * (f[..., :, None] + f[..., None, :]) * p
+                block += (f[..., :, None] + f[..., None, :]) * half_p_block
         mat.reshape(-1)[::dim + 1] += self.diag.ravel()
         return mat
 
@@ -213,8 +245,8 @@ def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
                     f"p_{j} multiplies a field expression containing z_{j} "
                     "and symmetrization is disabled"
                 )
-            # squeeze to (Q, Q) in axis order; _cross_view reshapes with the
-            # same ordering so the indices line up for any (j, neighbor) pair
+            # squeeze to (Q, Q) in axis order; LatticeHamiltonian._kernels
+            # reshapes with the same ordering
             cross_arr = np.ascontiguousarray(varying.reshape(q, q))
     terms_out.append(_SiteTerm(j, neighbor, quad, lin_const, cross_arr))
 

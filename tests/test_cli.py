@@ -274,6 +274,8 @@ MALFORMED = [
     ({"surface": {"total_time": 0.1, "dt_values": [], "initial":
       {"kind": "ground_state", "mass": 1.0}, "schedule_a": {"kind": "sweep"},
       "schedule_b": {"kind": "sweep"}}}, "surface.dt_values"),
+    ({"evolve": {"steps": 1, "initial": {"kind": "ground_state", "mass": 1.0},
+                 "method": "crank_nicolson", "cn_tol": -1.0}}, "evolve.cn_tol"),
 ]
 
 
@@ -306,6 +308,21 @@ def test_truncated_state_file_rejected(tmp_path, capsys):
     (tmp_path / "cut.bin").write_bytes(state_bytes[:-8])
     assert run(tmp_path, evolve_config(5, initial={"kind": "file", "path": "cut.bin"})) == 2
     assert "evolve.initial.path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial,needle,reason", [
+    ({"kind": "ground_state", "mass": 0.0}, "evolve.initial.mass", "omega = 0"),
+    ({"kind": "gaussian", "centers": [0.0], "widths": [0.3]}, "evolve.initial.widths",
+     "below one grid cell"),
+    ({"kind": "gaussian", "centers": [0.0], "widths": [-1.0]}, "evolve.initial.widths",
+     "must be positive"),
+])
+def test_initial_state_errors_are_config_errors(tmp_path, capsys, initial, needle, reason):
+    """Errors from building the initial state exit 2 at their config path, no traceback."""
+    assert run(tmp_path, evolve_config(5, initial=initial)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {needle}: ") and reason in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fieldlab.errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
 from fieldlab.evolve import (
     EvolveParams,
     ExactPropagator,
+    crank_nicolson_step,
     evolve_crank_nicolson,
     evolve_exact,
     evolve_strang,
@@ -263,3 +265,51 @@ def test_gaussian_moment_rotation_covariance():
     za, _ = site_moments(propagator.propagate(state_a, 0.9))
     zb, _ = site_moments(propagator.propagate(state_b, 0.9))
     assert np.allclose(rot @ za, zb, atol=1e-8)
+
+
+def test_strang_leaves_input_state_untouched():
+    cfg, op, state = free_setup()
+    before = state.psi.copy()
+    evolve_strang(op, state, EvolveParams(0.05, 3))
+    assert np.array_equal(state.psi, before)
+
+
+def test_crank_nicolson_jacobi_preconditioner_saves_matvecs():
+    """One preconditioned step meets cn_tol on the true residual in fewer matvecs."""
+    lagr = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
+    cfg = LatticeConfig(3, 1.0, 16, 8.0)
+    op = compile_hamiltonian(legendre_transform(lagr), cfg)
+    state = init_wavefunctional(GaussianStateSpec((0.3, -0.2, 0.1), widths=(1.0,) * 3), cfg)
+    dt, tol = 0.01, 1e-10
+    alpha = 0.5 * dt / cfg.hbar
+    calls = []
+    apply = op.apply
+
+    def counted(psi):
+        calls.append(1)
+        return apply(psi)
+
+    op.apply = counted
+
+    def system(x):
+        arr = x.reshape(cfg.shape)
+        return (arr + 1j * alpha * counted(arr)).ravel()
+
+    rhs = (state.psi - 1j * alpha * apply(state.psi)).ravel()
+    out = crank_nicolson_step(op, state.psi, dt, tol, 500)
+    preconditioned = len(calls)
+    residual = np.linalg.norm(system(out.ravel()) - rhs) / np.linalg.norm(rhs)
+    assert residual <= tol
+
+    calls.clear()
+    plain = spla.LinearOperator((cfg.dim, cfg.dim), matvec=system, dtype=np.complex128)
+    _, info = spla.gmres(plain, rhs, x0=state.psi.ravel(), rtol=tol, atol=0.0, maxiter=500)
+    assert info == 0
+    assert preconditioned < len(calls)
+
+
+@pytest.mark.parametrize("cn_tol", [0.0, -1e-10])
+def test_evolve_params_reject_non_positive_cn_tol(cn_tol):
+    """GMRES cannot meet a zero tolerance and rejects a negative one."""
+    with pytest.raises(ValueError, match="cn_tol"):
+        EvolveParams(0.1, 1, "crank_nicolson", cn_tol=cn_tol)

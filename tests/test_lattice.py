@@ -180,3 +180,10 @@ def test_load_state_rejects_length_mismatch(tmp_path, keep):
     path.write_bytes(raw[:keep])
     with pytest.raises(ValueError):
         load_state(path)
+
+
+@pytest.mark.parametrize("width", [-1.0, 0.0, float("nan")])
+def test_gaussian_rejects_non_positive_widths(width):
+    """A width enters only through its square, so the spec itself must reject width <= 0."""
+    with pytest.raises(NonPositiveCovariance, match="widths must be positive"):
+        GaussianStateSpec((0.0, 0.0), widths=(1.0, width))

@@ -256,3 +256,37 @@ def test_dense_matrix_diagonal_density_is_real_diagonal():
     mat = compile_hamiltonian(diagonal_density(0.5, (0.0, 0.0, 0.5)), cfg, 0.3).dense_matrix()
     assert mat.dtype == np.float64
     assert np.array_equal(mat, np.diag(np.diag(mat)))
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_field_diagonal_matches_dense(case):
+    """The Jacobi diagonal is the dense matrix's diagonal, cross terms included."""
+    text, n, derivative, slopes, sites, _ = DENSE_CASES[case]
+    cfg = LatticeConfig(n, 1.0, 8 if n == 3 else 16, 6.0, derivative=derivative)
+    op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, slopes, sites)
+    diagonal = op.field_diagonal()
+    assert diagonal.shape == cfg.shape and diagonal.dtype == np.float64
+    assert np.max(np.abs(diagonal.ravel() - np.diag(op.dense_matrix()))) < 1e-12
+    assert op.field_diagonal() is diagonal
+
+
+@pytest.mark.parametrize("text,slopes,sites,derivative", [
+    (LINEAR_ZT, [0.3, -0.1], None, "spectral"),
+    (FREE, [0.2, -0.4], [1], "spectral"),
+    (QUARTIC, [-0.25, 0.15], None, "fd"),
+])
+def test_fused_cross_term_apply_matches_dense(text, slopes, sites, derivative, rng):
+    """Sharing fft(psi) and one inverse transform per cross term keeps H psi exact."""
+    cfg = LatticeConfig(2, 1.0, 16, 6.0, derivative=derivative)
+    op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, slopes, sites)
+    assert not op.separable
+    mat = op.dense_matrix()
+    x = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    x /= np.linalg.norm(x)
+    y = rng.standard_normal(cfg.shape)  # a real state is upcast
+    y /= np.linalg.norm(y)
+    hx = op.apply(x)
+    hy = op.apply(y)  # reuses the work buffers; hx must be its own array
+    assert np.max(np.abs(hx.ravel() - mat @ x.ravel())) < 1e-12
+    assert np.max(np.abs(hy.ravel() - mat @ y.ravel())) < 1e-12
+    assert np.array_equal(op.apply(x), hx)
