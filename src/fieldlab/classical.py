@@ -17,18 +17,18 @@ minimum equals +V(const).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import NewtonDivergence, NotSpacelike, SingularBVP
+from .errors import DimensionTooLarge, NewtonDivergence, NotSpacelike, SingularBVP
 from .lagrangian import LagrangianSpec, legendre_transform
 
 COND_LIMIT = 1e12
 NEWTON_TOL = 1e-10
 NEWTON_MAXITER = 60
+MAX_GRID_POINTS = 250_000  # (R+1)*N; about 0.6 GB at the guard with 32 sites
 
 
 @dataclass(frozen=True)
@@ -59,25 +59,11 @@ class BoundaryData:
     def n_sites(self) -> int:
         return len(self.t0)
 
-    def replace_z1(self, j: int, value: float) -> "BoundaryData":
-        z1 = list(self.z1)
-        z1[j] = value
-        return BoundaryData(self.t0, self.t1, self.z0, tuple(z1), self.spacing)
-
-    def replace_z0(self, j: int, value: float) -> "BoundaryData":
-        z0 = list(self.z0)
-        z0[j] = value
-        return BoundaryData(self.t0, tuple(self.t1), tuple(z0), self.z1, self.spacing)
-
-    def replace_t1(self, j: int, value: float) -> "BoundaryData":
-        t1 = list(self.t1)
-        t1[j] = value
-        return BoundaryData(self.t0, tuple(t1), self.z0, self.z1, self.spacing)
-
-    def replace_t0(self, j: int, value: float) -> "BoundaryData":
-        t0 = list(self.t0)
-        t0[j] = value
-        return BoundaryData(tuple(t0), self.t1, self.z0, self.z1, self.spacing)
+    def with_entry(self, name: str, j: int, value: float) -> "BoundaryData":
+        """Copy with entry ``j`` of the array ``name`` (t0, t1, z0 or z1) set to ``value``."""
+        values = list(getattr(self, name))
+        values[j] = value
+        return dataclasses.replace(self, **{name: tuple(values)})
 
     def relabeled(self, shift: int) -> "BoundaryData":
         roll = lambda arr: tuple(np.roll(np.asarray(arr), shift))
@@ -153,6 +139,8 @@ class _ActionGrid:
         return cq, cx0, cx1
 
     def _assemble_quadratic(self):
+        import scipy.sparse as sp
+
         lagr = self.lagr
         r, j, slots = self._slot_indices()
         r, j = r.ravel(), j.ravel()
@@ -210,6 +198,8 @@ class _ActionGrid:
         return self.h_quad @ z_flat + self.lin - pot.ravel()
 
     def hessian(self, z_flat: np.ndarray):
+        import scipy.sparse as sp
+
         z = z_flat.reshape(self.R + 1, self.n)
         pot = self.w_pot * self.lagr.potential_second_derivative(z)
         return self.h_quad - sp.diags(pot.ravel())
@@ -249,6 +239,9 @@ class ExtremalSolution:
 
 
 def _condition_estimate(matrix):
+    # splu through the module attribute, so a wrapper installed on it sees every call
+    import scipy.sparse.linalg as spla
+
     matrix = matrix.tocsc()
     try:
         lu = spla.splu(matrix)
@@ -269,6 +262,25 @@ def _check_condition(matrix):
     return lu
 
 
+def grid_rows(bd: BoundaryData, dt_c: float) -> int:
+    """Row count R of the extremal grid at step ``dt_c``, checked before anything is built.
+
+    Raises ValueError for a step that leaves fewer than two interior rows and
+    DimensionTooLarge for a grid of more than MAX_GRID_POINTS points.
+    """
+    if dt_c <= 0:
+        raise ValueError("dt_c must be positive")
+    spans = np.asarray(bd.t1) - np.asarray(bd.t0)
+    rows = float(spans.mean()) / dt_c
+    if (rows + 1) * bd.n_sites > MAX_GRID_POINTS:
+        raise DimensionTooLarge(f"dt_c {dt_c:g} needs {rows:.3g} rows x {bd.n_sites} sites, "
+                                f"above the {MAX_GRID_POINTS} point grid guard")
+    n_rows = int(round(rows))
+    if n_rows < 3:
+        raise ValueError("domain must contain at least two interior rows")
+    return n_rows
+
+
 def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> ExtremalSolution:
     """Stationary point of the discrete action between the two surfaces.
 
@@ -278,12 +290,7 @@ def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> Extre
     resonances of the oscillator family) raise SingularBVP instead of
     returning garbage.
     """
-    if dt_c <= 0:
-        raise ValueError("dt_c must be positive")
-    spans = np.asarray(bd.t1) - np.asarray(bd.t0)
-    n_rows = int(round(float(spans.mean()) / dt_c))
-    if n_rows < 3:
-        raise ValueError("domain must contain at least two interior rows")
+    n_rows = grid_rows(bd, dt_c)
     grid = _ActionGrid(bd, lagr, n_rows)
     mask = grid.interior_mask()
     quadratic = len(lagr.potential) <= 3
@@ -406,6 +413,24 @@ def _rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / max(abs(reference), 1e-10)
 
 
+def hj_variations(bd: BoundaryData, fd_epsilon: float) -> dict:
+    """The varied boundaries hj_residuals solves, keyed ``(name, j) -> (up, down)``.
+
+    Entry j of z1, t1 and z0 moves by +-fd_epsilon.  Raises ValueError (or
+    NotSpacelike) for a step that is not positive or that moves a surface out
+    of the valid region.
+    """
+    if not fd_epsilon > 0:
+        raise ValueError("fd_epsilon must be positive")
+    variations = {}
+    for j in range(bd.n_sites):
+        for name in ("z1", "t1", "z0"):
+            x = getattr(bd, name)[j]
+            variations[name, j] = (bd.with_entry(name, j, x + fd_epsilon),
+                                   bd.with_entry(name, j, x - fd_epsilon))
+    return variations
+
+
 def hj_residuals(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float,
                  fd_epsilon: float = 1e-4) -> dict:
     """Finite-difference boundary variations of S against the momentum formulas.
@@ -416,6 +441,7 @@ def hj_residuals(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float,
     derivatives, and the tangential identity on both surfaces.  Initial-
     surface variations carry the opposite orientation sign.
     """
+    variations = hj_variations(bd, fd_epsilon)
     base = solve_extremal(bd, lagr, dt_c)
     momenta = boundary_momenta(base, lagr)
     density = legendre_transform(lagr)
@@ -438,15 +464,18 @@ def hj_residuals(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float,
     dsdt_rel = np.empty(n)
     eq10_resid = np.empty(n)
     dsdz0_rel = np.empty(n)
+
+    def central_difference(name, j):
+        up, down = variations[name, j]
+        s_up = solve_extremal(up, lagr, dt_c).action
+        s_down = solve_extremal(down, lagr, dt_c).action
+        return (s_up - s_down) / (2.0 * eps)
+
     for j in range(n):
-        s_up = solve_extremal(bd.replace_z1(j, z1[j] + eps), lagr, dt_c).action
-        s_dn = solve_extremal(bd.replace_z1(j, z1[j] - eps), lagr, dt_c).action
-        fd_z = (s_up - s_dn) / (2.0 * eps)
+        fd_z = central_difference("z1", j)
         dsdz_rel[j] = _rel_err(fd_z, a * momenta.final.p[j])
 
-        tp = solve_extremal(bd.replace_t1(j, t1[j] + eps), lagr, dt_c).action
-        tm = solve_extremal(bd.replace_t1(j, t1[j] - eps), lagr, dt_c).action
-        fd_t = (tp - tm) / (2.0 * eps)
+        fd_t = central_difference("t1", j)
         dsdt_rel[j] = _rel_err(fd_t, -a * momenta.final.energy[j])
 
         # the density at a site is the mean of its two adjacent-link values,
@@ -455,10 +484,7 @@ def hj_residuals(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float,
                          + float(density.evaluate(z1[j], zs1_right[j], fd_z / a, v1_right[j])))
         eq10_resid[j] = abs(fd_t / a + h_links)
 
-        z0j = bd.z0[j]
-        s0p = solve_extremal(bd.replace_z0(j, z0j + eps), lagr, dt_c).action
-        s0m = solve_extremal(bd.replace_z0(j, z0j - eps), lagr, dt_c).action
-        fd_z0 = (s0p - s0m) / (2.0 * eps)
+        fd_z0 = central_difference("z0", j)
         dsdz0_rel[j] = _rel_err(fd_z0, -a * momenta.initial.p[j])
 
     return {

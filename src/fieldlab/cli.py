@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import BoundaryData, hj_residuals, reparameterization_check, solve_extremal
+from .classical import (
+    BoundaryData,
+    grid_rows,
+    hj_residuals,
+    hj_variations,
+    reparameterization_check,
+    solve_extremal,
+)
 from .errors import (
     ConfigError,
     DegenerateKinetic,
@@ -421,8 +428,19 @@ def cmd_classical(config: dict, outdir: Path, meta: dict) -> None:
         bd = BoundaryData(arrays["t0"], arrays["t1"], arrays["z0"], arrays["z1"], spacing)
     except (ValueError, NotSpacelike) as exc:
         raise ConfigError("classical.boundary", str(exc)) from exc
-    if dt_c <= 0:
-        raise ConfigError("classical.dt_c", "must be positive")
+    try:
+        grid_rows(bd, dt_c)
+    except ValueError as exc:
+        raise ConfigError("classical.dt_c", str(exc)) from exc
+    # the finest grid of the run, checked against the grid guard before any solve
+    grid_rows(bd, dt_c / 4.0 if "reparameterization" in checks else dt_c)
+    if "hj_residuals" in checks:
+        try:
+            for pair in hj_variations(bd, fd_epsilon).values():
+                for varied in pair:
+                    grid_rows(varied, dt_c)
+        except (ValueError, NotSpacelike) as exc:
+            raise ConfigError("classical.fd_epsilon", str(exc)) from exc
 
     sol = solve_extremal(bd, lagr, dt_c)
     payload = {"action": sol.action, "residual": sol.residual, "n_rows": sol.n_rows}

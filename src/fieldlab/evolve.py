@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
 from .lattice import WaveFunctional, norm as state_norm, site_moments
@@ -107,6 +106,8 @@ def crank_nicolson_step(hamiltonian: LatticeHamiltonian, psi: np.ndarray,
     in the field basis as a (Jacobi) preconditioner.  It stops when the true
     residual is within ``tol`` of the norm of the full right-hand side.
     """
+    import scipy.sparse.linalg as spla
+
     cfg = hamiltonian.cfg
     alpha = 0.5 * dt / cfg.hbar
 

@@ -194,6 +194,13 @@ def _format_coeff(value: float) -> str:
     return repr(float(value))
 
 
+def _polyval(z, coeffs):
+    """sum_k coeffs[k] * z^k, float zeros shaped like z for no coefficients."""
+    if not coeffs:
+        return np.zeros_like(np.asarray(z, dtype=float))
+    return np.polynomial.polynomial.polyval(z, list(coeffs))
+
+
 @dataclass(frozen=True)
 class LagrangianSpec:
     """Normalized density F = c2*zt^2 + c1*zt + g*zx^2 - V(z).
@@ -208,21 +215,13 @@ class LagrangianSpec:
     potential: tuple[float, ...] = ()
 
     def potential_value(self, z):
-        if not self.potential:
-            return np.zeros_like(np.asarray(z, dtype=float))
-        return np.polynomial.polynomial.polyval(z, list(self.potential))
+        return _polyval(z, self.potential)
 
     def potential_derivative(self, z):
-        if len(self.potential) < 2:
-            return np.zeros_like(np.asarray(z, dtype=float))
-        dcoef = [k * c for k, c in enumerate(self.potential)][1:]
-        return np.polynomial.polynomial.polyval(z, dcoef)
+        return _polyval(z, [k * c for k, c in enumerate(self.potential)][1:])
 
     def potential_second_derivative(self, z):
-        if len(self.potential) < 3:
-            return np.zeros_like(np.asarray(z, dtype=float))
-        d2 = [k * (k - 1) * c for k, c in enumerate(self.potential)][2:]
-        return np.polynomial.polynomial.polyval(z, d2)
+        return _polyval(z, [k * (k - 1) * c for k, c in enumerate(self.potential)][2:])
 
     def evaluate(self, z, zt, zx):
         return (
@@ -343,18 +342,13 @@ class HamiltonianDensity:
 
     def scalar_part(self, v, z, zs):
         """Momentum-free part: B^2/(4A) - g*zs^2 + V(z)."""
-        pot = self._potential_value(z)
+        pot = _polyval(z, self.potential)
         grad = -self.gradient_coeff * np.asarray(zs) ** 2
         if not self.has_momentum:
             return pot + grad
         a_eff = self.effective_quad(v)
         b = self.kinetic_linear - 2.0 * self.gradient_coeff * v * np.asarray(zs)
         return b * b / (4.0 * a_eff) + grad + pot
-
-    def _potential_value(self, z):
-        if not self.potential:
-            return np.zeros_like(np.asarray(z, dtype=float))
-        return np.polynomial.polynomial.polyval(z, list(self.potential))
 
     def zdot(self, zs, p, v):
         """Velocity solving p = dF/d(zt) at slope v."""

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+import fieldlab.classical
 from fieldlab.classical import (
     BoundaryData,
     boundary_momenta,
+    grid_rows,
     hj_residuals,
+    hj_variations,
     reparameterization_check,
     solve_extremal,
 )
-from fieldlab.errors import NotSpacelike, SingularBVP
+from fieldlab.errors import DimensionTooLarge, NotSpacelike, SingularBVP
 from fieldlab.lagrangian import parse_lagrangian
 from fieldlab.lattice import LatticeConfig, mode_frequencies
 
@@ -183,3 +186,48 @@ def test_time_shift_bitwise(free_lagr):
     s0 = solve_extremal(bd, free_lagr, 1e-2).action
     s1 = solve_extremal(shifted, free_lagr, 1e-2).action
     assert abs(s0 - s1) < 1e-12
+
+
+def test_with_entry_replaces_one_entry_and_validates():
+    bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.4), spacing=2.0)
+    moved = bd.with_entry("z1", 1, 0.5)
+    assert moved == BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.5), spacing=2.0)
+    assert bd.z1 == (0.1, 0.4)
+    with pytest.raises(ValueError):
+        bd.with_entry("t1", 0, -1.0)
+
+
+def test_hj_variations_move_each_entry_by_epsilon():
+    bd = BoundaryData((0.0, 0.1), (1.0, 1.2), (0.3, -0.2), (0.1, 0.4))
+    variations = hj_variations(bd, 0.25)
+    assert sorted(variations) == [(name, j) for name in ("t1", "z0", "z1") for j in (0, 1)]
+    up, down = variations["t1", 1]
+    assert up == bd.with_entry("t1", 1, 1.45) and down == bd.with_entry("t1", 1, 0.95)
+    for eps in (0.0, -1e-4):
+        with pytest.raises(ValueError, match="fd_epsilon"):
+            hj_variations(bd, eps)
+    with pytest.raises(ValueError, match="t0_j < t1_j"):
+        hj_variations(BoundaryData((0.0,), (1.0,), (0.3,), (0.1,)), 1.5)
+    with pytest.raises(NotSpacelike):
+        hj_variations(bd, 0.9)  # t1 +- eps tilts the final surface past |v| < 1
+
+
+def test_hj_residuals_rejects_zero_epsilon(free_lagr):
+    bd = BoundaryData((0.0,), (1.0,), (0.3,), (-0.4,))
+    with pytest.raises(ValueError, match="fd_epsilon"):
+        hj_residuals(bd, free_lagr, 1e-2, fd_epsilon=0.0)
+
+
+def test_grid_rows_guard(monkeypatch):
+    bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.1, 0.2), (0.3, 0.4))
+    assert grid_rows(bd, 1e-2) == 100
+    with pytest.raises(ValueError, match="interior rows"):
+        grid_rows(bd, 1.0)
+    with pytest.raises(DimensionTooLarge):
+        grid_rows(bd, 1e-9)
+    with pytest.raises(DimensionTooLarge):
+        grid_rows(bd, 5e-324)  # the row count overflows to inf
+    monkeypatch.setattr(fieldlab.classical, "MAX_GRID_POINTS", 202)
+    assert grid_rows(bd, 1e-2) == 100  # (100 + 1) * 2 points, exactly at the guard
+    with pytest.raises(DimensionTooLarge):
+        grid_rows(bd, 1e-2 * 100 / 101)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fieldlab.classical
 from fieldlab.cli import main
 from fieldlab.lattice import load_state
 
@@ -244,6 +245,50 @@ def test_classical_resonant_interval(tmp_path, capsys):
                            checks=(), dt_c=1e-3)
     assert run(tmp_path, cfg) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+ORACLE_BOUNDARY = {"t0": [0.0], "t1": [1.0], "z0": [0.3], "z1": [-0.4]}
+
+
+@pytest.mark.parametrize("field,value,boundary,needle", [
+    ("fd_epsilon", 0.0, ORACLE_BOUNDARY, "must be positive"),
+    ("fd_epsilon", -1e-4, ORACLE_BOUNDARY, "must be positive"),
+    ("fd_epsilon", 10.0, ORACLE_BOUNDARY, "t0_j < t1_j"),
+    ("fd_epsilon", 0.6, {"t0": [0.0, 0.0], "t1": [1.0, 1.5], "z0": [0.1, 0.2],
+                         "z1": [0.3, 0.4]}, "violate |v| < 1"),
+    ("fd_epsilon", 0.5, ORACLE_BOUNDARY, "two interior rows"),
+    ("dt_c", 1.0, ORACLE_BOUNDARY, "two interior rows"),
+    ("dt_c", 0.0, ORACLE_BOUNDARY, "must be positive"),
+])
+def test_classical_step_errors_are_config_errors(tmp_path, capsys, field, value, boundary,
+                                                 needle):
+    """Steps that leave no valid grid or varied boundary exit 2 at their field, no traceback."""
+    cfg = classical_config(boundary, dt_c=0.3)
+    cfg["lattice"]["n_sites"] = len(boundary["t0"])
+    cfg["classical"][field] = value
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: classical.{field}: ") and needle in err
+    assert "Traceback" not in err
+
+
+def test_classical_tiny_dt_c_hits_grid_guard(tmp_path, capsys):
+    cfg = classical_config(ORACLE_BOUNDARY, dt_c=1e-9)
+    start = time.perf_counter()
+    assert run(tmp_path, cfg) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "resource guard" in capsys.readouterr().err
+
+
+def test_classical_grid_guard_covers_the_finest_grid(tmp_path, capsys, monkeypatch):
+    """reparameterization solves at dt_c / 4; the guard sees that grid before any solve."""
+    monkeypatch.setattr(fieldlab.classical, "MAX_GRID_POINTS", 3000)
+    cfg = classical_config(ORACLE_BOUNDARY, checks=("reparameterization",), dt_c=1e-3)
+    assert run(tmp_path, cfg) == 4
+    assert "3000 point grid guard" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "residuals.json").exists()
+    cfg["classical"]["checks"] = []
+    assert run(tmp_path, cfg) == 0
 
 
 # --- validation corpus -----------------------------------------------------------
