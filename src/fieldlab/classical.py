@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NewtonDivergence, NotSpacelike, SingularBVP
+from .errors import DimensionTooLarge, NewtonDivergence, SingularBVP
 from .lagrangian import LagrangianSpec, legendre_transform
+from .lattice import link_difference, spacelike
 
 COND_LIMIT = 1e12
 NEWTON_TOL = 1e-10
@@ -49,11 +50,10 @@ class BoundaryData:
             raise ValueError("boundary arrays must share a common nonzero length")
         if any(b <= a for a, b in zip(self.t0, self.t1)):
             raise ValueError("surfaces must satisfy t0_j < t1_j at every site")
+        if not self.spacing > 0:
+            raise ValueError(f"spacing must be positive, got {self.spacing}")
         for name in ("t0", "t1"):
-            t = np.asarray(getattr(self, name))
-            slopes = (np.roll(t, -1) - t) / self.spacing
-            if np.any(np.abs(slopes) >= 1.0):
-                raise NotSpacelike(f"{name} link slopes {slopes} violate |v| < 1")
+            spacelike(link_difference(getattr(self, name), self.spacing), f"{name} link slopes")
 
     @property
     def n_sites(self) -> int:
@@ -101,7 +101,7 @@ class _ActionGrid:
         self.delta = (t1 - t0) / n_rows                      # per-site row step
         rows = np.arange(n_rows + 1)[:, None]
         self.row_times = t0[None, :] + rows * self.delta[None, :]
-        self.v_rows = (np.roll(self.row_times, -1, axis=1) - self.row_times) / self.a
+        self.v_rows = link_difference(self.row_times, self.a, axis=1)
         self.w = self.a * self.delta                         # site cell measure
         self.w_link = self.a * 0.5 * (self.delta + np.roll(self.delta, -1))
         weights = np.ones((n_rows + 1, self.n))
@@ -183,7 +183,7 @@ class _ActionGrid:
         lagr = self.lagr
         q = (z[1:] - z[:-1]) / self.delta[None, :]
         q_link = 0.5 * (q + np.roll(q, -1, axis=1))
-        zs = (np.roll(z, -1, axis=1) - z) / self.a
+        zs = link_difference(z, self.a, axis=1)
         x0 = zs[:-1] - q_link * self.v_rows[:-1]
         x1 = zs[1:] - q_link * self.v_rows[1:]
         site_cells = lagr.kinetic_coeff * q ** 2 + lagr.kinetic_linear * q
@@ -367,6 +367,13 @@ def _link_momenta(lagr: LagrangianSpec, zb, zdot, zs, v):
     return p, energy, flux, tangential
 
 
+def _adjacent_links(times, z, a: float):
+    """(v_left, v_right, zs_left, zs_right): slopes and field differences of each site's two links."""
+    v_right = link_difference(times, a)
+    zs_right = link_difference(z, a)
+    return np.roll(v_right, 1), v_right, np.roll(zs_right, 1), zs_right
+
+
 def _side_momenta(sol: ExtremalSolution, lagr: LagrangianSpec, final: bool) -> BoundarySideMomenta:
     """Boundary densities as the mean of the two adjacent-link evaluations.
 
@@ -378,23 +385,15 @@ def _side_momenta(sol: ExtremalSolution, lagr: LagrangianSpec, final: bool) -> B
     """
     z = sol.z
     delta = sol.deltas
-    a = sol.bd.spacing
     if final:
         zb = z[-1]
         zdot = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * delta)
-        times = np.asarray(sol.bd.t1)
+        times = sol.bd.t1
     else:
         zb = z[0]
         zdot = (-3.0 * z[0] + 4.0 * z[1] - z[2]) / (2.0 * delta)
-        times = np.asarray(sol.bd.t0)
-    if sol.bd.n_sites > 1:
-        v_right = (np.roll(times, -1) - times) / a
-        v_left = np.roll(v_right, 1)
-        zs_right = (np.roll(zb, -1) - zb) / a
-        zs_left = np.roll(zs_right, 1)
-    else:
-        v_right = v_left = np.zeros(1)
-        zs_right = zs_left = np.zeros(1)
+        times = sol.bd.t0
+    v_left, v_right, zs_left, zs_right = _adjacent_links(times, zb, sol.bd.spacing)
     left = _link_momenta(lagr, zb, zdot, zs_left, v_left)
     right = _link_momenta(lagr, zb, zdot, zs_right, v_right)
     p, energy, flux, tangential = (0.5 * (l + r) for l, r in zip(left, right))
@@ -450,15 +449,7 @@ def hj_residuals(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float,
     eps = fd_epsilon
 
     z1 = np.asarray(bd.z1)
-    t1 = np.asarray(bd.t1)
-    if n > 1:
-        v1_right = (np.roll(t1, -1) - t1) / a
-        v1_left = np.roll(v1_right, 1)
-        zs1_right = (np.roll(z1, -1) - z1) / a
-        zs1_left = np.roll(zs1_right, 1)
-    else:
-        v1_right = v1_left = np.zeros(1)
-        zs1_right = zs1_left = np.zeros(1)
+    v1_left, v1_right, zs1_left, zs1_right = _adjacent_links(bd.t1, z1, a)
 
     dsdz_rel = np.empty(n)
     dsdt_rel = np.empty(n)

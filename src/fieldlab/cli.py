@@ -310,12 +310,9 @@ def _build_schedule_factory(block: dict, path: str, start: SpacelikeSurface,
             if not 0 <= entry[0] < start.n_sites:
                 raise ConfigError(f"{path}.moves[{i}]", f"site {entry[0]} out of range")
             moves.append((entry[0], float(entry[1])))
-        base = max(abs(dt) for _, dt in moves) if moves else 1.0
 
         def build(dt):
-            split = max(1, int(round(base / dt))) if dt > 0 else 1
-            refined = tuple((j, step / split) for j, step in moves for _ in range(split))
-            return DeformationSchedule(start, refined)
+            return DeformationSchedule.refined(start, moves, dt)
 
         return build
     raise ConfigError(f"{path}.kind", f"unknown schedule kind {kind!r}")
@@ -352,11 +349,17 @@ def cmd_surface(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
                                       "surface.schedule_a", start, total_time)
     build_b = _build_schedule_factory(_expect(block, "surface", "schedule_b", dict),
                                       "surface.schedule_b", start, total_time)
-    for name, build in (("schedule_a", build_a), ("schedule_b", build_b)):
-        try:
-            build(dt_values[0]).end()
-        except (NotSpacelike, ValueError) as exc:
-            raise ConfigError(f"surface.{name}", str(exc)) from exc
+    # every schedule of the ladder, counted before it is built and walked before the first solve
+    for i, dt in enumerate(dt_values):
+        for name, build in (("schedule_a", build_a), ("schedule_b", build_b)):
+            try:
+                schedule = build(dt)
+            except ValueError as exc:
+                raise ConfigError(f"surface.dt_values[{i}]", str(exc)) from exc
+            try:
+                schedule.end()
+            except NotSpacelike as exc:
+                raise ConfigError(f"surface.{name}", str(exc)) from exc
 
     density = legendre_transform(lagr)
     report = integrability_test(initial, density, build_a, build_b, dt_values,
@@ -417,6 +420,8 @@ def cmd_classical(config: dict, outdir: Path, meta: dict) -> None:
         arrays[key] = _number_list(bblock, "classical.boundary", key)
     spacing = _expect(bblock, "classical.boundary", "spacing", float, required=False,
                       default=1.0)
+    if spacing <= 0:
+        raise ConfigError("classical.boundary.spacing", "must be positive")
     dt_c = _expect(block, "classical", "dt_c", float, required=False, default=1e-3)
     fd_epsilon = _expect(block, "classical", "fd_epsilon", float, required=False, default=1e-4)
     checks = _expect(block, "classical", "checks", list, required=False,

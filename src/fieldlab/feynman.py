@@ -25,7 +25,7 @@ import numpy as np
 from .errors import EnumerationTooLarge, ShapeMismatch
 from .evolve import ExactPropagator
 from .lagrangian import LagrangianSpec, legendre_transform
-from .lattice import LatticeConfig, WaveFunctional, norm
+from .lattice import LatticeConfig, WaveFunctional, link_difference, norm
 from .operators import compile_hamiltonian, fourier_matrix, momentum_grids
 from .surface import fit_order
 
@@ -67,7 +67,7 @@ def discrete_action(history: np.ndarray, pspec: PathIntegralSpec,
         raise ShapeMismatch(f"history shape {history.shape}, expected {expected}")
     earlier = history[:-1]
     zdot = (history[1:] - earlier) / pspec.dt
-    zx = (np.roll(earlier, -1, axis=1) - earlier) / cfg.spacing
+    zx = link_difference(earlier, cfg.spacing, axis=1)
     f_vals = lagr.evaluate(earlier, zdot, zx)
     return float(pspec.dt * cfg.spacing * f_vals.sum())
 
@@ -93,22 +93,11 @@ def one_site_kinetic_matrix(pspec: PathIntegralSpec, lagr: LagrangianSpec,
 def _diagonal_action_phase(pspec: PathIntegralSpec, lagr: LagrangianSpec,
                            cfg: LatticeConfig) -> np.ndarray:
     """exp(i dt a sum_j (g zs_j^2 - V(z_j)) / h) over the grid."""
-    n, q, a = cfg.n_sites, cfg.q_points, cfg.spacing
-    zg = cfg.z_values()
     total = np.zeros(cfg.shape)
-    for j in range(n):
-        shape_j = [1] * n
-        shape_j[j] = q
-        zj = zg.reshape(shape_j)
-        if n == 1:
-            zs = np.zeros_like(zj)
-        else:
-            neighbor = (j + 1) % n
-            shape_k = [1] * n
-            shape_k[neighbor] = q
-            zs = (zg.reshape(shape_k) - zj) / a
+    for j in range(cfg.n_sites):
+        zj, zs = cfg.site_fields(j)
         total = total + lagr.gradient_coeff * zs ** 2 - lagr.potential_value(zj)
-    return np.exp(1j * pspec.dt * a * total / cfg.hbar)
+    return np.exp(1j * pspec.dt * cfg.spacing * total / cfg.hbar)
 
 
 class TransferOperator:

@@ -19,6 +19,7 @@ from .errors import (
     GridUnresolved,
     MasslessZeroMode,
     NonPositiveCovariance,
+    NotSpacelike,
 )
 
 MEMORY_GUARD = 2 ** 24
@@ -64,6 +65,34 @@ class LatticeConfig:
 
     def z_values(self) -> np.ndarray:
         return -0.5 * self.q_extent + self.dz * np.arange(self.q_points)
+
+    def axis_shape(self, *sites: int) -> tuple[int, ...]:
+        """Broadcast shape with the grid axis on each of ``sites`` and length 1 elsewhere."""
+        return tuple(self.q_points if k in sites else 1 for k in range(self.n_sites))
+
+    def site_fields(self, site: int) -> tuple[np.ndarray, np.ndarray]:
+        """(z_j, zs_j) at ``site`` broadcast over the grid, zs_j = (z_{j+1} - z_j)/a.
+
+        The neighbour wraps periodically; with one site it is the site
+        itself, so zs is +0.0 everywhere.
+        """
+        zg = self.z_values()
+        zj = zg.reshape(self.axis_shape(site))
+        z_next = zg.reshape(self.axis_shape((site + 1) % self.n_sites))
+        return zj, (z_next - zj) / self.spacing
+
+
+def link_difference(values, spacing: float, axis: int = -1) -> np.ndarray:
+    """Periodic forward link difference (x_{j+1} - x_j)/a along ``axis``."""
+    values = np.asarray(values)
+    return (np.roll(values, -1, axis) - values) / spacing
+
+
+def spacelike(slopes: np.ndarray, what: str = "link slopes") -> np.ndarray:
+    """``slopes`` unchanged when every |v| < 1; NotSpacelike otherwise."""
+    if np.any(np.abs(slopes) >= 1.0):
+        raise NotSpacelike(f"{what} {slopes} violate |v| < 1")
+    return slopes
 
 
 @dataclass
@@ -139,10 +168,9 @@ def free_ground_state_covariance(cfg: LatticeConfig, mass: float) -> GaussianSta
     if mass == 0.0:
         raise MasslessZeroMode("zero-momentum mode has omega = 0 at zero mass")
     n, a = cfg.n_sites, cfg.spacing
-    coupling = mass ** 2 * np.eye(n)
-    if n > 1:
-        shift = np.roll(np.eye(n), 1, axis=1)
-        coupling = coupling + (2.0 * np.eye(n) - shift - shift.T) / a ** 2
+    # periodic links; with one site the site is its own neighbour and the links vanish
+    shift = np.roll(np.eye(n), 1, axis=1)
+    coupling = mass ** 2 * np.eye(n) + (2.0 * np.eye(n) - shift - shift.T) / a ** 2
     w2, vecs = np.linalg.eigh(coupling)
     omega = np.sqrt(np.maximum(w2, 0.0))
     cov = (cfg.hbar / a) * (vecs / omega) @ vecs.T
@@ -185,11 +213,7 @@ def init_wavefunctional(spec: GaussianStateSpec, cfg: LatticeConfig) -> WaveFunc
     prec = np.linalg.inv(cov)
     zg = cfg.z_values()
     quad = np.zeros(cfg.shape)
-    deltas = []
-    for j in range(n):
-        shape = [1] * n
-        shape[j] = cfg.q_points
-        deltas.append((zg - mu[j]).reshape(shape))
+    deltas = [(zg - mu[j]).reshape(cfg.axis_shape(j)) for j in range(n)]
     for j in range(n):
         quad = quad + prec[j, j] * deltas[j] ** 2
         for k in range(j + 1, n):
@@ -253,16 +277,12 @@ def site_moments(state: WaveFunctional):
 
 def site_covariance(state: WaveFunctional) -> np.ndarray:
     """<z_j z_k> - <z_j><z_k> matrix over sites."""
+    first, second_diag = site_moments(state)
     prob = np.abs(state.psi) ** 2
     total = prob.sum()
     zg = state.cfg.z_values()
     n = state.cfg.n_sites
-    first = np.empty(n)
-    second = np.empty((n, n))
-    for j in range(n):
-        marginal = prob.sum(axis=tuple(k for k in range(n) if k != j))
-        first[j] = (marginal * zg).sum() / total
-        second[j, j] = (marginal * zg ** 2).sum() / total
+    second = np.diag(second_diag)
     for j in range(n):
         for k in range(j + 1, n):
             axes = tuple(m for m in range(n) if m not in (j, k))

@@ -20,9 +20,9 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DimensionTooLarge, NotSpacelike, UnsupportedOrdering
+from .errors import DimensionTooLarge, UnsupportedOrdering
 from .lagrangian import HamiltonianDensity
-from .lattice import LatticeConfig, WaveFunctional
+from .lattice import LatticeConfig, WaveFunctional, spacelike
 
 DENSE_GUARD = 4096
 
@@ -108,8 +108,7 @@ class LatticeHamiltonian:
         h_over_a = cfg.hbar / cfg.spacing
         kernels = []
         for term in self.terms:
-            shape = [1] * cfg.n_sites
-            shape[term.site] = cfg.q_points
+            shape = cfg.axis_shape(term.site)
             mult = None
             if term.quad or term.lin_const:
                 mult = (term.quad * (h_over_a ** 2) * k2
@@ -118,8 +117,7 @@ class LatticeHamiltonian:
             f = None
             if term.cross is not None:
                 # the (Q, Q) array is stored in axis order, so this lines up for any pair
-                shape[term.neighbor] = cfg.q_points
-                f = term.cross.reshape(shape)
+                f = term.cross.reshape(cfg.axis_shape(term.site, term.neighbor))
             if mult is not None or f is not None:
                 kernels.append((term.site, mult, half_p, f))
         return kernels
@@ -216,20 +214,9 @@ def site_slopes_from_links(v_links: np.ndarray) -> np.ndarray:
 
 
 def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
-                v_site: float, diag_out: np.ndarray, terms_out: list,
-                symmetrize_cross: bool):
-    n, q, a = cfg.n_sites, cfg.q_points, cfg.spacing
-    zg = cfg.z_values()
-    neighbor = (j + 1) % n
-    shape_j = [1] * n
-    shape_j[j] = q
-    zj = zg.reshape(shape_j)
-    if n == 1:
-        zs = np.zeros_like(zj)
-    else:
-        shape_k = [1] * n
-        shape_k[neighbor] = q
-        zs = (zg.reshape(shape_k) - zj) / a
+                v_site: float, diag_out: np.ndarray, terms_out: list):
+    q, a = cfg.q_points, cfg.spacing
+    zj, zs = cfg.site_fields(j)
 
     diag_out += a * density.scalar_part(v_site, zj, zs)
     if not density.has_momentum:
@@ -237,24 +224,18 @@ def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
     quad = float(a * density.p_quad_coeff(v_site))
     lin_const = float(a * density.p_lin_coeff(v_site, 0.0))
     cross_arr = None
-    if n > 1:
-        varying = np.asarray(a * density.p_lin_coeff(v_site, zs) - lin_const)
-        if np.any(varying):
-            if not symmetrize_cross:
-                raise UnsupportedOrdering(
-                    f"p_{j} multiplies a field expression containing z_{j} "
-                    "and symmetrization is disabled"
-                )
-            # squeeze to (Q, Q) in axis order; LatticeHamiltonian._kernels
-            # reshapes with the same ordering
-            cross_arr = np.ascontiguousarray(varying.reshape(q, q))
-    terms_out.append(_SiteTerm(j, neighbor, quad, lin_const, cross_arr))
+    # zs is identically zero on one site, so a cross term needs two distinct axes
+    varying = np.asarray(a * density.p_lin_coeff(v_site, zs) - lin_const)
+    if np.any(varying):
+        # squeeze to (Q, Q) in axis order; LatticeHamiltonian._kernels
+        # reshapes with the same ordering
+        cross_arr = np.ascontiguousarray(varying.reshape(q, q))
+    terms_out.append(_SiteTerm(j, (j + 1) % cfg.n_sites, quad, lin_const, cross_arr))
 
 
 def compile_hamiltonian(density: HamiltonianDensity, cfg: LatticeConfig,
                         v_links: np.ndarray | float | None = None,
-                        sites: list[int] | None = None,
-                        symmetrize_cross: bool = True) -> LatticeHamiltonian:
+                        sites: list[int] | None = None) -> LatticeHamiltonian:
     """Assemble a * sum_j H(z_j, zs_j, p_j; v_j) as a matrix-free operator.
 
     ``v_links[j]`` is the slope of the link from site j to j+1 (scalar or
@@ -268,12 +249,10 @@ def compile_hamiltonian(density: HamiltonianDensity, cfg: LatticeConfig,
         v_arr = np.zeros(n)
     else:
         v_arr = np.broadcast_to(np.asarray(v_links, dtype=float), (n,)).astype(float)
-    if np.any(np.abs(v_arr) >= 1.0):
-        raise NotSpacelike(f"link slopes {v_arr} violate |v| < 1")
-    v_sites = site_slopes_from_links(v_arr)
+    v_sites = site_slopes_from_links(spacelike(v_arr))
 
     diag = np.zeros(cfg.shape)
     terms: list[_SiteTerm] = []
     for j in sites if sites is not None else range(n):
-        _build_site(density, cfg, j, float(v_sites[j]), diag, terms, symmetrize_cross)
+        _build_site(density, cfg, j, float(v_sites[j]), diag, terms)
     return LatticeHamiltonian(cfg, diag, terms)

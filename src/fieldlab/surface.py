@@ -11,15 +11,18 @@ step refinement instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSpacelike, ScheduleMismatch
+from .errors import DimensionTooLarge, ScheduleMismatch
 from .evolve import crank_nicolson_step
 from .lagrangian import HamiltonianDensity
-from .lattice import LatticeConfig, WaveFunctional, norm
+from .lattice import LatticeConfig, WaveFunctional, link_difference, norm, spacelike
 from .operators import LatticeHamiltonian, compile_hamiltonian, site_slopes_from_links
+
+MAX_MOVES = 10_000  # moves in one schedule; the largest committed ladder builds 48
 
 
 @dataclass(frozen=True)
@@ -33,17 +36,14 @@ class SpacelikeSurface:
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         if len(self.times) < 1:
             raise ValueError("surface needs at least one site")
-        slopes = self.link_slopes()
-        if np.any(np.abs(slopes) >= 1.0):
-            raise NotSpacelike(f"link slopes {slopes} violate |v| < 1")
+        spacelike(self.link_slopes())
 
     @property
     def n_sites(self) -> int:
         return len(self.times)
 
     def link_slopes(self) -> np.ndarray:
-        t = np.asarray(self.times)
-        return (np.roll(t, -1) - t) / self.spacing
+        return link_difference(self.times, self.spacing)
 
     def site_slopes(self) -> np.ndarray:
         return site_slopes_from_links(self.link_slopes())
@@ -53,13 +53,26 @@ class SpacelikeSurface:
         t[site] += dt
         return SpacelikeSurface(tuple(t), self.spacing)
 
-    def is_flat(self, tol: float = 0.0) -> bool:
-        t = np.asarray(self.times)
-        return bool(np.max(np.abs(t - t[0])) <= tol)
-
     @classmethod
     def flat(cls, n_sites: int, t: float = 0.0, spacing: float = 1.0) -> "SpacelikeSurface":
         return cls((t,) * n_sites, spacing)
+
+
+def _rounds(span: float, dt: float, moves_per_round: int) -> float:
+    """span / dt, the number of rounds at step ``dt``, checked before any move is built.
+
+    Raises ValueError for a step that is not positive or whose count is not
+    finite, and DimensionTooLarge when the rounds hold more than MAX_MOVES moves.
+    """
+    if not dt > 0:
+        raise ValueError(f"step {dt} must be positive")
+    rounds = span / dt
+    if not math.isfinite(rounds):
+        raise ValueError(f"step {dt} is too small to count the rounds in {span}")
+    if rounds * moves_per_round > MAX_MOVES:
+        raise DimensionTooLarge(f"step {dt:g} needs {rounds * moves_per_round:.3g} moves, "
+                                f"above the {MAX_MOVES} move schedule guard")
+    return rounds
 
 
 def surfaces_equal(a: SpacelikeSurface, b: SpacelikeSurface, tol: float = 1e-12) -> bool:
@@ -84,7 +97,7 @@ class DeformationSchedule:
     def sweep(cls, start: SpacelikeSurface, total_time: float, dt: float,
               direction: str = "left_right") -> "DeformationSchedule":
         """Repeated full sweeps advancing each site by dt until total_time."""
-        rounds = total_time / dt
+        rounds = _rounds(total_time, dt, start.n_sites)
         n_rounds = int(round(rounds))
         if n_rounds < 1 or abs(rounds - n_rounds) > 1e-9:
             raise ValueError(f"total_time {total_time} is not a multiple of dt {dt}")
@@ -96,6 +109,13 @@ class DeformationSchedule:
             raise ValueError(f"unknown direction {direction!r}")
         moves = tuple((j, dt) for _ in range(n_rounds) for j in order)
         return cls(start, moves)
+
+    @classmethod
+    def refined(cls, start: SpacelikeSurface, moves, dt: float) -> "DeformationSchedule":
+        """``moves`` with each advance split into round(largest advance / dt) equal parts."""
+        base = max((abs(step) for _, step in moves), default=1.0)
+        split = max(1, int(round(_rounds(base, dt, len(moves)))))
+        return cls(start, tuple((j, step / split) for j, step in moves for _ in range(split)))
 
 
 def local_density_operator(density: HamiltonianDensity, cfg: LatticeConfig,

@@ -41,6 +41,14 @@ def test_boundary_validation():
     BoundaryData((0.0, 0.4), (1.0, 1.3), (0.1, 0.2), (0.3, -0.1))
 
 
+@pytest.mark.parametrize("n_sites", [1, 2])
+@pytest.mark.parametrize("spacing", [0.0, -1.0, float("nan")])
+def test_boundary_rejects_non_positive_spacing(n_sites, spacing):
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        BoundaryData((0.0,) * n_sites, (1.0,) * n_sites, (0.3,) * n_sites,
+                     (-0.4,) * n_sites, spacing)
+
+
 def test_zero_boundary_gives_zero(quartic_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.0, 0.0))
     sol = solve_extremal(bd, quartic_lagr, 1e-2)

@@ -156,6 +156,43 @@ def test_surface_non_spacelike_schedule(tmp_path, capsys):
     assert "schedule_a" in capsys.readouterr().err
 
 
+SWEEPS = ({"kind": "sweep", "direction": "left_right"},
+          {"kind": "sweep", "direction": "right_left"})
+MOVES = ({"kind": "moves", "moves": [[0, 0.05], [1, 0.05], [2, 0.05]]},
+         {"kind": "moves", "moves": [[2, 0.05], [1, 0.05], [0, 0.05]]})
+
+
+@pytest.mark.parametrize("schedules", [SWEEPS, MOVES], ids=["sweep", "moves"])
+@pytest.mark.parametrize("dt_values,index,needle", [
+    ([5e-324], 0, "too small"),
+    ([0.05, 5e-324], 1, "too small"),
+])
+def test_surface_step_errors_are_config_errors(tmp_path, capsys, schedules, dt_values,
+                                               index, needle):
+    """Every step is counted before the first solve; an overflowing count exits 2 at its entry."""
+    assert run(tmp_path, surface_config(*schedules, dt_values=dt_values)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: surface.dt_values[{index}]: ") and needle in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "integrability.json").exists()
+
+
+def test_surface_non_multiple_later_step(tmp_path, capsys):
+    assert run(tmp_path, surface_config(*SWEEPS, dt_values=[0.05, 0.03])) == 2
+    assert capsys.readouterr().err.startswith("config error: surface.dt_values[1]: "
+                                              "total_time 0.1 is not a multiple of dt 0.03")
+
+
+@pytest.mark.parametrize("schedules", [SWEEPS, MOVES], ids=["sweep", "moves"])
+def test_surface_tiny_step_hits_move_guard(tmp_path, capsys, schedules):
+    start = time.perf_counter()
+    assert run(tmp_path, surface_config(*schedules, dt_values=[0.05, 1e-9])) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: ") and "move schedule guard" in err
+    assert not (tmp_path / "out" / "integrability.json").exists()
+
+
 # --- feynman ---------------------------------------------------------------------
 
 def feynman_config(t_steps=1, dt=0.1, kernel="fresnel_exact", identity="auto", q=8):
@@ -270,6 +307,19 @@ def test_classical_step_errors_are_config_errors(tmp_path, capsys, field, value,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: classical.{field}: ") and needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_sites", [1, 2])
+@pytest.mark.parametrize("spacing", [0.0, -1.0])
+def test_classical_spacing_must_be_positive(tmp_path, capsys, n_sites, spacing):
+    """Spacing 0 used to divide by zero and -1 flipped the sign of the action."""
+    boundary = {key: values * n_sites for key, values in ORACLE_BOUNDARY.items()}
+    cfg = classical_config(dict(boundary, spacing=spacing))
+    cfg["lattice"]["n_sites"] = n_sites
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: classical.boundary.spacing: must be positive")
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_classical_tiny_dt_c_hits_grid_guard(tmp_path, capsys):

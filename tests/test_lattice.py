@@ -8,6 +8,7 @@ from fieldlab.errors import (
     GridUnresolved,
     MasslessZeroMode,
     NonPositiveCovariance,
+    NotSpacelike,
 )
 from fieldlab.lagrangian import legendre_transform
 from fieldlab.lattice import (
@@ -17,6 +18,7 @@ from fieldlab.lattice import (
     free_ground_state_covariance,
     init_wavefunctional,
     inner,
+    link_difference,
     load_state,
     mode_frequencies,
     norm,
@@ -24,6 +26,7 @@ from fieldlab.lattice import (
     save_state,
     site_covariance,
     site_moments,
+    spacelike,
     state_to_csv,
 )
 from fieldlab.operators import compile_hamiltonian
@@ -187,3 +190,38 @@ def test_gaussian_rejects_non_positive_widths(width):
     """A width enters only through its square, so the spec itself must reject width <= 0."""
     with pytest.raises(NonPositiveCovariance, match="widths must be positive"):
         GaussianStateSpec((0.0, 0.0), widths=(1.0, width))
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_site_fields_match_explicit_broadcast(n_sites):
+    cfg = LatticeConfig(n_sites, 0.7, 8, 6.0)
+    grids = np.meshgrid(*[cfg.z_values()] * n_sites, indexing="ij")
+    for j in range(n_sites):
+        assert cfg.axis_shape(j) == tuple(8 if k == j else 1 for k in range(n_sites))
+        zj, zs = cfg.site_fields(j)
+        assert zj.shape == cfg.axis_shape(j)
+        assert zs.shape == cfg.axis_shape(j, (j + 1) % n_sites)
+        assert np.array_equal(np.broadcast_to(zj, cfg.shape), grids[j])
+        expected = (grids[(j + 1) % n_sites] - grids[j]) / 0.7
+        assert np.array_equal(np.broadcast_to(zs, cfg.shape), expected)
+    if n_sites == 1:
+        # the site is its own neighbour: zs is +0.0, never -0.0
+        assert np.all(zs == 0.0) and not np.any(np.signbit(zs))
+
+
+def test_link_difference_is_periodic_forward():
+    x = np.array([[0.0, 1.0, 3.0], [2.0, 2.0, -1.0]])
+    assert np.array_equal(link_difference(x, 0.5), [[2.0, 4.0, -6.0], [0.0, -6.0, 6.0]])
+    assert np.array_equal(link_difference(x, 0.5, axis=0), [[4.0, 2.0, -8.0], [-4.0, -2.0, 8.0]])
+    # one site is its own neighbour: the difference is +0.0, never -0.0
+    for single in ([-0.3], (2.5,), np.array([[-1.0], [4.0]])):
+        diff = link_difference(single, 0.3)
+        assert np.all(diff == 0.0) and not np.any(np.signbit(diff))
+
+
+def test_spacelike_bound_is_strict():
+    ok = np.array([1.0 - 1e-12, -(1.0 - 1e-12), 0.0])
+    assert spacelike(ok) is ok
+    for edge in (1.0, -1.0):
+        with pytest.raises(NotSpacelike, match=r"t0 link slopes .* violate \|v\| < 1"):
+            spacelike(np.array([0.0, edge]), "t0 link slopes")

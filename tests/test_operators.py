@@ -172,12 +172,15 @@ def test_not_spacelike_guard(free_lagr):
 
 
 def test_unsupported_ordering_guard(free_lagr):
+    """A sloped operator has cross terms, so it has no global Fourier multiplier."""
     cfg = LatticeConfig(2, 1.0, 8, 6.0)
     density = legendre_transform(free_lagr)
+    sloped = compile_hamiltonian(density, cfg, 0.5)
+    assert not sloped.separable
     with pytest.raises(UnsupportedOrdering):
-        compile_hamiltonian(density, cfg, 0.5, symmetrize_cross=False)
-    # flat operators never need the rule
-    compile_hamiltonian(density, cfg, symmetrize_cross=False)
+        sloped.kinetic_multiplier()
+    # a flat operator is separable and has one
+    assert compile_hamiltonian(density, cfg).kinetic_multiplier().shape == cfg.shape
 
 
 def test_cross_term_matches_dense_symmetrization(free_lagr):

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fieldlab.errors import NotSpacelike, ScheduleMismatch
+import fieldlab.surface
+from fieldlab.errors import DimensionTooLarge, NotSpacelike, ScheduleMismatch
 from fieldlab.evolve import EvolveParams, evolve_strang
 from fieldlab.lagrangian import diagonal_density, legendre_transform, parse_lagrangian
 from fieldlab.lattice import (
@@ -118,6 +119,35 @@ def test_empty_schedule():
     evolver = SurfaceEvolver(density, cfg, "exact")
     out = evolver.run_schedule(state, DeformationSchedule(SpacelikeSurface.flat(3), ()))
     assert np.array_equal(out.psi, state.psi)
+
+
+def test_schedule_move_counts_checked_before_building(monkeypatch):
+    start = SpacelikeSurface.flat(3)
+    monkeypatch.setattr(fieldlab.surface, "MAX_MOVES", 12)
+    assert len(DeformationSchedule.sweep(start, 0.2, 0.05).moves) == 12  # exactly at the guard
+    with pytest.raises(DimensionTooLarge):
+        DeformationSchedule.sweep(start, 0.2, 0.04)
+    with pytest.raises(DimensionTooLarge):
+        DeformationSchedule.sweep(start, 0.2, 1e-300)
+    with pytest.raises(ValueError, match="too small"):
+        DeformationSchedule.sweep(start, 0.2, 5e-324)  # the round count overflows to inf
+    with pytest.raises(ValueError, match="not a multiple"):
+        DeformationSchedule.sweep(start, 0.2, 0.07)
+    moves = [(0, 0.05), (2, 0.04)]
+    assert len(DeformationSchedule.refined(start, moves, 0.01).moves) == 10
+    with pytest.raises(DimensionTooLarge):
+        DeformationSchedule.refined(start, moves, 0.005)
+    with pytest.raises(ValueError, match="too small"):
+        DeformationSchedule.refined(start, moves, 5e-324)
+
+
+def test_refined_schedule_splits_each_move():
+    start = SpacelikeSurface.flat(3)
+    moves = [(0, 0.05), (2, -0.02)]
+    assert DeformationSchedule.refined(start, moves, 0.1).moves == tuple(moves)
+    assert DeformationSchedule.refined(start, moves, 0.025).moves == (
+        (0, 0.025), (0, 0.025), (2, -0.01), (2, -0.01))
+    assert DeformationSchedule.refined(start, [], 0.025).moves == ()
 
 
 def test_schedule_reversal_inverts():
