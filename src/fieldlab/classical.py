@@ -29,7 +29,7 @@ from .lattice import link_difference, spacelike
 COND_LIMIT = 1e12
 NEWTON_TOL = 1e-10
 NEWTON_MAXITER = 60
-MAX_GRID_POINTS = 250_000  # (R+1)*N; about 0.6 GB at the guard with 32 sites
+MAX_GRID_POINTS = 250_000  # (R+1)*N; a 32-site quartic solve at the guard peaks near 0.3 GB
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,41 @@ class BoundaryData:
         return BoundaryData(move(self.t0), move(self.t1), self.z0, self.z1, self.spacing)
 
 
+def _ring_order(n: int) -> np.ndarray:
+    """Sites in the order 0, n-1, 1, n-2, ...: ring neighbours sit at most two places apart."""
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    return order
+
+
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for a square A held in band storage, ``band[b + row - col, col]``."""
+    b = band.shape[0] // 2
+    m = x.size
+    y = np.zeros(m)
+    for k, diag in enumerate(band):
+        d = k - b
+        if d >= 0:
+            y[d:] += diag[:m - d] * x[:m - d]
+        else:
+            y[:d] += diag[-d:] * x[-d:]
+    return y
+
+
 class _ActionGrid:
-    """Vectorized action, gradient, and sparse Hessian on the row grid.
+    """Vectorized action, gradient, and banded Hessian on the row grid.
 
     Site-local terms (kinetic, potential) carry the site measure a*delta_j;
     link terms carry the link-symmetric measure a*(delta_j + delta_{j+1})/2
     and couple the slope to the link-centered time derivative
     (q_j + q_{j+1})/2, which makes cyclic and reflected site relabelings
     exact symmetries of the discrete action even between curved surfaces.
+
+    Flat vectors (``gradient``, ``interior_system``) run row by row with each
+    row's sites in ``_ring_order``, so the Hessian's half-bandwidth is
+    ``b = n + 2`` at most rather than ``2n - 1``; ``flatten`` and ``unflatten``
+    convert from and to the (R+1, N) site order.
     """
 
     def __init__(self, bd: BoundaryData, lagr: LagrangianSpec, n_rows: int):
@@ -108,16 +135,26 @@ class _ActionGrid:
         weights[0] = weights[-1] = 0.5
         self.w_pot = weights * self.w[None, :]               # trapezoid potential weights
         self.n_points = (n_rows + 1) * self.n
+        self.order = _ring_order(self.n)
+        self.rank = np.argsort(self.order)                   # place of site j within a row
+        self.b = self.n + int(np.max(np.abs(self.rank - np.roll(self.rank, -1))))
+        self.interior = slice(self.n, self.n_points - self.n)
+        self._w_pot_flat = self.flatten(self.w_pot)
         self._assemble_quadratic()
+
+    def flatten(self, z: np.ndarray) -> np.ndarray:
+        return z[:, self.order].ravel()
+
+    def unflatten(self, z_flat: np.ndarray) -> np.ndarray:
+        z = np.empty((self.R + 1, self.n))
+        z[:, self.order] = z_flat.reshape(self.R + 1, self.n)
+        return z
 
     def _slot_indices(self):
         r, j = np.meshgrid(np.arange(self.R), np.arange(self.n), indexing="ij")
-        jp = (j + 1) % self.n
-        a0 = r * self.n + j
-        a1 = (r + 1) * self.n + j
-        b0 = r * self.n + jp
-        b1 = (r + 1) * self.n + jp
-        return r, j, (a0, a1, b0, b1)
+        here = r * self.n + self.rank[j]
+        right = r * self.n + self.rank[(j + 1) % self.n]
+        return r, j, (here, here + self.n, right, right + self.n)
 
     def _functionals(self, r, j):
         """Coefficient stacks (4 slots, cells) of the linear maps q, X0, X1.
@@ -139,8 +176,7 @@ class _ActionGrid:
         return cq, cx0, cx1
 
     def _assemble_quadratic(self):
-        import scipy.sparse as sp
-
+        """The quadratic Hessian part as ``band[b + row - col, col]`` and the linear term."""
         lagr = self.lagr
         r, j, slots = self._slot_indices()
         r, j = r.ravel(), j.ravel()
@@ -148,30 +184,20 @@ class _ActionGrid:
         cq, cx0, cx1 = self._functionals(r, j)
         w = self.w[j]
         w_link = self.w_link[j]
-        rows, cols, vals = [], [], []
-        for coeffs, scale in ((cq, 2.0 * lagr.kinetic_coeff * w),
-                              (cx0, lagr.gradient_coeff * w_link),
-                              (cx1, lagr.gradient_coeff * w_link)):
-            if not np.any(scale):
-                continue
-            for alpha in range(4):
-                ca = coeffs[alpha]
-                if not np.any(ca):
-                    continue
-                for beta in range(4):
-                    cb = coeffs[beta]
-                    if not np.any(cb):
-                        continue
-                    rows.append(slots[alpha])
-                    cols.append(slots[beta])
-                    vals.append(scale * ca * cb)
-        if rows:
-            self.h_quad = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.n_points, self.n_points)).tocsr()
-        else:
-            self.h_quad = sp.csr_matrix((self.n_points, self.n_points))
-        lin = np.zeros(self.n_points)
+        terms = [(coeffs, scale) for coeffs, scale in
+                 ((cq, 2.0 * lagr.kinetic_coeff * w),
+                  (cx0, lagr.gradient_coeff * w_link),
+                  (cx1, lagr.gradient_coeff * w_link)) if np.any(scale)]
+        b, m = self.b, self.n_points
+        self.band = np.zeros((2 * b + 1, m))
+        flat = self.band.reshape(-1)
+        for alpha in range(4):
+            for beta in range(4):
+                vals = sum(scale * coeffs[alpha] * coeffs[beta] for coeffs, scale in terms)
+                if np.any(vals):
+                    # one cell per column slot, so the targets of a slot pair are distinct
+                    flat[(b + slots[alpha] - slots[beta]) * m + slots[beta]] += vals
+        lin = np.zeros(m)
         c1w = lagr.kinetic_linear * w
         for alpha in range(4):
             np.add.at(lin, slots[alpha], c1w * cq[alpha])
@@ -193,21 +219,27 @@ class _ActionGrid:
                      - (self.w_pot * lagr.potential_value(z)).sum())
 
     def gradient(self, z_flat: np.ndarray) -> np.ndarray:
-        z = z_flat.reshape(self.R + 1, self.n)
-        pot = self.w_pot * self.lagr.potential_derivative(z)
-        return self.h_quad @ z_flat + self.lin - pot.ravel()
+        pot = self._w_pot_flat * self.lagr.potential_derivative(z_flat)
+        return _band_matvec(self.band, z_flat) + self.lin - pot
 
-    def hessian(self, z_flat: np.ndarray):
-        import scipy.sparse as sp
+    def interior_system(self, z_flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The Hessian block of the interior rows at ``z_flat``, written into ``out``.
 
-        z = z_flat.reshape(self.R + 1, self.n)
-        pot = self.w_pot * self.lagr.potential_second_derivative(z)
-        return self.h_quad - sp.diags(pot.ravel())
-
-    def interior_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_points, dtype=bool)
-        mask[self.n:-self.n] = True
-        return mask
+        ``out`` is a Fortran-ordered (3b+1, interior points) array in dgbtrf's layout: the
+        band sits in rows b..3b and rows 0..b-1 are left for the fill-in.
+        """
+        b, inner = self.b, self.interior
+        m = out.shape[1]
+        out[:b] = 0.0
+        out[b:] = self.band[:, inner]
+        for k in range(2 * b + 1):      # entries whose row lies outside the interior
+            d = k - b
+            if d < 0:
+                out[b + k, :-d] = 0.0
+            elif d > 0:
+                out[b + k, m - d:] = 0.0
+        out[2 * b] -= self._w_pot_flat[inner] * self.lagr.potential_second_derivative(z_flat[inner])
+        return out
 
     def boundary_fill(self) -> np.ndarray:
         z = np.zeros((self.R + 1, self.n))
@@ -238,28 +270,60 @@ class ExtremalSolution:
         return self.z.shape[0] - 1
 
 
-def _condition_estimate(matrix):
-    # splu through the module attribute, so a wrapper installed on it sees every call
-    import scipy.sparse.linalg as spla
+def _inverse_norm_estimate(solve, m: int) -> float:
+    """Lower bound on ||A^-1||_1 for an m x m matrix (m >= 2) from solves with A and A^T.
 
-    matrix = matrix.tocsc()
-    try:
-        lu = spla.splu(matrix)
-    except RuntimeError as exc:
-        raise SingularBVP(f"boundary problem factorization failed: {exc}") from exc
-    inv_op = spla.LinearOperator(matrix.shape, matvec=lu.solve, rmatvec=lu.solve)
-    try:
-        est = spla.onenormest(matrix) * spla.onenormest(inv_op)
-    except (RuntimeError, ValueError) as exc:
-        raise SingularBVP(f"condition estimate failed: {exc}") from exc
-    return float(est), lu
+    Hager's method (SIAM J. Sci. Stat. Comput. 5, 1984) with Higham's
+    refinements (ACM TOMS 14, 1988), step for step as LAPACK's dlacn2: up to
+    five sign-vector iterations, then the alternating test vector.
+    ``solve(rhs, trans)`` returns A^-1 rhs (trans=0) or A^-T rhs (trans=1).
+    """
+    y = solve(np.full(m, 1.0 / m), 0)
+    est = np.abs(y).sum()
+    signs = np.where(y >= 0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(solve(signs, 1))))
+    for _ in range(4):
+        unit = np.zeros(m)
+        unit[j] = 1.0
+        y = solve(unit, 0)
+        est_old, est = est, np.abs(y).sum()
+        new_signs = np.where(y >= 0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or est <= est_old:
+            break
+        signs = new_signs
+        x = solve(signs, 1)
+        j_last, j = j, int(np.argmax(np.abs(x)))
+        if x[j_last] == abs(x[j]):
+            break
+    alternating = np.where(np.arange(m) % 2, -1.0, 1.0) * (1.0 + np.arange(m) / (m - 1))
+    return float(np.maximum(est, 2.0 * np.abs(solve(alternating, 0)).sum() / (3.0 * m)))
 
 
-def _check_condition(matrix):
-    est, lu = _condition_estimate(matrix)
-    if est > COND_LIMIT:
+def _factor(system: np.ndarray, b: int):
+    """LU-factor a banded system in dgbtrf's layout (overwritten) after checking its condition.
+
+    Returns ``solve(rhs, trans=0)``.  Raises SingularBVP when a pivot is
+    exactly zero or the 1-norm condition estimate ||A||_1 * est(||A^-1||_1)
+    is not finite or exceeds COND_LIMIT.
+    """
+    # dgbtrf through the module attribute, so a wrapper installed on it sees every call
+    from scipy.linalg import lapack
+
+    column_sums = np.zeros(system.shape[1])
+    for diagonal in system[b:]:               # row by row: no band-sized temporary
+        column_sums += np.abs(diagonal)
+    a_norm = column_sums.max()
+    lu, ipiv, info = lapack.dgbtrf(system, b, b, overwrite_ab=1)
+    if info > 0:
+        raise SingularBVP(f"boundary problem factorization failed: pivot {info} is zero")
+
+    def solve(rhs, trans=0):
+        return lapack.dgbtrs(lu, b, b, rhs, ipiv, trans=trans)[0]
+
+    est = a_norm * _inverse_norm_estimate(solve, system.shape[1])
+    if not est <= COND_LIMIT:
         raise SingularBVP(f"condition estimate {est:.3e} exceeds {COND_LIMIT:.0e}")
-    return lu
+    return solve
 
 
 def grid_rows(bd: BoundaryData, dt_c: float) -> int:
@@ -284,44 +348,38 @@ def grid_rows(bd: BoundaryData, dt_c: float) -> int:
 def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> ExtremalSolution:
     """Stationary point of the discrete action between the two surfaces.
 
-    Quadratic potentials reduce to one sparse solve with iterative
-    refinement; higher-degree potentials run a damped Newton iteration from
+    Quadratic potentials reduce to one banded LU solve with one refinement
+    pass; higher-degree potentials run a damped Newton iteration from
     the straight-line interpolant.  Near-singular two-time problems (the
     resonances of the oscillator family) raise SingularBVP instead of
     returning garbage.
     """
     n_rows = grid_rows(bd, dt_c)
     grid = _ActionGrid(bd, lagr, n_rows)
-    mask = grid.interior_mask()
+    inner = grid.interior
+    work = np.empty((3 * grid.b + 1, inner.stop - inner.start), order="F")
     quadratic = len(lagr.potential) <= 3
 
-    z = grid.boundary_fill() if quadratic else grid.interpolant()
-    z_flat = z.ravel()
+    def factor(z_flat):
+        return _factor(grid.interior_system(z_flat, work), grid.b)
+
+    z_flat = grid.flatten(grid.boundary_fill() if quadratic else grid.interpolant())
     if quadratic:
-        h_full = grid.hessian(z_flat)
-        a_ii = h_full[mask][:, mask]
-        lu = _check_condition(a_ii)
-        rhs = -grid.gradient(z_flat)[mask]
-        sol = lu.solve(rhs)
-        sol += lu.solve(rhs - a_ii @ sol)      # one refinement pass
-        z_flat = z_flat.copy()
-        z_flat[mask] += sol
+        solve = factor(z_flat)
+        for _ in range(2):                     # the solve, then one refinement pass
+            z_flat[inner] -= solve(grid.gradient(z_flat)[inner])
     else:
-        z_flat = z_flat.copy()
-        grad = grid.gradient(z_flat)[mask]
+        grad = grid.gradient(z_flat)[inner]
         best = np.max(np.abs(grad))
         for _ in range(NEWTON_MAXITER):
             if best <= NEWTON_TOL:
                 break
-            h_full = grid.hessian(z_flat)
-            a_ii = h_full[mask][:, mask]
-            lu = _check_condition(a_ii)
-            step = lu.solve(-grad)
+            step = factor(z_flat)(-grad)
             scale = 1.0
             for _ in range(12):
                 trial = z_flat.copy()
-                trial[mask] += scale * step
-                trial_grad = grid.gradient(trial)[mask]
+                trial[inner] += scale * step
+                trial_grad = grid.gradient(trial)[inner]
                 trial_norm = np.max(np.abs(trial_grad))
                 if trial_norm < best:
                     z_flat, grad, best = trial, trial_grad, trial_norm
@@ -332,10 +390,10 @@ def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> Extre
         else:
             raise NewtonDivergence(f"no convergence after {NEWTON_MAXITER} iterations "
                                    f"(residual {best:.3e})")
-        _check_condition(grid.hessian(z_flat)[mask][:, mask])
+        factor(z_flat)
 
-    residual = float(np.max(np.abs(grid.gradient(z_flat)[mask])))
-    z_final = z_flat.reshape(n_rows + 1, bd.n_sites)
+    residual = float(np.max(np.abs(grid.gradient(z_flat)[inner])))
+    z_final = grid.unflatten(z_flat)
     return ExtremalSolution(bd, z_final, grid.row_times, grid.delta,
                             grid.action(z_final), residual)
 

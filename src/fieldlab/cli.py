@@ -36,6 +36,7 @@ from .errors import (
     FieldLabError,
     NewtonDivergence,
     NotSpacelike,
+    ScheduleMismatch,
     SingularBVP,
     SolverDivergence,
 )
@@ -57,7 +58,7 @@ from .lattice import (
     state_to_csv,
 )
 from .operators import compile_hamiltonian
-from .surface import DeformationSchedule, SpacelikeSurface, integrability_test
+from .surface import DeformationSchedule, SpacelikeSurface, integrability_test, shared_endpoints
 
 COMMANDS = ("legendre", "evolve", "surface", "feynman", "classical")
 
@@ -350,16 +351,22 @@ def cmd_surface(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     build_b = _build_schedule_factory(_expect(block, "surface", "schedule_b", dict),
                                       "surface.schedule_b", start, total_time)
     # every schedule of the ladder, counted before it is built and walked before the first solve
+    endpoints = None
     for i, dt in enumerate(dt_values):
+        schedules = []
         for name, build in (("schedule_a", build_a), ("schedule_b", build_b)):
             try:
-                schedule = build(dt)
+                schedules.append(build(dt))
             except ValueError as exc:
                 raise ConfigError(f"surface.dt_values[{i}]", str(exc)) from exc
             try:
-                schedule.end()
+                schedules[-1].end()
             except NotSpacelike as exc:
                 raise ConfigError(f"surface.{name}", str(exc)) from exc
+        try:
+            endpoints = shared_endpoints(*schedules, endpoints)
+        except ScheduleMismatch as exc:
+            raise ConfigError("surface.schedule_b", str(exc)) from exc
 
     density = legendre_transform(lagr)
     report = integrability_test(initial, density, build_a, build_b, dt_values,

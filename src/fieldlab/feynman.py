@@ -197,7 +197,8 @@ def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,
     """Transfer-operator evolution against the exact exponential, dt refined.
 
     Total time is held fixed while dt halves per level; the report carries L2
-    distances and the fitted order in dt.
+    distances, the fitted order in dt, and a flag for each level whose
+    distance grew as dt halved (a ladder that diverges, not a failure).
     """
     cfg = state.cfg
     total_time = pspec.total_time
@@ -206,6 +207,7 @@ def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,
             "dt_values": [0.0] * levels,
             "distances": [0.0] * levels,
             "fitted_order": 0.0,
+            "flags": [],
             "kernel": pspec.kernel,
             "total_time": 0.0,
         }
@@ -220,10 +222,14 @@ def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,
         diff = WaveFunctional(cfg, evolved.psi - exact.psi)
         dt_values.append(dt)
         distances.append(norm(diff))
+    flags = [f"level {i}: distance grew from {distances[i - 1]:.3e} to {distances[i]:.3e} "
+             f"as dt halved to {dt_values[i]}"
+             for i in range(1, levels) if distances[i] > distances[i - 1]]
     return {
         "dt_values": dt_values,
         "distances": distances,
         "fitted_order": fit_order(dt_values, distances),
+        "flags": flags,
         "kernel": pspec.kernel,
         "total_time": total_time,
     }

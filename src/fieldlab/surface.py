@@ -222,6 +222,26 @@ def fit_order(dt_values, errors) -> float:
     return float(slope)
 
 
+def shared_endpoints(sched_a: DeformationSchedule, sched_b: DeformationSchedule,
+                     reference: tuple[SpacelikeSurface, SpacelikeSurface] | None = None):
+    """The (start, end) surfaces two schedules share, also with ``reference`` when given.
+
+    Raises ScheduleMismatch when the schedules start or end on different
+    surfaces, or when their endpoints differ from ``reference`` (the first
+    level of a refinement ladder).
+    """
+    start, end = sched_a.start, sched_a.end()
+    if not surfaces_equal(start, sched_b.start):
+        raise ScheduleMismatch("schedules start on different surfaces")
+    if not surfaces_equal(end, sched_b.end(), tol=1e-9):
+        raise ScheduleMismatch("schedules end on different surfaces")
+    if reference is None:
+        return start, end
+    if not (surfaces_equal(reference[0], start) and surfaces_equal(reference[1], end, tol=1e-9)):
+        raise ScheduleMismatch("refinement levels changed the endpoint surfaces")
+    return reference
+
+
 def integrability_test(state: WaveFunctional, density: HamiltonianDensity,
                        build_a, build_b, dt_values,
                        integrator: str = "exact", ratio_floor: float = 1.8,
@@ -240,15 +260,7 @@ def integrability_test(state: WaveFunctional, density: HamiltonianDensity,
     reference = None
     for dt in dt_values:
         sched_a, sched_b = build_a(dt), build_b(dt)
-        if not surfaces_equal(sched_a.start, sched_b.start):
-            raise ScheduleMismatch("schedules start on different surfaces")
-        if not surfaces_equal(sched_a.end(), sched_b.end(), tol=1e-9):
-            raise ScheduleMismatch("schedules end on different surfaces")
-        if reference is None:
-            reference = (sched_a.start, sched_a.end())
-        elif not (surfaces_equal(reference[0], sched_a.start)
-                  and surfaces_equal(reference[1], sched_a.end(), tol=1e-9)):
-            raise ScheduleMismatch("refinement levels changed the endpoint surfaces")
+        reference = shared_endpoints(sched_a, sched_b, reference)
         psi_a = evolver.run_schedule(state, sched_a)
         psi_b = evolver.run_schedule(state, sched_b)
         diff = WaveFunctional(state.cfg, psi_a.psi - psi_b.psi)

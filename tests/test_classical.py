@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import fieldlab.classical
 from fieldlab.classical import (
     BoundaryData,
+    _ActionGrid,
+    _factor,
+    _inverse_norm_estimate,
     boundary_momenta,
     grid_rows,
     hj_residuals,
@@ -239,3 +243,87 @@ def test_grid_rows_guard(monkeypatch):
     assert grid_rows(bd, 1e-2) == 100  # (100 + 1) * 2 points, exactly at the guard
     with pytest.raises(DimensionTooLarge):
         grid_rows(bd, 1e-2 * 100 / 101)
+
+
+# --- banded kernel ----------------------------------------------------------------
+
+def dense_from_band(band):
+    """The square matrix held as band[b + row - col, col]."""
+    b = band.shape[0] // 2
+    m = band.shape[1]
+    dense = np.zeros((m, m))
+    for k, diag in enumerate(band):
+        cols = np.arange(max(0, b - k), min(m, m + b - k))
+        dense[cols + k - b, cols] = diag[cols]
+    return dense
+
+
+def interior_system(bd, lagr, dt_c):
+    """The grid, a non-trivial field on it and its interior system in dgbtrf's layout."""
+    grid = _ActionGrid(bd, lagr, grid_rows(bd, dt_c))
+    z_flat = grid.flatten(grid.interpolant())
+    z_flat[grid.interior] += 0.05 * np.sin(np.arange(z_flat[grid.interior].size))
+    size = grid.interior.stop - grid.interior.start
+    system = grid.interior_system(z_flat, np.empty((3 * grid.b + 1, size), order="F"))
+    return grid, z_flat, system
+
+
+BOUNDARIES = {
+    (1, "flat"): BoundaryData((0.0,), (1.0,), (0.3,), (-0.4,)),
+    (1, "curved"): BoundaryData((0.2,), (1.1,), (0.3,), (-0.4,)),
+    (2, "flat"): BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.4)),
+    (2, "curved"): BoundaryData((0.0, 0.1), (1.0, 1.15), (0.3, -0.2), (0.1, 0.4)),
+    (3, "flat"): BoundaryData((0.0,) * 3, (1.0,) * 3, (0.3, -0.2, 0.1), (0.1, 0.4, -0.3)),
+    (3, "curved"): BoundaryData((0.0, 0.1, 0.05), (1.0, 1.2, 1.1), (0.3, -0.2, 0.1),
+                                (0.1, 0.4, -0.3)),
+}
+
+
+@pytest.mark.parametrize("lagr_name", ["free_lagr", "quartic_lagr"])
+@pytest.mark.parametrize("key", list(BOUNDARIES), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_band_hessian_matches_gradient_jacobian(request, lagr_name, key):
+    lagr = request.getfixturevalue(lagr_name)
+    grid, z_flat, system = interior_system(BOUNDARIES[key], lagr, 0.1)
+    h = 1e-5
+    jacobian = np.empty((z_flat.size, z_flat.size))
+    for i in range(z_flat.size):
+        step = np.zeros(z_flat.size)
+        step[i] = h
+        jacobian[:, i] = (grid.gradient(z_flat + step) - grid.gradient(z_flat - step)) / (2 * h)
+    hessian = dense_from_band(grid.band) - np.diag(
+        grid._w_pot_flat * lagr.potential_second_derivative(z_flat))
+    scale = np.max(np.abs(jacobian))
+    assert np.max(np.abs(hessian - jacobian)) <= 1e-8 * scale
+    inner = grid.interior
+    interior = dense_from_band(system[grid.b:])
+    assert np.max(np.abs(interior - jacobian[inner, inner])) <= 1e-8 * scale
+    assert not system[:grid.b].any()
+
+
+@pytest.mark.parametrize("key,lagr_text,total_time", [
+    ((3, "curved"), "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", 1.0),
+    ((2, "flat"), "0.5*zt^2 - 0.5*zx^2", 1.0),
+    ((1, "flat"), "0.5*zt^2 - 0.5*z^2", np.pi - 1e-3),   # next to the oscillator resonance
+    ((1, "flat"), "0.5*zt^2 - 0.5*z^2", np.pi + 1e-3),
+])
+def test_inverse_norm_estimate_bounds_the_exact_norm(key, lagr_text, total_time):
+    bd = BOUNDARIES[key]
+    bd = BoundaryData(bd.t0, tuple(t + total_time - 1.0 for t in bd.t1), bd.z0, bd.z1)
+    grid, _, system = interior_system(bd, parse_lagrangian(lagr_text), 0.05)
+    exact = np.abs(np.linalg.inv(dense_from_band(system[grid.b:]))).sum(axis=0).max()
+    lu, ipiv, info = lapack.dgbtrf(system, grid.b, grid.b)
+    assert info == 0
+
+    def solve(rhs, trans=0):
+        return lapack.dgbtrs(lu, grid.b, grid.b, rhs, ipiv, trans=trans)[0]
+
+    estimate = _inverse_norm_estimate(solve, system.shape[1])
+    # a lower bound up to the roundoff of the two inverses (it is often exact)
+    assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-9)
+
+
+def test_nan_hessian_raises_singular_bvp(free_lagr):
+    grid, _, system = interior_system(BOUNDARIES[2, "flat"], free_lagr, 0.1)
+    system[2 * grid.b, 3] = np.nan
+    with pytest.raises(SingularBVP):
+        _factor(system, grid.b)

@@ -13,6 +13,7 @@ from fieldlab.cli import main
 from fieldlab.lattice import load_state
 
 FREE_TEXT = "0.5*zt^2 - 0.5*zx^2 - 0.5*m^2*z^2"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -183,6 +184,16 @@ def test_surface_non_multiple_later_step(tmp_path, capsys):
                                               "total_time 0.1 is not a multiple of dt 0.03")
 
 
+def test_surface_schedules_ending_apart_are_config_errors(tmp_path, capsys):
+    """A moves list that stops short of the sweep's end surface exits 2 before any solve."""
+    cfg = surface_config({"kind": "moves", "moves": [[0, 0.05]]}, SWEEPS[1], dt_values=[0.05])
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: surface.schedule_b: schedules end on different surfaces")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "integrability.json").exists()
+
+
 @pytest.mark.parametrize("schedules", [SWEEPS, MOVES], ids=["sweep", "moves"])
 def test_surface_tiny_step_hits_move_guard(tmp_path, capsys, schedules):
     start = time.perf_counter()
@@ -224,6 +235,19 @@ def test_feynman_identity_flag(tmp_path):
     amps = (tmp_path / "out" / "amplitudes.csv").read_text().splitlines()
     assert amps[1] == "index,re,im"
     assert len(amps) == 2 + 8
+
+
+@pytest.mark.parametrize("kernel,flagged", [("fresnel_exact", []),
+                                            ("lagrangian_riemann", [1, 2])])
+def test_feynman_flags_levels_whose_distance_grows(tmp_path, kernel, flagged):
+    """At Q=64 the Riemann ladder diverges (66.5, 5.6e4, 3.8e12); the exact kernel converges."""
+    cfg = json.loads((CONFIGS / "feynman_quartic.json").read_text())
+    cfg["feynman"]["kernel"] = kernel
+    assert run(tmp_path, cfg) == 0
+    report = json.loads((tmp_path / "out" / "comparison.json").read_text())
+    grew = [i for i in (1, 2) if report["distances"][i] > report["distances"][i - 1]]
+    assert grew == flagged
+    assert [int(flag.split(":")[0].split()[1]) for flag in report["flags"]] == flagged
 
 
 def test_feynman_oversized_enumeration(tmp_path, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 import fieldlab
 from fieldlab.classical import BoundaryData, solve_extremal
@@ -44,7 +44,8 @@ def test_sample_run_loads_no_scipy(tmp_path, name):
 def test_classical_and_cn_runs_load_scipy_when_needed(tmp_path):
     classical = scipy_modules_after(RUN, str(CONFIGS / "classical_oscillator.json"),
                                     str(tmp_path / "classical"))
-    assert "scipy.sparse.linalg" in classical
+    assert "scipy.linalg.lapack" in classical
+    assert not [m for m in classical if m.startswith("scipy.sparse")]
     assert json.loads((tmp_path / "classical" / "residuals.json").read_text())["n_rows"] == 1000
 
     config = json.loads((CONFIGS / "evolve_coherent.json").read_text())
@@ -58,16 +59,17 @@ def test_classical_and_cn_runs_load_scipy_when_needed(tmp_path):
 
 
 def test_solve_extremal_factorizes_through_the_module_attribute(monkeypatch, free_lagr):
-    """A wrapper installed on scipy.sparse.linalg.splu sees every factorization."""
+    """A wrapper installed on scipy.linalg.lapack.dgbtrf sees every factorization."""
     calls = []
-    real = spla.splu
+    real = lapack.dgbtrf
 
-    def counting(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return real(matrix, *args, **kwargs)
+    def counting(ab, kl, ku, *args, **kwargs):
+        calls.append((ab.shape, kl, ku))
+        return real(ab, kl, ku, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(lapack, "dgbtrf", counting)
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.1, -0.2), (0.3, 0.0))
     sol = solve_extremal(bd, free_lagr, 0.05)
-    assert calls == [(2 * (sol.n_rows - 1),) * 2]
+    # two sites: half-bandwidth 2n - 1 = 3, so 3b + 1 = 10 storage rows
+    assert calls == [((10, 2 * (sol.n_rows - 1)), 3, 3)]
     assert np.isfinite(sol.action)
