@@ -264,6 +264,7 @@ class ExtremalSolution:
     deltas: np.ndarray          # per-site row step
     action: float
     residual: float
+    dt_c: float                 # the row step the grid was built from
 
     @property
     def n_rows(self) -> int:
@@ -395,7 +396,7 @@ def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> Extre
     residual = float(np.max(np.abs(grid.gradient(z_flat)[inner])))
     z_final = grid.unflatten(z_flat)
     return ExtremalSolution(bd, z_final, grid.row_times, grid.delta,
-                            grid.action(z_final), residual)
+                            grid.action(z_final), residual, dt_c)
 
 
 @dataclass
@@ -488,18 +489,17 @@ def hj_variations(bd: BoundaryData, fd_epsilon: float) -> dict:
     return variations
 
 
-def hj_residuals(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float,
-                 fd_epsilon: float = 1e-4) -> dict:
-    """Finite-difference boundary variations of S against the momentum formulas.
+def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float = 1e-4) -> dict:
+    """Finite-difference boundary variations of S around the extremal ``base``.
 
     Checks, per final-surface site: dS/dz vs a*p and dS/dt vs -a*energy
-    (central differences, re-solving the boundary problem), the
+    (central differences, re-solving the varied problems at ``base.dt_c``), the
     Hamilton-Jacobi residual dS/dt/a + H(z, zs, dS/dz/a; v) with the fitted
     derivatives, and the tangential identity on both surfaces.  Initial-
     surface variations carry the opposite orientation sign.
     """
+    bd, dt_c = base.bd, base.dt_c
     variations = hj_variations(bd, fd_epsilon)
-    base = solve_extremal(bd, lagr, dt_c)
     momenta = boundary_momenta(base, lagr)
     density = legendre_transform(lagr)
     a = bd.spacing
@@ -552,14 +552,14 @@ def hj_residuals(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float,
     }
 
 
-def reparameterization_check(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> dict:
-    """Action invariance under exact lattice relabelings plus a row refinement.
+def reparameterization_check(base: ExtremalSolution, lagr: LagrangianSpec) -> dict:
+    """``base.action`` against exact lattice relabelings and a row refinement, at ``base.dt_c``.
 
     Cyclic and reflected site orders are exact symmetries of the periodic
     lattice (reflection needs the zx-even densities this grammar produces);
     the refinement ratio quantifies the O(dt^2) discretization movement.
     """
-    s_base = solve_extremal(bd, lagr, dt_c).action
+    bd, dt_c, s_base = base.bd, base.dt_c, base.action
     s_cyclic = solve_extremal(bd.relabeled(1), lagr, dt_c).action
     s_parity = solve_extremal(bd.reflected(), lagr, dt_c).action
     s_shift = solve_extremal(bd.shifted(0.37), lagr, dt_c).action
@@ -567,7 +567,7 @@ def reparameterization_check(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float
     s_quarter = solve_extremal(bd, lagr, dt_c / 4.0).action
     diff_1 = s_base - s_half
     diff_2 = s_half - s_quarter
-    ratio = diff_1 / diff_2 if diff_2 != 0.0 else float("inf")
+    ratio = diff_1 / diff_2 if diff_2 != 0.0 else None  # undefined, reported as null
     return {
         "action": s_base,
         "cyclic_diff": abs(s_cyclic - s_base),

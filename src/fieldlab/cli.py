@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -30,18 +29,16 @@ from .classical import (
 )
 from .errors import (
     ConfigError,
-    DegenerateKinetic,
-    DimensionTooLarge,
-    EnumerationTooLarge,
     FieldLabError,
-    NewtonDivergence,
+    NonFiniteResult,
     NotSpacelike,
+    NumericalFailure,
+    ResourceGuard,
     ScheduleMismatch,
-    SingularBVP,
-    SolverDivergence,
 )
 from .evolve import EvolveParams, ExactPropagator, evolve_crank_nicolson, evolve_strang, observables
 from .feynman import (
+    KERNELS,
     PathIntegralSpec,
     TransferOperator,
     brute_force_amplitudes,
@@ -62,191 +59,262 @@ from .surface import DeformationSchedule, SpacelikeSurface, integrability_test, 
 
 COMMANDS = ("legendre", "evolve", "surface", "feynman", "classical")
 
-_CONFIG_STAGE_ERRORS = (ValueError, KeyError, TypeError, FieldLabError)
-
 
 def config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _jsonable(obj):
+def _require_finite(values, what: str) -> None:
+    """Refuse to write NaN or infinity: a run that produced them has failed."""
+    if not np.isfinite(values).all():
+        raise NonFiniteResult(f"{what} holds NaN or infinity")
+
+
+def _jsonable(obj, where: str):
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return {k: _jsonable(v, f"{where}.{k}") for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v, f"{where}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and (np.isnan(obj) or np.isinf(obj)):
-        return repr(obj)
+        obj = obj.item()
+    if isinstance(obj, float):
+        _require_finite(obj, where)
     return obj
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    payload = _jsonable(payload, path.name)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-# --- config access helpers -------------------------------------------------
-
-def _finite(value) -> float | None:
-    """float(value) for a finite JSON number, else None (bools are not numbers)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
+def _write_csv(path: Path, meta: dict, columns, rows) -> None:
+    """A stamped CSV: the config hash and version line, the column names, float rows."""
+    table = np.array(list(rows), dtype=float)
+    _require_finite(table, path.name)
+    with open(path, "w") as fh:
+        fh.write(f"# config_sha256={meta['config_sha256']} version={meta['version']}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in table:
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _expect(block: dict, path: str, key: str, kind, required: bool = True, default=None):
-    if key not in block:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = block[key]
+# --- config schema -----------------------------------------------------------
+
+def _rule(ok, message: str):
+    """A check on a typed value: ConfigError(path, message) unless ok(value)."""
+    def check(value, path: str) -> None:
+        if not ok(value):
+            raise ConfigError(path, message.format(value=value))
+    return check
+
+
+def _each(check):
+    """``check`` applied to every entry of a list, each at ``path[i]``."""
+    def check_all(values, path: str) -> None:
+        for i, value in enumerate(values):
+            check(value, f"{path}[{i}]")
+    return check_all
+
+
+def _one_of(*choices: str):
+    return _rule(lambda value: value in choices,
+                 f"expected one of {', '.join(choices)}, got {{value!r}}")
+
+
+_POSITIVE = _rule(lambda value: value > 0, "must be positive")
+_NONNEGATIVE = _rule(lambda value: value >= 0, "must be nonnegative")
+_AT_LEAST_1 = _rule(lambda value: value >= 1, "must be at least 1")
+_NONEMPTY = _rule(len, "needs at least one entry")
+
+REQUIRED = object()  # default of a key that must be present
+
+# block -> key -> (kind, default or REQUIRED, *rules).  A kind is float (a
+# finite number), int (64-bit), str, dict, [kind] (a list, each entry of that
+# kind at path[i]), (kind, ...) (a list with one entry of each kind) or
+# {str: kind} (an object, each value of that kind at path.name).  Code that
+# depends on another field decides the rest: the root's `lattice` is required
+# by evolve, surface and feynman, and `initial` and `schedule` name by their
+# `kind` the table of their remaining keys.
+SCHEMA = {
+    "": {"lagrangian": (dict, REQUIRED), "lattice": (dict, None), "seed": (int, 0)},
+    "lagrangian": {"text": (str, REQUIRED), "params": ({str: float}, {})},
+    "lattice": {
+        "n_sites": (int, REQUIRED),
+        "spacing": (float, 1.0),
+        "q_points": (int, REQUIRED),
+        "q_extent": (float, REQUIRED),
+        "hbar": (float, 1.0),
+        "derivative": (str, "spectral"),
+    },
+    "legendre": {"slope": (float, 0.0)},
+    "evolve": {
+        "method": (str, "strang", _one_of("exact", "strang", "crank_nicolson")),
+        "steps": (int, REQUIRED, _NONNEGATIVE),
+        "dt": (float, 1e-3, _POSITIVE),
+        "log_every": (int, 1, _AT_LEAST_1),
+        "cn_tol": (float, 1e-10, _POSITIVE),
+        "initial": (dict, REQUIRED),
+    },
+    "surface": {
+        "total_time": (float, REQUIRED),
+        "dt_values": ([float], REQUIRED, _NONEMPTY, _each(_POSITIVE)),
+        "integrator": (str, "exact", _one_of("exact", "crank_nicolson")),
+        "ratio_floor": (float, 1.8),
+        "start_times": ([float], None),
+        "initial": (dict, REQUIRED),
+        "schedule_a": (dict, REQUIRED),
+        "schedule_b": (dict, REQUIRED),
+    },
+    "feynman": {
+        "kernel": (str, "fresnel_exact", _one_of(*KERNELS)),
+        "dt": (float, REQUIRED, _NONNEGATIVE),
+        "t_steps": (int, REQUIRED, _NONNEGATIVE),
+        "levels": (int, 3, _AT_LEAST_1),
+        "identity_check": (str, "auto", _one_of("auto", "force", "skip")),
+        "initial": (dict, REQUIRED),
+    },
+    "classical": {
+        "boundary": (dict, REQUIRED),
+        "dt_c": (float, 1e-3, _POSITIVE),
+        "fd_epsilon": (float, 1e-4),
+        "checks": ([str], ["hj_residuals"], _each(_one_of("hj_residuals", "reparameterization"))),
+    },
+    "classical.boundary": {
+        "t0": ([float], REQUIRED),
+        "t1": ([float], REQUIRED),
+        "z0": ([float], REQUIRED),
+        "z1": ([float], REQUIRED),
+        "spacing": (float, 1.0, _POSITIVE),
+    },
+    "initial": {"kind": (str, REQUIRED, _one_of("ground_state", "gaussian", "file"))},
+    "initial.ground_state": {"mass": (float, REQUIRED), "centers": ([float], None)},
+    "initial.gaussian": {
+        "centers": ([float], REQUIRED),
+        "widths": ([float], REQUIRED),
+        "phase": (float, 0.0),
+    },
+    "initial.file": {"path": (str, REQUIRED)},
+    "schedule": {"kind": (str, REQUIRED, _one_of("sweep", "moves"))},
+    "schedule.sweep": {"direction": (str, "left_right", _one_of("left_right", "right_left"))},
+    "schedule.moves": {"moves": ([(int, float)], REQUIRED)},
+}
+
+
+def _typed(value, kind, path: str):
+    if isinstance(kind, tuple):
+        items = _typed(value, list, path)
+        if len(items) != len(kind):
+            raise ConfigError(path, f"expected {len(kind)} entries, got {value!r}")
+        return [_typed(item, k, f"{path}[{i}]") for i, (item, k) in enumerate(zip(items, kind))]
+    if isinstance(kind, list):
+        return [_typed(item, kind[0], f"{path}[{i}]")
+                for i, item in enumerate(_typed(value, list, path))]
+    if isinstance(kind, dict):
+        return {name: _typed(item, kind[str], f"{path}.{name}")
+                for name, item in _typed(value, dict, path).items()}
     if kind is float:
-        number = _finite(value)
-        if number is None:
-            raise ConfigError(f"{path}.{key}", f"expected a finite number, got {value!r}")
-        return number
+        # bools are not numbers; NaN compares false, and ints compare exactly
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+        if not -2 ** 63 <= value < 2 ** 63:
+            raise ConfigError(path, "must fit in 64 bits")
         return value
     if not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {value!r}")
+        raise ConfigError(path, f"expected {kind.__name__}, got {value!r}")
     return value
 
 
-def _number_list(block: dict, path: str, key: str, required: bool = True, default=None):
-    raw = _expect(block, path, key, list, required, default)
-    if raw is default and not required:
-        return default
-    out = []
-    for i, value in enumerate(raw):
-        number = _finite(value)
-        if number is None:
-            raise ConfigError(f"{path}.{key}[{i}]", f"expected a finite number, got {value!r}")
-        out.append(number)
+def _read(block: dict, path: str, table: dict) -> dict:
+    """Every key of ``table`` from ``block`` at ``path``: typed, defaulted and checked."""
+    out = {}
+    for key, (kind, default, *rules) in table.items():
+        where = f"{path}.{key}" if path else key
+        if key not in block:
+            if default is REQUIRED:
+                raise ConfigError(where, "missing required field")
+            out[key] = default
+            continue
+        out[key] = value = _typed(block[key], kind, where)
+        for rule in rules:
+            rule(value, where)
     return out
-
-
-def _build_lagrangian(config: dict):
-    block = _expect(config, "", "lagrangian", dict)
-    text = _expect(block, "lagrangian", "text", str)
-    params = _expect(block, "lagrangian", "params", dict, required=False, default={})
-    for name, value in params.items():
-        if _finite(value) is None:
-            raise ConfigError(f"lagrangian.params.{name}",
-                              f"expected a finite number, got {value!r}")
-    try:
-        return parse_lagrangian(text, params)
-    except FieldLabError as exc:
-        raise ConfigError("lagrangian.text", str(exc)) from exc
-
-
-def _build_lattice(config: dict) -> LatticeConfig:
-    block = _expect(config, "", "lattice", dict)
-    try:
-        return LatticeConfig(
-            n_sites=_expect(block, "lattice", "n_sites", int),
-            spacing=_expect(block, "lattice", "spacing", float, required=False, default=1.0),
-            q_points=_expect(block, "lattice", "q_points", int),
-            q_extent=_expect(block, "lattice", "q_extent", float),
-            hbar=_expect(block, "lattice", "hbar", float, required=False, default=1.0),
-            derivative=_expect(block, "lattice", "derivative", str, required=False,
-                               default="spectral"),
-        )
-    except ValueError as exc:
-        raise ConfigError("lattice", str(exc)) from exc
 
 
 def _build_at(path: str, build, *args, **kwargs):
     """build(*args, **kwargs), with the errors it raises reported as config errors at ``path``."""
     try:
         return build(*args, **kwargs)
-    except _CONFIG_STAGE_ERRORS as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError, FieldLabError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
+def _build_lagrangian(block: dict):
+    opts = _read(block, "lagrangian", SCHEMA["lagrangian"])
+    return _build_at("lagrangian.text", parse_lagrangian, opts["text"], opts["params"])
+
+
+def _build_lattice(block: dict | None) -> LatticeConfig:
+    if block is None:
+        raise ConfigError("lattice", "missing required field")
+    return _build_at("lattice", LatticeConfig, **_read(block, "lattice", SCHEMA["lattice"]))
+
+
 def _build_initial(block: dict, path: str, cfg: LatticeConfig, base_dir: Path):
-    kind = _expect(block, path, "kind", str)
+    kind = _read(block, path, SCHEMA["initial"])["kind"]
+    opts = _read(block, path, SCHEMA[f"initial.{kind}"])
     if kind == "ground_state":
-        mass = _expect(block, path, "mass", float)
-        spec = _build_at(f"{path}.mass", free_ground_state_covariance, cfg, mass)
-        centers = _number_list(block, path, "centers", required=False)
+        spec = _build_at(f"{path}.mass", free_ground_state_covariance, cfg, opts["mass"])
+        centers = opts["centers"]
         if centers is not None:
             if len(centers) != cfg.n_sites:
                 raise ConfigError(f"{path}.centers", f"expected {cfg.n_sites} entries")
             spec = GaussianStateSpec(tuple(centers), covariance=spec.covariance)
         return _build_at(path, init_wavefunctional, spec, cfg)
     if kind == "gaussian":
-        centers = _number_list(block, path, "centers")
-        widths = _number_list(block, path, "widths")
-        phase = _expect(block, path, "phase", float, required=False, default=0.0)
+        centers, widths = opts["centers"], opts["widths"]
         if len(centers) != cfg.n_sites or len(widths) != cfg.n_sites:
             raise ConfigError(path, f"centers and widths must have {cfg.n_sites} entries")
         spec = _build_at(f"{path}.widths", GaussianStateSpec, tuple(centers),
-                         widths=tuple(widths), phase=phase)
+                         widths=tuple(widths), phase=opts["phase"])
         return _build_at(f"{path}.widths", init_wavefunctional, spec, cfg)
-    if kind == "file":
-        rel = _expect(block, path, "path", str)
-        file_path = (base_dir / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
-        if not file_path.exists():
-            raise ConfigError(f"{path}.path", f"file {file_path} does not exist")
-        try:
-            state = load_state(file_path, derivative=cfg.derivative)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{path}.path", str(exc)) from exc
-        if state.cfg != cfg:
-            raise ConfigError(f"{path}.path", "stored lattice differs from the config lattice")
-        return state
-    raise ConfigError(f"{path}.kind", f"unknown initial-state kind {kind!r}")
-
-
-# --- commands ---------------------------------------------------------------
-
-def cmd_legendre(config: dict, outdir: Path, meta: dict) -> None:
-    lagr = _build_lagrangian(config)
-    block = config["legendre"]
-    slope = _expect(block, "legendre", "slope", float, required=False, default=0.0)
-    density = legendre_transform(lagr)
+    rel = opts["path"]
+    file_path = (base_dir / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
+    if not file_path.exists():
+        raise ConfigError(f"{path}.path", f"file {file_path} does not exist")
     try:
-        text = density.emit(slope)
-    except DegenerateKinetic as exc:
-        raise ConfigError("legendre.slope", str(exc)) from exc
+        state = load_state(file_path, derivative=cfg.derivative)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}.path", str(exc)) from exc
+    if state.cfg != cfg:
+        raise ConfigError(f"{path}.path", "stored lattice differs from the config lattice")
+    return state
+
+
+# --- commands: each gets the parsed Lagrangian, the root's `lattice` block (None when
+# absent) and its own block as read through SCHEMA
+
+def cmd_legendre(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
+    density = legendre_transform(lagr)
+    text = _build_at("legendre.slope", density.emit, opts["slope"])
     with open(outdir / "hamiltonian.txt", "w") as fh:
         fh.write(text + "\n")
     print(text)
-    _write_json(outdir / "meta.json", meta)
 
 
-def cmd_evolve(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
-    lagr = _build_lagrangian(config)
-    cfg = _build_lattice(config)
-    block = config["evolve"]
-    method = _expect(block, "evolve", "method", str, required=False, default="strang")
-    steps = _expect(block, "evolve", "steps", int)
-    dt = _expect(block, "evolve", "dt", float, required=False, default=1e-3)
-    log_every = _expect(block, "evolve", "log_every", int, required=False, default=1)
-    cn_tol = _expect(block, "evolve", "cn_tol", float, required=False, default=1e-10)
-    if steps < 0:
-        raise ConfigError("evolve.steps", "must be nonnegative")
-    if dt <= 0:
-        raise ConfigError("evolve.dt", "must be positive")
-    if log_every < 1:
-        raise ConfigError("evolve.log_every", "must be at least 1")
-    if cn_tol <= 0:
-        raise ConfigError("evolve.cn_tol", "must be positive")
-    if method not in ("exact", "strang", "crank_nicolson"):
-        raise ConfigError("evolve.method", f"unknown method {method!r}")
-    initial = _build_initial(_expect(block, "evolve", "initial", dict), "evolve.initial",
-                             cfg, base_dir)
+def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
+    cfg = _build_lattice(lattice)
+    method, steps, dt, log_every = opts["method"], opts["steps"], opts["dt"], opts["log_every"]
+    initial = _build_initial(opts["initial"], "evolve.initial", cfg, base_dir)
 
     density = legendre_transform(lagr)
     hamiltonian = compile_hamiltonian(density, cfg)
@@ -275,81 +343,38 @@ def cmd_evolve(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
             while done < steps:
                 chunk = min(log_every, steps - done)
                 state = stepper(hamiltonian, state,
-                                EvolveParams(dt, chunk, method, cn_tol=cn_tol))
+                                EvolveParams(dt, chunk, method, cn_tol=opts["cn_tol"]))
                 done += chunk
                 log_row(done * dt, state)
-    with open(outdir / "trajectory.csv", "w") as fh:
-        fh.write(f"# config_sha256={meta['config_sha256']} version={meta['version']}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    _require_finite(state.psi, "final_state.bin")
+    _write_csv(outdir / "trajectory.csv", meta, columns, rows)
     save_state(state, outdir / "final_state.bin")
-    _write_json(outdir / "meta.json", meta)
 
 
 def _build_schedule_factory(block: dict, path: str, start: SpacelikeSurface,
                             total_time: float):
-    kind = _expect(block, path, "kind", str)
+    kind = _read(block, path, SCHEMA["schedule"])["kind"]
+    opts = _read(block, path, SCHEMA[f"schedule.{kind}"])
     if kind == "sweep":
-        direction = _expect(block, path, "direction", str, required=False,
-                            default="left_right")
-        if direction not in ("left_right", "right_left"):
-            raise ConfigError(f"{path}.direction", f"unknown direction {direction!r}")
-
-        def build(dt):
-            return DeformationSchedule.sweep(start, total_time, dt, direction)
-
-        return build
-    if kind == "moves":
-        raw = _expect(block, path, "moves", list)
-        moves = []
-        for i, entry in enumerate(raw):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or isinstance(entry[0], bool) or not isinstance(entry[0], int)
-                    or _finite(entry[1]) is None):
-                raise ConfigError(f"{path}.moves[{i}]", "expected [site, dt] pairs")
-            if not 0 <= entry[0] < start.n_sites:
-                raise ConfigError(f"{path}.moves[{i}]", f"site {entry[0]} out of range")
-            moves.append((entry[0], float(entry[1])))
-
-        def build(dt):
-            return DeformationSchedule.refined(start, moves, dt)
-
-        return build
-    raise ConfigError(f"{path}.kind", f"unknown schedule kind {kind!r}")
+        return lambda dt: DeformationSchedule.sweep(start, total_time, dt, opts["direction"])
+    moves = opts["moves"]
+    for i, (site, _) in enumerate(moves):
+        if not 0 <= site < start.n_sites:
+            raise ConfigError(f"{path}.moves[{i}]", f"site {site} out of range")
+    return lambda dt: DeformationSchedule.refined(start, moves, dt)
 
 
-def cmd_surface(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
-    lagr = _build_lagrangian(config)
-    cfg = _build_lattice(config)
-    block = config["surface"]
-    total_time = _expect(block, "surface", "total_time", float)
-    dt_values = _number_list(block, "surface", "dt_values")
-    if not dt_values:
-        raise ConfigError("surface.dt_values", "needs at least one step size")
-    for i, dt in enumerate(dt_values):
-        if dt <= 0:
-            raise ConfigError(f"surface.dt_values[{i}]", "must be positive")
-    integrator = _expect(block, "surface", "integrator", str, required=False, default="exact")
-    ratio_floor = _expect(block, "surface", "ratio_floor", float, required=False, default=1.8)
-    if integrator not in ("exact", "crank_nicolson"):
-        raise ConfigError("surface.integrator", f"unknown integrator {integrator!r}")
-    start_times = _number_list(block, "surface", "start_times", required=False)
+def cmd_surface(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
+    cfg = _build_lattice(lattice)
+    total_time, dt_values, start_times = opts["total_time"], opts["dt_values"], opts["start_times"]
     if start_times is None:
-        start = SpacelikeSurface.flat(cfg.n_sites, 0.0, cfg.spacing)
-    else:
-        if len(start_times) != cfg.n_sites:
-            raise ConfigError("surface.start_times", f"expected {cfg.n_sites} entries")
-        try:
-            start = SpacelikeSurface(tuple(start_times), cfg.spacing)
-        except NotSpacelike as exc:
-            raise ConfigError("surface.start_times", str(exc)) from exc
-    initial = _build_initial(_expect(block, "surface", "initial", dict), "surface.initial",
-                             cfg, base_dir)
-    build_a = _build_schedule_factory(_expect(block, "surface", "schedule_a", dict),
-                                      "surface.schedule_a", start, total_time)
-    build_b = _build_schedule_factory(_expect(block, "surface", "schedule_b", dict),
-                                      "surface.schedule_b", start, total_time)
+        start_times = [0.0] * cfg.n_sites
+    if len(start_times) != cfg.n_sites:
+        raise ConfigError("surface.start_times", f"expected {cfg.n_sites} entries")
+    start = _build_at("surface.start_times", SpacelikeSurface, tuple(start_times), cfg.spacing)
+    initial = _build_initial(opts["initial"], "surface.initial", cfg, base_dir)
+    build_a = _build_schedule_factory(opts["schedule_a"], "surface.schedule_a", start, total_time)
+    build_b = _build_schedule_factory(opts["schedule_b"], "surface.schedule_b", start, total_time)
     # every schedule of the ladder, counted before it is built and walked before the first solve
     endpoints = None
     for i, dt in enumerate(dt_values):
@@ -370,40 +395,22 @@ def cmd_surface(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
 
     density = legendre_transform(lagr)
     report = integrability_test(initial, density, build_a, build_b, dt_values,
-                                integrator=integrator, ratio_floor=ratio_floor)
+                                integrator=opts["integrator"], ratio_floor=opts["ratio_floor"])
     report["spec_hash"] = meta["config_sha256"]
     report["meta"] = meta
     _write_json(outdir / "integrability.json", report)
-    _write_json(outdir / "meta.json", meta)
 
 
-def cmd_feynman(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
-    lagr = _build_lagrangian(config)
-    cfg = _build_lattice(config)
-    block = config["feynman"]
-    kernel = _expect(block, "feynman", "kernel", str, required=False, default="fresnel_exact")
-    dt = _expect(block, "feynman", "dt", float)
-    t_steps = _expect(block, "feynman", "t_steps", int)
-    levels = _expect(block, "feynman", "levels", int, required=False, default=3)
-    identity_mode = _expect(block, "feynman", "identity_check", str, required=False,
-                            default="auto")
-    if identity_mode not in ("auto", "force", "skip"):
-        raise ConfigError("feynman.identity_check", f"unknown mode {identity_mode!r}")
-    try:
-        pspec = PathIntegralSpec(t_steps, dt, kernel)
-    except ValueError as exc:
-        raise ConfigError("feynman", str(exc)) from exc
-    if levels < 1:
-        raise ConfigError("feynman.levels", "must be at least 1")
-    if kernel == "lagrangian_riemann" and dt == 0.0:
-        raise ConfigError("feynman.dt", "the lagrangian_riemann kernel needs dt > 0")
-    initial = _build_initial(_expect(block, "feynman", "initial", dict), "feynman.initial",
-                             cfg, base_dir)
+def cmd_feynman(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
+    cfg = _build_lattice(lattice)
+    pspec = _build_at("feynman.dt", PathIntegralSpec, opts["t_steps"], opts["dt"], opts["kernel"])
+    initial = _build_initial(opts["initial"], "feynman.initial", cfg, base_dir)
 
-    report = feynman_vs_schrodinger(initial, pspec, lagr, levels)
+    report = feynman_vs_schrodinger(initial, pspec, lagr, opts["levels"])
     transfer_state = TransferOperator(pspec, lagr, cfg).evolve(initial)
 
     identity = {"checked": False}
+    identity_mode = opts["identity_check"]
     histories = cfg.q_points ** (cfg.n_sites * (pspec.t_steps + 1))
     if identity_mode == "force" or (identity_mode == "auto" and histories <= 2 ** 14):
         amps = brute_force_amplitudes(initial, pspec, lagr)
@@ -412,34 +419,16 @@ def cmd_feynman(config: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     report["identity"] = identity
     report["spec_hash"] = meta["config_sha256"]
     report["meta"] = meta
+    _require_finite(transfer_state.psi, "amplitudes.csv")
     _write_json(outdir / "comparison.json", report)
     state_to_csv(transfer_state, outdir / "amplitudes.csv",
                  meta_line=f"config_sha256={meta['config_sha256']} version={meta['version']}")
-    _write_json(outdir / "meta.json", meta)
 
 
-def cmd_classical(config: dict, outdir: Path, meta: dict) -> None:
-    lagr = _build_lagrangian(config)
-    block = config["classical"]
-    bblock = _expect(block, "classical", "boundary", dict)
-    arrays = {}
-    for key in ("t0", "t1", "z0", "z1"):
-        arrays[key] = _number_list(bblock, "classical.boundary", key)
-    spacing = _expect(bblock, "classical.boundary", "spacing", float, required=False,
-                      default=1.0)
-    if spacing <= 0:
-        raise ConfigError("classical.boundary.spacing", "must be positive")
-    dt_c = _expect(block, "classical", "dt_c", float, required=False, default=1e-3)
-    fd_epsilon = _expect(block, "classical", "fd_epsilon", float, required=False, default=1e-4)
-    checks = _expect(block, "classical", "checks", list, required=False,
-                     default=["hj_residuals"])
-    for i, name in enumerate(checks):
-        if name not in ("hj_residuals", "reparameterization"):
-            raise ConfigError(f"classical.checks[{i}]", f"unknown check {name!r}")
-    try:
-        bd = BoundaryData(arrays["t0"], arrays["t1"], arrays["z0"], arrays["z1"], spacing)
-    except (ValueError, NotSpacelike) as exc:
-        raise ConfigError("classical.boundary", str(exc)) from exc
+def cmd_classical(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
+    boundary = _read(opts["boundary"], "classical.boundary", SCHEMA["classical.boundary"])
+    dt_c, fd_epsilon, checks = opts["dt_c"], opts["fd_epsilon"], opts["checks"]
+    bd = _build_at("classical.boundary", BoundaryData, **boundary)
     try:
         grid_rows(bd, dt_c)
     except ValueError as exc:
@@ -457,20 +446,15 @@ def cmd_classical(config: dict, outdir: Path, meta: dict) -> None:
     sol = solve_extremal(bd, lagr, dt_c)
     payload = {"action": sol.action, "residual": sol.residual, "n_rows": sol.n_rows}
     if "hj_residuals" in checks:
-        payload["hj"] = hj_residuals(bd, lagr, dt_c, fd_epsilon)
+        payload["hj"] = hj_residuals(sol, lagr, fd_epsilon)
     if "reparameterization" in checks:
-        payload["reparameterization"] = reparameterization_check(bd, lagr, dt_c)
+        payload["reparameterization"] = reparameterization_check(sol, lagr)
     payload["spec_hash"] = meta["config_sha256"]
     payload["meta"] = meta
     _write_json(outdir / "residuals.json", payload)
-    with open(outdir / "extremal.csv", "w") as fh:
-        fh.write(f"# config_sha256={meta['config_sha256']} version={meta['version']}\n")
-        fh.write("t,x,z\n")
-        for r in range(sol.z.shape[0]):
-            for j in range(sol.z.shape[1]):
-                row = (sol.row_times[r, j], j * bd.spacing, sol.z[r, j])
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    _write_json(outdir / "meta.json", meta)
+    _write_csv(outdir / "extremal.csv", meta, ("t", "x", "z"),
+               ((sol.row_times[r, j], j * bd.spacing, sol.z[r, j])
+                for r in range(sol.z.shape[0]) for j in range(sol.z.shape[1])))
 
 
 # --- entry point -------------------------------------------------------------
@@ -484,24 +468,21 @@ def run_config(config: dict, outdir: Path, base_dir: Path) -> None:
     command = present[0]
     if not isinstance(config[command], dict):
         raise ConfigError(command, "command block must be an object")
-    seed = _expect(config, "", "seed", int, required=False, default=0)
+    root = _read(config, "", SCHEMA[""])
+    opts = _read(config[command], command, SCHEMA[command])
+    lagr = _build_lagrangian(root["lagrangian"])
     meta = {
         "config_sha256": config_hash(config),
         "version": __version__,
         "command": command,
-        "seed": seed,
+        "seed": root["seed"],
     }
     outdir.mkdir(parents=True, exist_ok=True)
-    if command == "legendre":
-        cmd_legendre(config, outdir, meta)
-    elif command == "evolve":
-        cmd_evolve(config, outdir, meta, base_dir)
-    elif command == "surface":
-        cmd_surface(config, outdir, meta, base_dir)
-    elif command == "feynman":
-        cmd_feynman(config, outdir, meta, base_dir)
-    else:
-        cmd_classical(config, outdir, meta)
+    # built per call, so a wrapper bound over a cmd_* name is the one that runs
+    run = {"legendre": cmd_legendre, "evolve": cmd_evolve, "surface": cmd_surface,
+           "feynman": cmd_feynman, "classical": cmd_classical}[command]
+    run(lagr, root["lattice"], opts, outdir, meta, base_dir)
+    _write_json(outdir / "meta.json", meta)
 
 
 def main(argv=None) -> int:
@@ -537,11 +518,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DimensionTooLarge, EnumerationTooLarge) as exc:
+    except ResourceGuard as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
-    except (SingularBVP, SolverDivergence, NewtonDivergence, NotSpacelike,
-            DegenerateKinetic) as exc:
+    except (NumericalFailure, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

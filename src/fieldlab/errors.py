@@ -5,6 +5,14 @@ class FieldLabError(Exception):
     """Base class for every package-specific failure."""
 
 
+class NumericalFailure(FieldLabError):
+    """A computation on valid input failed; the CLI exits 3."""
+
+
+class ResourceGuard(FieldLabError):
+    """A size guard refused the work before it started; the CLI exits 4."""
+
+
 class LagrangianSyntaxError(FieldLabError):
     """Lagrangian text failed to parse; carries the offending position."""
 
@@ -25,7 +33,7 @@ class DegreeTooHigh(FieldLabError):
     """Potential degree above the configured maximum."""
 
 
-class DegenerateKinetic(FieldLabError):
+class DegenerateKinetic(NumericalFailure):
     """Effective kinetic coefficient vanished; the momentum solve is singular."""
 
 
@@ -49,7 +57,7 @@ class ConfigMismatch(FieldLabError):
     """States live on different lattice configurations."""
 
 
-class DimensionTooLarge(FieldLabError):
+class DimensionTooLarge(ResourceGuard):
     """State dimension exceeds the dense-operator guard."""
 
 
@@ -57,11 +65,11 @@ class NonSeparableHamiltonian(FieldLabError):
     """Operator has cross terms; split-step integration is unavailable."""
 
 
-class SolverDivergence(FieldLabError):
+class SolverDivergence(NumericalFailure):
     """Iterative linear solve exceeded its iteration cap."""
 
 
-class NotSpacelike(FieldLabError):
+class NotSpacelike(NumericalFailure):
     """Surface link slope reached or exceeded the characteristic speed."""
 
 
@@ -73,21 +81,25 @@ class ShapeMismatch(FieldLabError):
     """Field history dimensions do not match the path-integral layout."""
 
 
-class EnumerationTooLarge(FieldLabError):
+class EnumerationTooLarge(ResourceGuard):
     """Brute-force history count exceeds the enumeration guard."""
 
 
-class SingularBVP(FieldLabError):
+class SingularBVP(NumericalFailure):
     """Two-time boundary value problem is singular or near-singular."""
 
 
-class NewtonDivergence(FieldLabError):
+class NewtonDivergence(NumericalFailure):
     """Damped Newton iteration failed to converge."""
+
+
+class NonFiniteResult(NumericalFailure):
+    """A result about to be written holds NaN or infinity."""
 
 
 class ConfigError(FieldLabError):
     """Run configuration is invalid; carries the offending field path."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path

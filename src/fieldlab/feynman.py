@@ -49,6 +49,8 @@ class PathIntegralSpec:
             raise ValueError("dt must be nonnegative")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
+        if self.kernel == "lagrangian_riemann" and self.dt == 0.0:
+            raise ValueError("the lagrangian_riemann kernel needs dt > 0")
 
     @property
     def total_time(self) -> float:
@@ -82,8 +84,6 @@ def one_site_kinetic_matrix(pspec: PathIntegralSpec, lagr: LagrangianSpec,
         h_over_a = h / a
         mult = a * (h_over_a ** 2 * k2 - 2.0 * c1 * h_over_a * k1 + c1 ** 2) / (4.0 * c2)
         return fourier_matrix(np.exp(-1j * dt * mult / h))
-    if dt == 0.0:
-        raise ValueError("the lagrangian_riemann kernel needs dt > 0")
     zg = cfg.z_values()
     delta = zg[:, None] - zg[None, :]
     amp = cfg.dz * np.sqrt(c2 * a / (np.pi * h * dt)) * np.exp(-0.25j * np.pi)

@@ -215,7 +215,7 @@ def fit_order(dt_values, errors) -> float:
     """Least-squares slope of log error against log dt."""
     dt_values = np.asarray(dt_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    mask = errors > 0
+    mask = np.isfinite(errors) & (errors > 0) & (dt_values > 0)
     if mask.sum() < 2:
         return 0.0
     slope = np.polyfit(np.log(dt_values[mask]), np.log(errors[mask]), 1)[0]
@@ -270,9 +270,9 @@ def integrability_test(state: WaveFunctional, density: HamiltonianDensity,
     flags = []
     for i in range(len(discrepancies) - 1):
         later = discrepancies[i + 1]
-        ratio = discrepancies[i] / later if later > 0 else float("inf")
+        ratio = discrepancies[i] / later if later > 0 else None  # undefined, reported as null
         ratios.append(ratio)
-        if ratio < ratio_floor and discrepancies[i] > 1e-14:
+        if ratio is not None and ratio < ratio_floor and discrepancies[i] > 1e-14:
             flags.append(
                 f"ratio {ratio:.3f} between dt={dt_values[i]} and dt={dt_values[i + 1]} "
                 f"below floor {ratio_floor}"

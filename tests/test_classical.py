@@ -126,7 +126,7 @@ def test_tangential_identity_curved(free_lagr):
 
 def test_hj_residuals_free_field(free_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.4))
-    report = hj_residuals(bd, free_lagr, 1e-3, 1e-4)
+    report = hj_residuals(solve_extremal(bd, free_lagr, 1e-3), free_lagr, 1e-4)
     assert np.max(report["dSdz_final_rel"]) < 1e-4
     assert np.max(report["dSdt_final_rel"]) < 1e-4
     assert np.max(report["dSdz_initial_rel"]) < 1e-4
@@ -135,9 +135,17 @@ def test_hj_residuals_free_field(free_lagr):
     assert np.max(report["tangential_initial"]) < 1e-8
 
 
+def test_reparameterization_zero_boundary_ratio_is_null(free_lagr):
+    """Zero boundary data give zero actions at every refinement, so the ratio is 0/0."""
+    bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.0, 0.0))
+    report = reparameterization_check(solve_extremal(bd, free_lagr, 1e-2), free_lagr)
+    assert report["refinement_actions"] == [0.0, 0.0, 0.0]
+    assert report["refinement_ratio"] is None
+
+
 def test_hj_residuals_zero_boundary(free_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.0, 0.0))
-    report = hj_residuals(bd, free_lagr, 1e-2, 1e-4)
+    report = hj_residuals(solve_extremal(bd, free_lagr, 1e-2), free_lagr, 1e-4)
     assert np.max(report["dSdz_final_rel"]) < 1e-10
     assert np.max(report["hj_resid"]) < 1e-10
     assert np.max(report["tangential_final"]) < 1e-10
@@ -161,7 +169,7 @@ def test_reparameterization_exact_symmetries():
     lagr = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2")
     bd = BoundaryData((0.0, 0.2, -0.1), (1.1, 1.0, 1.3),
                       (0.3, -0.2, 0.1), (0.0, 0.25, -0.3))
-    report = reparameterization_check(bd, lagr, 5e-3)
+    report = reparameterization_check(solve_extremal(bd, lagr, 5e-3), lagr)
     assert report["cyclic_diff"] < 1e-12
     assert report["parity_diff"] < 1e-12
     assert report["time_shift_diff"] < 1e-12
@@ -169,7 +177,7 @@ def test_reparameterization_exact_symmetries():
 
 def test_reparameterization_refinement_ratio(free_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.4))
-    report = reparameterization_check(bd, free_lagr, 4e-3)
+    report = reparameterization_check(solve_extremal(bd, free_lagr, 4e-3), free_lagr)
     assert 3.5 <= report["refinement_ratio"] <= 4.5
 
 
@@ -227,7 +235,7 @@ def test_hj_variations_move_each_entry_by_epsilon():
 def test_hj_residuals_rejects_zero_epsilon(free_lagr):
     bd = BoundaryData((0.0,), (1.0,), (0.3,), (-0.4,))
     with pytest.raises(ValueError, match="fd_epsilon"):
-        hj_residuals(bd, free_lagr, 1e-2, fd_epsilon=0.0)
+        hj_residuals(solve_extremal(bd, free_lagr, 1e-2), free_lagr, fd_epsilon=0.0)
 
 
 def test_grid_rows_guard(monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fieldlab.classical
-from fieldlab.cli import main
+from fieldlab.cli import SCHEMA, main
 from fieldlab.lattice import load_state
 
 FREE_TEXT = "0.5*zt^2 - 0.5*zx^2 - 0.5*m^2*z^2"
@@ -135,6 +135,7 @@ def test_surface_identical_schedules(tmp_path):
     assert run(tmp_path, surface_config(sweep, dict(sweep))) == 0
     report = json.loads((tmp_path / "out" / "integrability.json").read_text())
     assert report["discrepancies"] == [0.0, 0.0]
+    assert report["ratios"] == [None]  # 0/0 is reported as null, not as the string "inf"
     assert report["degenerate"] is True
     assert report["spec_hash"]
 
@@ -367,6 +368,8 @@ def test_classical_grid_guard_covers_the_finest_grid(tmp_path, capsys, monkeypat
 
 # --- validation corpus -----------------------------------------------------------
 
+DROP = object()  # a MALFORMED value that removes its key from the base config
+
 MALFORMED = [
     ({}, "exactly one command block"),
     ({"legendre": {}, "evolve": {}}, "exactly one command block"),
@@ -380,7 +383,7 @@ MALFORMED = [
       {"kind": "ground_state", "mass": 1.0}, "schedule_a": {"kind": "sweep"},
       "schedule_b": {"kind": "zigzag"}}}, "surface.schedule_b.kind"),
     ({"feynman": {"dt": 0.1, "t_steps": -1, "levels": 2, "initial":
-      {"kind": "ground_state", "mass": 1.0}}}, "feynman"),
+      {"kind": "ground_state", "mass": 1.0}}}, "feynman.t_steps"),
     ({"classical": {"boundary": {"t0": [0.0], "t1": [0.0], "z0": [0.1],
                                  "z1": [0.1]}}}, "classical.boundary"),
     ({"classical": {"boundary": {"t0": [0.0], "t1": ["later"], "z0": [0.1],
@@ -395,14 +398,54 @@ MALFORMED = [
       "schedule_b": {"kind": "sweep"}}}, "surface.dt_values"),
     ({"evolve": {"steps": 1, "initial": {"kind": "ground_state", "mass": 1.0},
                  "method": "crank_nicolson", "cn_tol": -1.0}}, "evolve.cn_tol"),
+    ({"seed": 1.5, "legendre": {}}, "config error: seed: expected an integer, got 1.5"),
+    ({"lagrangian": DROP, "legendre": {}}, "config error: lagrangian: missing required field"),
+    ({"lattice": DROP, "evolve": {"steps": 1, "initial": {"kind": "ground_state", "mass": 1.0}}},
+     "config error: lattice: missing required field"),
+    ({}, "config error: exactly one command block"),
+    ({"feynman": {"dt": -0.1, "t_steps": 1, "initial": {"kind": "ground_state", "mass": 1.0}}},
+     "config error: feynman.dt: must be nonnegative"),
+    ({"feynman": {"dt": 0.1, "t_steps": 1, "kernel": "riemann", "initial":
+      {"kind": "ground_state", "mass": 1.0}}}, "config error: feynman.kernel: "),
+    ({"feynman": {"dt": 0.0, "t_steps": 0, "kernel": "lagrangian_riemann", "initial":
+      {"kind": "ground_state", "mass": 1.0}}},
+     "config error: feynman.dt: the lagrangian_riemann kernel needs dt > 0"),
+    ({"legendre": {"slope": 1e300}}, "config error: legendre.slope: "),
+    ({"feynman": {"dt": 0.1, "t_steps": 10 ** 400, "initial": {"kind": "ground_state", "mass": 1.0}}},
+     "config error: feynman.t_steps: must fit in 64 bits"),
 ]
 
 
 @pytest.mark.parametrize("block,needle", MALFORMED)
 def test_malformed_configs_rejected(tmp_path, capsys, block, needle):
-    cfg = base_config(block)
+    cfg = {key: value for key, value in base_config(block).items() if value is not DROP}
     assert run(tmp_path, cfg) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build,block,key,value,needle", [
+    (lambda: evolve_config(5), "lattice", "q_extent", 1e-300, "holds NaN or infinity"),
+    (lambda: evolve_config(5), "lattice", "spacing", 1e-300, "out of range"),
+    (lambda: feynman_config(), "lattice", "q_extent", 1e-300, "did not converge"),
+    (lambda: surface_config(*SWEEPS), "lagrangian", "params", {"m": -1e300},
+     "integrability.json.discrepancies[0] holds NaN or infinity"),
+], ids=["evolve-nan-state", "evolve-overflow", "feynman-eigh", "surface-nan-report"])
+def test_overflowing_runs_are_numerical_failures(tmp_path, capsys, build, block, key, value,
+                                                 needle):
+    """Finite inputs whose numbers overflow exit 3 before writing, not 0 with NaN or a traceback."""
+    cfg = build()
+    cfg[block][key] = value
+    assert run(tmp_path, cfg) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: " in err and needle in err
+    assert not (tmp_path / "out" / "meta.json").exists()
+
+
+def test_feynman_subnormal_dt_fits_no_zero_step(tmp_path):
+    """At dt = 5e-324 the halved level step underflows to 0; the order fit skips it."""
+    assert run(tmp_path, feynman_config(dt=5e-324)) == 0
+    report = json.loads((tmp_path / "out" / "comparison.json").read_text())
+    assert report["dt_values"][1] == 0.0 and report["fitted_order"] == 0.0
 
 
 def test_non_finite_lattice_number_rejected(tmp_path, capsys):
@@ -442,6 +485,15 @@ def test_initial_state_errors_are_config_errors(tmp_path, capsys, initial, needl
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {needle}: ") and reason in err
     assert "Traceback" not in err
+
+
+def test_readme_lists_every_schema_key():
+    """README's command-block section names every key the config schema reads."""
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme[readme.index("Command blocks."):readme.index("Exit codes:")]
+    missing = [f"{block}.{key}" for block, table in SCHEMA.items() for key in table
+               if f"`{key}`" not in section and f'"{key}"' not in section]
+    assert missing == []
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -228,8 +228,8 @@ def test_zero_time_distance_zero(free_lagr):
     assert np.max(np.abs(brute - state.psi)) < 1e-12
 
 
-def test_riemann_requires_positive_dt(free_lagr):
-    cfg = LatticeConfig(1, 1.0, 8, 6.0)
-    with pytest.raises(ValueError):
-        one_site_kinetic_matrix(PathIntegralSpec(0, 0.0, "lagrangian_riemann"),
-                                free_lagr, cfg)
+def test_riemann_requires_positive_dt():
+    """The spec refuses dt = 0 for the Riemann kernel, so no consumer divides by it."""
+    with pytest.raises(ValueError, match="needs dt > 0"):
+        PathIntegralSpec(0, 0.0, "lagrangian_riemann")
+    PathIntegralSpec(0, 0.0, "fresnel_exact")
