@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .classical import (
 from .errors import (
     ConfigError,
     FieldLabError,
+    NonFiniteCoefficient,
     NonFiniteResult,
     NotSpacelike,
     NumericalFailure,
@@ -260,7 +262,13 @@ def _build_at(path: str, build, *args, **kwargs):
 
 def _build_lagrangian(block: dict):
     opts = _read(block, "lagrangian", SCHEMA["lagrangian"])
-    return _build_at("lagrangian.text", parse_lagrangian, opts["text"], opts["params"])
+    try:
+        return _build_at("lagrangian.text", parse_lagrangian, opts["text"], opts["params"])
+    except ConfigError as exc:
+        # each parameter is finite, but their products can overflow a coefficient
+        if opts["params"] and isinstance(exc.__cause__, NonFiniteCoefficient):
+            raise ConfigError("lagrangian.params", str(exc.__cause__)) from exc.__cause__
+        raise
 
 
 def _build_lattice(block: dict | None) -> LatticeConfig:
@@ -314,6 +322,7 @@ def cmd_legendre(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: 
 def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     cfg = _build_lattice(lattice)
     method, steps, dt, log_every = opts["method"], opts["steps"], opts["dt"], opts["log_every"]
+    params = EvolveParams(dt, steps, method, cn_tol=opts["cn_tol"])  # the step guard, before any work
     initial = _build_initial(opts["initial"], "evolve.initial", cfg, base_dir)
 
     density = legendre_transform(lagr)
@@ -342,8 +351,7 @@ def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Pa
             done = 0
             while done < steps:
                 chunk = min(log_every, steps - done)
-                state = stepper(hamiltonian, state,
-                                EvolveParams(dt, chunk, method, cn_tol=opts["cn_tol"]))
+                state = stepper(hamiltonian, state, replace(params, steps=chunk))
                 done += chunk
                 log_row(done * dt, state)
     _require_finite(state.psi, "final_state.bin")

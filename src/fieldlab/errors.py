@@ -33,6 +33,10 @@ class DegreeTooHigh(FieldLabError):
     """Potential degree above the configured maximum."""
 
 
+class NonFiniteCoefficient(FieldLabError):
+    """A Lagrangian coefficient overflowed to infinity or NaN."""
+
+
 class DegenerateKinetic(NumericalFailure):
     """Effective kinetic coefficient vanished; the momentum solve is singular."""
 

@@ -17,6 +17,8 @@ from .errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
 from .lattice import WaveFunctional, norm as state_norm, site_moments
 from .operators import DENSE_GUARD, LatticeHamiltonian
 
+MAX_STEPS = 100_000  # time steps in one run; committed configs and benchmarks take at most 1000
+
 
 @dataclass
 class EvolveParams:
@@ -31,6 +33,8 @@ class EvolveParams:
             raise ValueError("dt must be positive")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
+        if self.steps > MAX_STEPS:
+            raise DimensionTooLarge(f"{self.steps} steps exceed the {MAX_STEPS} step guard")
         if self.cn_tol <= 0:
             raise ValueError("cn_tol must be positive")
         if self.method not in ("exact", "strang", "crank_nicolson"):

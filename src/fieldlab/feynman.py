@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, ShapeMismatch
-from .evolve import ExactPropagator
+from .errors import DimensionTooLarge, EnumerationTooLarge, ShapeMismatch
+from .evolve import MAX_STEPS, ExactPropagator
 from .lagrangian import LagrangianSpec, legendre_transform
 from .lattice import LatticeConfig, WaveFunctional, link_difference, norm
 from .operators import compile_hamiltonian, fourier_matrix, momentum_grids
@@ -199,7 +199,12 @@ def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,
     Total time is held fixed while dt halves per level; the report carries L2
     distances, the fitted order in dt, and a flag for each level whose
     distance grew as dt halved (a ladder that diverges, not a failure).
+    Raises DimensionTooLarge when the finest level, (t_steps + 1) * 2**(levels - 1)
+    kernel steps, would take more than MAX_STEPS.
     """
+    if pspec.t_steps + 1 > MAX_STEPS >> max(levels - 1, 0):
+        raise DimensionTooLarge(f"{levels} levels of {pspec.t_steps + 1} kernel steps "
+                                f"exceed the {MAX_STEPS} step guard at the finest level")
     cfg = state.cfg
     total_time = pspec.total_time
     if total_time == 0.0:

@@ -15,6 +15,7 @@ the transform a closed form:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .errors import (
     DegenerateKinetic,
     DegreeTooHigh,
     LagrangianSyntaxError,
+    NonFiniteCoefficient,
     NonQuadraticKinetic,
     UnsupportedMixing,
 )
@@ -269,7 +271,8 @@ def parse_lagrangian(text: str, params: dict[str, float] | None = None,
     Raises LagrangianSyntaxError (with position), NonQuadraticKinetic when any
     zt power exceeds 2 or the zt^2 coefficient is not positive,
     UnsupportedMixing for monomials outside the supported forms, and
-    DegreeTooHigh for a potential degree or any exponent above ``max_degree``.
+    DegreeTooHigh for a potential degree or any exponent above ``max_degree``,
+    and NonFiniteCoefficient when a coefficient overflows to infinity or NaN.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
@@ -280,6 +283,8 @@ def parse_lagrangian(text: str, params: dict[str, float] | None = None,
     gradient = 0.0
     pot = {}
     for (iz, it, ix), coeff in poly.terms.items():
+        if not math.isfinite(coeff):
+            raise NonFiniteCoefficient(f"monomial z^{iz}*zt^{it}*zx^{ix} has coefficient {coeff}")
         if coeff == 0.0:
             continue
         if it > 2:

@@ -257,7 +257,7 @@ def state_to_csv(state: WaveFunctional, path, meta_line: str | None = None) -> N
             fh.write(f"# {meta_line}\n")
         fh.write("index,re,im\n")
         for i, amp in enumerate(flat):
-            fh.write(f"{i},{amp.real!r},{amp.imag!r}\n")
+            fh.write(f"{i},{float(amp.real)!r},{float(amp.imag)!r}\n")
 
 
 def site_moments(state: WaveFunctional):

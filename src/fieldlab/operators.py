@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionTooLarge, UnsupportedOrdering
 from .lagrangian import HamiltonianDensity
@@ -69,10 +68,7 @@ def _site_diagonal(mat: np.ndarray, n: int, q: int, site: int) -> np.ndarray:
     row-major state index, so adding a Q x Q block to it adds I (x) block (x) I.
     """
     left, right = q ** site, q ** (n - site - 1)
-    view = mat.reshape(left, q, right, left, q, right)
-    s = view.strides
-    return as_strided(view, shape=(left, right, q, q),
-                      strides=(s[0] + s[3], s[2] + s[5], s[1], s[4]))
+    return np.einsum("aibajb->abij", mat.reshape(left, q, right, left, q, right))
 
 
 @dataclass
@@ -181,31 +177,53 @@ class LatticeHamiltonian:
         return mult
 
     def dense_matrix(self) -> np.ndarray:
-        """The operator as an exactly Hermitian (dim, dim) array.
+        """The operator as an exactly Hermitian (dim, dim) array, assembled from its structure.
 
-        Assembled from the structure: each site term adds its one-axis
-        momentum block as a Kronecker sum and its cross term as
-        (f P + P f) / 2, then the diagonal.  The array is float64 when no
-        term has a first-derivative part, complex128 otherwise.
+        Each site term's blocks go in as a Kronecker sum I (x) block (x) I.
         """
-        cfg = self.cfg
-        dim, n, q = cfg.dim, cfg.n_sites, cfg.q_points
+        dim, n, q = self.cfg.dim, self.cfg.n_sites, self.cfg.q_points
         if dim > DENSE_GUARD:
             raise DimensionTooLarge(f"dimension {dim} exceeds dense guard {DENSE_GUARD}")
+        return self._assembled((dim, dim), lambda mat, axis: _site_diagonal(mat, n, q, axis))
+
+    def site_blocks(self) -> np.ndarray:
+        """A local density as (Q_nb, Q, Q) Hermitian blocks, one per value of its neighbour.
+
+        For an operator on at most two sites with momentum on site 0 only, as
+        the single-site density on the pair lattice is: block b is the operator
+        with site 1 at its b-th grid value, the axis-0 blocks of ``dense_matrix``.
+        """
+        cfg, q = self.cfg, self.cfg.q_points
+        if cfg.n_sites > 2 or any(t.site != 0 for t in self.terms):
+            raise ValueError("site blocks need at most two sites and momentum on site 0 only")
+        return self._assembled((1, cfg.dim // q, q, q), lambda blocks, axis: blocks)[0]
+
+    def _assembled(self, shape: tuple[int, ...], blocks_at) -> np.ndarray:
+        """A zero array of ``shape`` with the operator added to its (L, R, Q, Q) blocks.
+
+        ``blocks_at(array, axis)`` views the blocks acting on ``axis``.  A site
+        term adds its momentum block and its cross term (f P + P f) / 2, and the
+        diagonal goes in through axis 0.  The array is float64 when no term has
+        a first-derivative part, complex128 otherwise.
+        """
         real = all(t.lin_const == 0.0 and t.cross is None for t in self.terms)
-        mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
+        out = np.zeros(shape, dtype=np.float64 if real else np.complex128)
+
+        def laid_out(values, block):  # full-grid values as (L, R, Q), matching block
+            return np.broadcast_to(values, self.cfg.shape).reshape(
+                block.shape[0], self.cfg.q_points, block.shape[1]).transpose(0, 2, 1)
+
         for axis, mult, half_p, f in self._kernels:
-            block = _site_diagonal(mat, n, q, axis)
+            block = blocks_at(out, axis)
             if mult is not None:
                 block += _hermitian_block(mult.ravel(), real)
             if f is not None:
-                half_p_block = _hermitian_block(half_p.ravel(), real=False)
-                # f over the full grid, laid out as (L, R, Q) to match the block view
-                f = np.broadcast_to(f, cfg.shape).reshape(
-                    block.shape[0], q, block.shape[1]).transpose(0, 2, 1)
-                block += (f[..., :, None] + f[..., None, :]) * half_p_block
-        mat.reshape(-1)[::dim + 1] += self.diag.ravel()
-        return mat
+                f = laid_out(f, block)
+                block += (f[..., :, None] + f[..., None, :]) * _hermitian_block(half_p.ravel(),
+                                                                                 real=False)
+        block = blocks_at(out, 0)
+        np.einsum("...ii->...i", block)[...] += laid_out(self.diag, block)
+        return out
 
 
 def site_slopes_from_links(v_links: np.ndarray) -> np.ndarray:

@@ -12,12 +12,11 @@ step refinement instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionTooLarge, ScheduleMismatch
-from .evolve import crank_nicolson_step
 from .lagrangian import HamiltonianDensity
 from .lattice import LatticeConfig, WaveFunctional, link_difference, norm, spacelike
 from .operators import LatticeHamiltonian, compile_hamiltonian, site_slopes_from_links
@@ -129,57 +128,39 @@ def local_density_operator(density: HamiltonianDensity, cfg: LatticeConfig,
 class SurfaceEvolver:
     """Applies elementary deformations with a chosen integrator.
 
-    ``integrator='exact'`` exponentiates the local density on the pair of
-    axes it touches (dense only in Q^2); ``'crank_nicolson'`` takes one
-    matrix-free Cayley step per move and scales to larger grids.
+    The generator a * H_j of a move at site j has momentum on axis j alone,
+    and z_{j+1} enters it only as a multiplier, so it splits into Q Hermitian
+    Q x Q blocks, one per neighbour value.  Their batched eigendecomposition
+    is built once per site slope on the pair lattice, and a move applies
+    V g(w) V^H block by block: g is the exponential for ``'exact'`` and the
+    Cayley factor of one Crank-Nicolson step, solved exactly, for
+    ``'crank_nicolson'``.
     """
 
     def __init__(self, density: HamiltonianDensity, cfg: LatticeConfig,
-                 integrator: str = "crank_nicolson",
-                 cn_tol: float = 1e-10, cn_maxiter: int = 500):
+                 integrator: str = "crank_nicolson"):
         if integrator not in ("exact", "crank_nicolson"):
             raise ValueError(f"unknown integrator {integrator!r}")
         self.density = density
         self.cfg = cfg
         self.integrator = integrator
-        self.cn_tol = cn_tol
-        self.cn_maxiter = cn_maxiter
         self._eig_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._prop_cache: dict[tuple[float, float], np.ndarray] = {}
 
-    def _pair_matrix(self, v_site: float) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of the local density on a 2-site pair lattice."""
+    def _propagator(self, v_site: float, dt: float) -> np.ndarray:
+        """(Q_nb, Q, Q) one-move propagator blocks V g(w) V^H, from the slope's cached eigh."""
         if v_site not in self._eig_cache:
-            cfg = self.cfg
-            n_mini = min(cfg.n_sites, 2)
-            mini_cfg = LatticeConfig(n_mini, cfg.spacing, cfg.q_points,
-                                     cfg.q_extent, cfg.hbar, cfg.derivative)
-            links = np.full(n_mini, v_site)
-            mini = compile_hamiltonian(self.density, mini_cfg, links, sites=[0])
-            mat = mini.dense_matrix()
-            self._eig_cache[v_site] = np.linalg.eigh(mat)
-        return self._eig_cache[v_site]
-
-    def _local_propagator(self, v_site: float, dt: float) -> np.ndarray:
+            n_mini = min(self.cfg.n_sites, 2)
+            mini = compile_hamiltonian(self.density, replace(self.cfg, n_sites=n_mini),
+                                       np.full(n_mini, v_site), sites=[0])
+            self._eig_cache[v_site] = np.linalg.eigh(mini.site_blocks())
         key = (v_site, dt)
         if key not in self._prop_cache:
-            w, vecs = self._pair_matrix(v_site)
-            phase = np.exp(-1j * dt * w / self.cfg.hbar)
-            self._prop_cache[key] = (vecs * phase) @ vecs.conj().T
+            w, vecs = self._eig_cache[v_site]
+            x = dt * w / self.cfg.hbar
+            g = np.exp(-1j * x) if self.integrator == "exact" else (1 - 0.5j * x) / (1 + 0.5j * x)
+            self._prop_cache[key] = (vecs * g[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
         return self._prop_cache[key]
-
-    def _apply_local_exact(self, psi: np.ndarray, site: int, v_site: float,
-                           dt: float) -> np.ndarray:
-        u = self._local_propagator(v_site, dt)
-        n, q = self.cfg.n_sites, self.cfg.q_points
-        if n == 1:
-            return u @ psi
-        neighbor = (site + 1) % n
-        moved = np.moveaxis(psi, (site, neighbor), (-2, -1))
-        lead = moved.shape[:-2]
-        flat = moved.reshape(-1, q * q)
-        flat = flat @ u.T
-        return np.moveaxis(flat.reshape(lead + (q, q)), (-2, -1), (site, neighbor))
 
     def deform_step(self, state: WaveFunctional, surface: SpacelikeSurface,
                     site: int, dt: float):
@@ -187,15 +168,17 @@ class SurfaceEvolver:
         new_surface = surface.advanced(site, dt)  # raises NotSpacelike first
         if dt == 0.0:
             return state.copy(), new_surface
-        if self.integrator == "exact":
-            # surface times accumulate roundoff; rounding the slope gives equal
-            # slopes one cache key, and the pair operator is built from the key
-            v_site = round(float(surface.site_slopes()[site]), 12)
-            psi = self._apply_local_exact(state.psi, site, v_site, dt)
-            return WaveFunctional(self.cfg, psi), new_surface
-        op = local_density_operator(self.density, self.cfg, surface, site)
-        psi = crank_nicolson_step(op, state.psi, dt, self.cn_tol, self.cn_maxiter)
-        return WaveFunctional(self.cfg, psi), new_surface
+        # surface times accumulate roundoff; rounding the slope gives equal
+        # slopes one cache key, and the blocks are built from the key
+        v_site = round(float(surface.site_slopes()[site]), 12)
+        u = self._propagator(v_site, dt)
+        cfg, axes = self.cfg, ((site + 1) % self.cfg.n_sites, site)
+        if cfg.n_sites == 1:  # a lone site is one block
+            return WaveFunctional(cfg, u[0] @ state.psi), new_surface
+        # (neighbour, site, rest) axes: a batched matmul applies one block per neighbour value
+        moved = np.moveaxis(state.psi, axes, (0, 1))
+        out = (u @ moved.reshape(len(u), cfg.q_points, -1)).reshape(moved.shape)
+        return WaveFunctional(cfg, np.moveaxis(out, (0, 1), axes)), new_surface
 
     def run_schedule(self, state: WaveFunctional,
                      schedule: DeformationSchedule) -> WaveFunctional:
@@ -207,8 +190,8 @@ class SurfaceEvolver:
 
 def run_schedule(state: WaveFunctional, density: HamiltonianDensity,
                  schedule: DeformationSchedule,
-                 integrator: str = "crank_nicolson", **kwargs) -> WaveFunctional:
-    return SurfaceEvolver(density, state.cfg, integrator, **kwargs).run_schedule(state, schedule)
+                 integrator: str = "crank_nicolson") -> WaveFunctional:
+    return SurfaceEvolver(density, state.cfg, integrator).run_schedule(state, schedule)
 
 
 def fit_order(dt_values, errors) -> float:
@@ -244,8 +227,7 @@ def shared_endpoints(sched_a: DeformationSchedule, sched_b: DeformationSchedule,
 
 def integrability_test(state: WaveFunctional, density: HamiltonianDensity,
                        build_a, build_b, dt_values,
-                       integrator: str = "exact", ratio_floor: float = 1.8,
-                       cn_tol: float = 1e-10) -> dict:
+                       integrator: str = "exact", ratio_floor: float = 1.8) -> dict:
     """Compare two same-endpoint schedule families under step refinement.
 
     ``build_a`` / ``build_b`` map a step size to a DeformationSchedule; all
@@ -255,7 +237,7 @@ def integrability_test(state: WaveFunctional, density: HamiltonianDensity,
     reported finding, not a failure: path independence here is a conjecture).
     """
     dt_values = [float(dt) for dt in dt_values]
-    evolver = SurfaceEvolver(density, state.cfg, integrator, cn_tol=cn_tol)
+    evolver = SurfaceEvolver(density, state.cfg, integrator)
     discrepancies = []
     reference = None
     for dt in dt_values:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fieldlab.classical
+import fieldlab.feynman
 from fieldlab.cli import SCHEMA, main
 from fieldlab.lattice import load_state
 
@@ -236,6 +237,36 @@ def test_feynman_identity_flag(tmp_path):
     amps = (tmp_path / "out" / "amplitudes.csv").read_text().splitlines()
     assert amps[1] == "index,re,im"
     assert len(amps) == 2 + 8
+    for line in amps[2:]:  # plain float reprs, no numpy scalar wrapper
+        _, re_part, im_part = line.split(",")
+        assert [repr(float(re_part)), repr(float(im_part))] == [re_part, im_part]
+
+
+@pytest.mark.parametrize("build,block,key", [
+    (lambda: evolve_config(5), "evolve", "steps"),
+    (lambda: feynman_config(), "feynman", "t_steps"),
+    (lambda: feynman_config(), "feynman", "levels"),
+], ids=["evolve.steps", "feynman.t_steps", "feynman.levels"])
+def test_step_and_level_counts_hit_step_guard(tmp_path, capsys, build, block, key):
+    """Counts up to 2**63 pass the schema; the step guard stops them before any work."""
+    cfg = build()
+    cfg[block][key] = 2 ** 62
+    start = time.perf_counter()
+    assert run(tmp_path, cfg) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: ") and "100000 step guard" in err
+    assert not (tmp_path / "out" / "meta.json").exists()
+
+
+def test_feynman_levels_at_the_step_guard_run(tmp_path, monkeypatch):
+    """The finest level of 2 kernel steps over 3 levels takes 8 steps: 8 passes, 7 does not."""
+    monkeypatch.setattr(fieldlab.feynman, "MAX_STEPS", 8)
+    cfg = feynman_config(t_steps=1)
+    cfg["feynman"]["levels"] = 3
+    assert run(tmp_path, cfg) == 0
+    monkeypatch.setattr(fieldlab.feynman, "MAX_STEPS", 7)
+    assert run(tmp_path, cfg, out="second") == 4
 
 
 @pytest.mark.parametrize("kernel,flagged", [("fresnel_exact", []),
@@ -427,7 +458,7 @@ def test_malformed_configs_rejected(tmp_path, capsys, block, needle):
     (lambda: evolve_config(5), "lattice", "q_extent", 1e-300, "holds NaN or infinity"),
     (lambda: evolve_config(5), "lattice", "spacing", 1e-300, "out of range"),
     (lambda: feynman_config(), "lattice", "q_extent", 1e-300, "did not converge"),
-    (lambda: surface_config(*SWEEPS), "lagrangian", "params", {"m": -1e300},
+    (lambda: surface_config(*SWEEPS), "lagrangian", "params", {"m": 1e154},
      "integrability.json.discrepancies[0] holds NaN or infinity"),
 ], ids=["evolve-nan-state", "evolve-overflow", "feynman-eigh", "surface-nan-report"])
 def test_overflowing_runs_are_numerical_failures(tmp_path, capsys, build, block, key, value,
@@ -446,6 +477,16 @@ def test_feynman_subnormal_dt_fits_no_zero_step(tmp_path):
     assert run(tmp_path, feynman_config(dt=5e-324)) == 0
     report = json.loads((tmp_path / "out" / "comparison.json").read_text())
     assert report["dt_values"][1] == 0.0 and report["fitted_order"] == 0.0
+
+
+def test_overflowing_lagrangian_parameter_rejected(tmp_path, capsys):
+    """m = -1e300 makes the z^2 coefficient -0.5*m^2 infinite: a config error before any work."""
+    cfg = surface_config(*SWEEPS)
+    cfg["lagrangian"]["params"] = {"m": -1e300}
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lagrangian.params: ") and "-inf" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_lattice_number_rejected(tmp_path, capsys):

@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 
 from fieldlab.errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
 from fieldlab.evolve import (
+    MAX_STEPS,
     EvolveParams,
     ExactPropagator,
     crank_nicolson_step,
@@ -306,6 +307,12 @@ def test_crank_nicolson_jacobi_preconditioner_saves_matvecs():
     _, info = spla.gmres(plain, rhs, x0=state.psi.ravel(), rtol=tol, atol=0.0, maxiter=500)
     assert info == 0
     assert preconditioned < len(calls)
+
+
+def test_evolve_params_step_guard():
+    assert EvolveParams(0.1, MAX_STEPS).steps == MAX_STEPS
+    with pytest.raises(DimensionTooLarge, match="step guard"):
+        EvolveParams(0.1, MAX_STEPS + 1)
 
 
 @pytest.mark.parametrize("cn_tol", [0.0, -1e-10])

@@ -1,4 +1,4 @@
-"""scipy stays off the start-up path: only the classical solver and the CN step load it."""
+"""scipy stays off the start-up path: only the classical solver and flat CN evolution load it."""
 
 import json
 import subprocess
@@ -39,6 +39,19 @@ def test_import_loads_no_scipy(statement):
                                   "surface_sweeps"])
 def test_sample_run_loads_no_scipy(tmp_path, name):
     assert scipy_modules_after(RUN, str(CONFIGS / f"{name}.json"), str(tmp_path / "out")) == []
+
+
+def test_surface_crank_nicolson_loads_no_scipy(tmp_path):
+    """The surface CN integrator takes exact Cayley steps on Q x Q blocks, with no GMRES."""
+    config = json.loads((CONFIGS / "surface_sweeps.json").read_text())
+    config["surface"]["integrator"] = "crank_nicolson"
+    path = tmp_path / "cn_surface.json"
+    path.write_text(json.dumps(config))
+    assert scipy_modules_after(RUN, str(path), str(tmp_path / "out")) == []
+    report = json.loads((tmp_path / "out" / "integrability.json").read_text())
+    assert len(report["ratios"]) == 2
+    assert all(ratio >= config["surface"]["ratio_floor"] for ratio in report["ratios"])
+    assert report["flags"] == []
 
 
 def test_classical_and_cn_runs_load_scipy_when_needed(tmp_path):

@@ -10,6 +10,7 @@ from fieldlab.errors import (
     DegenerateKinetic,
     DegreeTooHigh,
     LagrangianSyntaxError,
+    NonFiniteCoefficient,
     NonQuadraticKinetic,
     UnsupportedMixing,
 )
@@ -90,6 +91,16 @@ def test_parse_huge_exponent_rejected_before_expanding():
         parse_lagrangian("0.5*zt^2 - 0.5*z^99999999")
     with pytest.raises(DegreeTooHigh):
         parse_lagrangian("0.5*zt^2 - 0.5*(z - 1)^7")
+
+
+@pytest.mark.parametrize("text,params", [
+    ("0.5*zt^2 - 0.5*zx^2 - 0.5*m^2*z^2", {"m": -1e300}),  # -0.5*m^2 overflows
+    ("0.5*zt^2 - 1e200*1e200*z^4", {}),
+    ("0.5*zt^2 + (1e308 + 1e308)*zt - (1e308 + 1e308)*zt", {}),  # inf - inf is NaN
+])
+def test_parse_overflowing_coefficient_rejected(text, params):
+    with pytest.raises(NonFiniteCoefficient):
+        parse_lagrangian(text, params)
 
 
 def test_parse_syntax_error_positions():

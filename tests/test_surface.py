@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import fieldlab.surface
 from fieldlab.errors import DimensionTooLarge, NotSpacelike, ScheduleMismatch
-from fieldlab.evolve import EvolveParams, evolve_strang
+from fieldlab.evolve import EvolveParams, crank_nicolson_step, evolve_strang
 from fieldlab.lagrangian import diagonal_density, legendre_transform, parse_lagrangian
 from fieldlab.lattice import (
     GaussianStateSpec,
@@ -209,9 +210,61 @@ def test_crank_nicolson_step_matches_local_exact():
     cfg, density, state = free_setup()
     surf = SpacelikeSurface((0.0, 0.05, -0.02), 1.0)
     exact_step, _ = SurfaceEvolver(density, cfg, "exact").deform_step(state, surf, 1, 1e-3)
-    cn_step, _ = SurfaceEvolver(density, cfg, "crank_nicolson",
-                                cn_tol=1e-12).deform_step(state, surf, 1, 1e-3)
+    cn_step, _ = SurfaceEvolver(density, cfg, "crank_nicolson").deform_step(state, surf, 1, 1e-3)
     assert norm(WaveFunctional(cfg, exact_step.psi - cn_step.psi)) < 1e-6
+
+
+# zx^2 terms (a slope brings in the p*zs cross term); a linear zt term makes the blocks complex
+BLOCK_TEXTS = ("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", "0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2")
+
+
+def block_cases():
+    for n in (1, 2, 3):
+        for derivative in ("spectral", "fd"):
+            for times in dict.fromkeys([(0.0,) * n, (0.0, 0.05, -0.02)[:n]]):  # flat, sloped
+                for text in BLOCK_TEXTS:
+                    yield n, derivative, times, text
+
+
+def block_setup(n, derivative, times, text):
+    cfg = LatticeConfig(n, 1.0, 8, 5.0, derivative=derivative)
+    density = legendre_transform(parse_lagrangian(text))
+    centers = tuple(0.2 * (j + 1) for j in range(n))
+    state = init_wavefunctional(GaussianStateSpec(centers, widths=(1.0,) * n, phase=0.4), cfg)
+    return cfg, density, state, SpacelikeSurface(times, 1.0)
+
+
+@pytest.mark.parametrize("n,derivative,times,text", list(block_cases()))
+def test_crank_nicolson_deform_step_matches_full_lattice_solve(n, derivative, times, text):
+    """The Cayley factor on the blocks is the full-lattice CN step solved to roundoff."""
+    cfg, density, state, surf = block_setup(n, derivative, times, text)
+    evolver = SurfaceEvolver(density, cfg, "crank_nicolson")
+    for site in range(n):
+        step, _ = evolver.deform_step(state, surf, site, 0.05)
+        op = local_density_operator(density, cfg, surf, site)
+        full = crank_nicolson_step(op, state.psi, 0.05, tol=1e-13, maxiter=500)
+        assert np.max(np.abs(step.psi - full)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,derivative,times,text", list(block_cases()))
+def test_exact_deform_step_matches_expm_of_local_density(n, derivative, times, text):
+    cfg, density, state, surf = block_setup(n, derivative, times, text)
+    evolver = SurfaceEvolver(density, cfg, "exact")
+    for site in range(n):
+        step, _ = evolver.deform_step(state, surf, site, 0.05)
+        mat = local_density_operator(density, cfg, surf, site).dense_matrix()
+        full = (expm(-0.05j * mat / cfg.hbar) @ state.psi.ravel()).reshape(cfg.shape)
+        assert np.max(np.abs(step.psi - full)) <= 1e-12
+
+
+def test_site_blocks_need_a_local_density_on_the_pair_lattice():
+    _, density, _ = free_setup()
+    with pytest.raises(ValueError, match="at most two sites"):
+        compile_hamiltonian(density, LatticeConfig(3, 1.0, 8, 6.0), sites=[0]).site_blocks()
+    pair = LatticeConfig(2, 1.0, 8, 6.0)
+    with pytest.raises(ValueError, match="site 0 only"):
+        compile_hamiltonian(density, pair, sites=[1]).site_blocks()
+    assert compile_hamiltonian(density, pair, sites=[0]).site_blocks().shape == (8, 8, 8)
 
 
 def sweep_builders(start, total):
@@ -279,11 +332,12 @@ def test_pair_cache_one_entry_per_slope():
     cfg = LatticeConfig(lattice["n_sites"], 1.0, lattice["q_points"], lattice["q_extent"])
     density = legendre_transform(parse_lagrangian(config["lagrangian"]["text"]))
     state = init_wavefunctional(free_ground_state_covariance(cfg, 1.0), cfg)
-    evolver = SurfaceEvolver(density, cfg, "exact")
     start = SpacelikeSurface.flat(cfg.n_sites)
-    for dt in block["dt_values"]:
-        for name in ("schedule_a", "schedule_b"):
-            direction = block[name]["direction"]
-            schedule = DeformationSchedule.sweep(start, block["total_time"], dt, direction)
-            evolver.run_schedule(state, schedule)
-    assert len(evolver._eig_cache) == 7
+    for integrator in ("exact", "crank_nicolson"):
+        evolver = SurfaceEvolver(density, cfg, integrator)
+        for dt in block["dt_values"]:
+            for name in ("schedule_a", "schedule_b"):
+                direction = block[name]["direction"]
+                schedule = DeformationSchedule.sweep(start, block["total_time"], dt, direction)
+                evolver.run_schedule(state, schedule)
+        assert len(evolver._eig_cache) == 7, integrator
