@@ -51,6 +51,8 @@ def _tokenize(text: str):
             bad_at = len(text) - len(stripped)
             raise LagrangianSyntaxError(f"unexpected character {text[bad_at]!r}", bad_at)
         kind = m.lastgroup
+        if kind == "number" and not math.isfinite(float(m.group(kind))):
+            raise LagrangianSyntaxError(f"number {m.group(kind)!r} is not finite", m.start(kind))
         if kind is not None:
             tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()

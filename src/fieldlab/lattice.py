@@ -165,15 +165,20 @@ def free_ground_state_covariance(cfg: LatticeConfig, mass: float) -> GaussianSta
     """
     if mass < 0:
         raise ValueError("mass must be nonnegative")
-    if mass == 0.0:
-        raise MasslessZeroMode("zero-momentum mode has omega = 0 at zero mass")
     n, a = cfg.n_sites, cfg.spacing
     # periodic links; with one site the site is its own neighbour and the links vanish
     shift = np.roll(np.eye(n), 1, axis=1)
     coupling = mass ** 2 * np.eye(n) + (2.0 * np.eye(n) - shift - shift.T) / a ** 2
     w2, vecs = np.linalg.eigh(coupling)
     omega = np.sqrt(np.maximum(w2, 0.0))
-    cov = (cfg.hbar / a) * (vecs / omega) @ vecs.T
+    # a mass that squares to zero (or to roundoff) leaves the zero mode undamped; NaN
+    # (an overflowing spacing) is left to the numerical checks downstream
+    if np.any(omega == 0.0):
+        raise MasslessZeroMode(f"zero-momentum mode has omega = 0 at mass {mass}")
+    with np.errstate(over="ignore"):
+        cov = (cfg.hbar / a) * (vecs / omega) @ vecs.T
+    if np.all(np.isfinite(omega)) and not np.all(np.isfinite(cov)):
+        raise MasslessZeroMode(f"ground-state covariance overflows at mass {mass}")
     return GaussianStateSpec(
         centers=(0.0,) * n,
         covariance=tuple(tuple(row) for row in cov),

@@ -61,6 +61,25 @@ def _hermitian_block(multiplier: np.ndarray, real: bool) -> np.ndarray:
     return 0.5 * (block + block.conj().T)
 
 
+def _along(block: np.ndarray, pair: np.ndarray, axis: int) -> np.ndarray:
+    """``block`` applied along state ``axis`` of a real (2,) + state-shape array.
+
+    One matmul over the (2 Q**axis, Q, rest) view; on the last axis a
+    single GEMM over the (-1, Q) rows.
+    """
+    q = block.shape[0]
+    rest = pair[0].size // q ** (axis + 1)
+    if rest == 1:
+        return (pair.reshape(-1, q) @ block.T).reshape(pair.shape)
+    return np.matmul(block, pair.reshape(-1, q, rest)).reshape(pair.shape)
+
+
+def _add_turned(out: np.ndarray, b: np.ndarray) -> None:
+    """out += i b, for complex arrays held as real (2,) + shape (re, im) pairs."""
+    out[0] -= b[1]
+    out[1] += b[0]
+
+
 def _site_diagonal(mat: np.ndarray, n: int, q: int, site: int) -> np.ndarray:
     """Writable (L, R, Q, Q) view of the entries of ``mat`` that differ only on ``site``.
 
@@ -95,9 +114,10 @@ class LatticeHamiltonian:
 
     @cached_property
     def _kernels(self) -> list[tuple]:
-        """Per term: (axis, momentum multiplier or None, P/2 multiplier, cross f or None).
+        """Per term: (axis, momentum multiplier or None, P/2 multiplier, cross f or None, linear).
 
-        Each array is shaped to broadcast against the state.
+        Each array is shaped to broadcast against the state; ``linear`` is
+        True when the momentum multiplier has a first-derivative part.
         """
         cfg = self.cfg
         k2, k1 = momentum_grids(cfg)
@@ -115,38 +135,62 @@ class LatticeHamiltonian:
                 # the (Q, Q) array is stored in axis order, so this lines up for any pair
                 f = term.cross.reshape(cfg.axis_shape(term.site, term.neighbor))
             if mult is not None or f is not None:
-                kernels.append((term.site, mult, half_p, f))
+                kernels.append((term.site, mult, half_p, f, term.lin_const != 0.0))
         return kernels
 
+    @property
+    def _real(self) -> bool:
+        """True when no term has a first-derivative part, so the operator is real symmetric."""
+        return all(t.lin_const == 0.0 and t.cross is None for t in self.terms)
+
     @cached_property
-    def _work(self) -> np.ndarray:
-        """Two state-sized buffers reused by every ``apply``."""
-        return np.empty((2,) + self.cfg.shape, dtype=np.complex128)
+    def _blocks(self) -> list[tuple]:
+        """Per term: (axis, momentum block or None, P/2 block or None, cross f or None).
+
+        The Q x Q blocks are exactly Hermitian, and real symmetric when the
+        operator is real.  ``dense_matrix`` and ``site_blocks`` add them as
+        Kronecker sums; ``apply`` multiplies by them along their axis.
+        """
+        real = self._real
+        return [(axis, None if mult is None else _hermitian_block(mult.ravel(), real),
+                 None if f is None else _hermitian_block(half_p.ravel(), real=False), f)
+                for axis, mult, half_p, f, _ in self._kernels]
+
+    @cached_property
+    def _real_blocks(self) -> list[tuple]:
+        """``_blocks`` as contiguous real GEMM operands for ``apply``.
+
+        Per term: (axis, real part of the momentum block or None, its
+        imaginary part if the term is ``linear`` else None, R with P/2 = i R
+        or None, cross f or None).  Without a first-derivative part the
+        momentum block is real up to roundoff, and P/2 is always imaginary.
+        """
+        return [(axis,
+                 None if kin is None else np.ascontiguousarray(kin.real),
+                 np.ascontiguousarray(kin.imag) if linear else None,
+                 None if half_p is None else np.ascontiguousarray(half_p.imag), f)
+                for (axis, kin, half_p, f), (*_, linear) in zip(self._blocks, self._kernels)]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """H psi with one forward/inverse FFT pair per term, two more for a cross term.
+        """H psi in real arithmetic: each term's Q x Q blocks act along its axis as GEMMs.
 
-        A cross term (f P + P f) / 2 shares fft(psi) with the momentum part
-        and folds P f psi / 2 into the same inverse transform.
+        The state's real and imaginary parts go in as one real (2,) + shape
+        array, so a real block costs one real GEMM per part.  An imaginary
+        block i B adds i (B x) through ``_add_turned``; the cross term
+        (f P + P f) / 2 is i (f R + R f).
         """
-        out = np.multiply(self.diag, psi, dtype=np.complex128)
-        w0, w1 = self._work
-        for axis, mult, half_p, f in self._kernels:
-            fpsi = np.fft.fft(psi, axis=axis, out=w0)
-            if f is None:
-                fpsi *= mult
-                out += np.fft.ifft(fpsi, axis=axis, out=fpsi)
-                continue
-            half_p_psi = np.fft.ifft(np.multiply(fpsi, half_p, out=w1), axis=axis, out=w1)
-            half_p_psi *= f
-            out += half_p_psi
-            inverse = np.fft.fft(np.multiply(f, psi, out=w1), axis=axis, out=w1)
-            inverse *= half_p
-            if mult is not None:
-                fpsi *= mult
-                inverse += fpsi
-            out += np.fft.ifft(inverse, axis=axis, out=inverse)
-        return out
+        pair = np.stack((psi.real, psi.imag))
+        out = pair * self.diag
+        for axis, kin, kin_imag, r, f in self._real_blocks:
+            if kin is not None:
+                out += _along(kin, pair, axis)
+            if kin_imag is not None:
+                _add_turned(out, _along(kin_imag, pair, axis))
+            if r is not None:
+                _add_turned(out, f * _along(r, pair, axis) + _along(r, f * pair, axis))
+        result = np.empty(psi.shape, dtype=np.complex128)
+        result.real, result.imag = out
+        return result
 
     def __call__(self, state: WaveFunctional) -> WaveFunctional:
         return WaveFunctional(self.cfg, self.apply(state.psi))
@@ -165,12 +209,12 @@ class LatticeHamiltonian:
         # a one-axis Fourier multiplier puts its mean on the diagonal; a cross
         # term puts f * mean(k1) there, and the mean of k1 is zero
         return self.diag + sum(float(np.mean(mult))
-                               for _, mult, _, _ in self._kernels if mult is not None)
+                               for _, mult, _, _, _ in self._kernels if mult is not None)
 
     def kinetic_multiplier(self) -> np.ndarray:
         """Fourier multiplier of the momentum part; requires separability."""
         mult = np.zeros(self.cfg.shape)
-        for _, term_mult, _, f in self._kernels:
+        for _, term_mult, _, f, _ in self._kernels:
             if f is not None:
                 raise UnsupportedOrdering("cross terms have no global Fourier multiplier")
             mult = mult + term_mult
@@ -206,21 +250,19 @@ class LatticeHamiltonian:
         diagonal goes in through axis 0.  The array is float64 when no term has
         a first-derivative part, complex128 otherwise.
         """
-        real = all(t.lin_const == 0.0 and t.cross is None for t in self.terms)
-        out = np.zeros(shape, dtype=np.float64 if real else np.complex128)
+        out = np.zeros(shape, dtype=np.float64 if self._real else np.complex128)
 
         def laid_out(values, block):  # full-grid values as (L, R, Q), matching block
             return np.broadcast_to(values, self.cfg.shape).reshape(
                 block.shape[0], self.cfg.q_points, block.shape[1]).transpose(0, 2, 1)
 
-        for axis, mult, half_p, f in self._kernels:
+        for axis, kin, half_p, f in self._blocks:
             block = blocks_at(out, axis)
-            if mult is not None:
-                block += _hermitian_block(mult.ravel(), real)
+            if kin is not None:
+                block += kin
             if f is not None:
                 f = laid_out(f, block)
-                block += (f[..., :, None] + f[..., None, :]) * _hermitian_block(half_p.ravel(),
-                                                                                 real=False)
+                block += (f[..., :, None] + f[..., None, :]) * half_p
         block = blocks_at(out, 0)
         np.einsum("...ii->...i", block)[...] += laid_out(self.diag, block)
         return out

@@ -528,6 +528,30 @@ def test_initial_state_errors_are_config_errors(tmp_path, capsys, initial, needl
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_sites", [1, 3])
+@pytest.mark.parametrize("mass", [1e-300, 1e-200])
+def test_ground_state_mass_squaring_to_zero_is_a_config_error(tmp_path, capsys, mass, n_sites):
+    """A mass whose square underflows leaves omega = 0: exit 2, not a flat state and exit 0."""
+    cfg = evolve_config(5, initial={"kind": "ground_state", "mass": mass})
+    cfg["lattice"]["n_sites"] = n_sites
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: evolve.initial.mass: ") and "omega = 0" in err
+    assert "Warning" not in err
+    assert not (tmp_path / "out" / "meta.json").exists()
+
+
+@pytest.mark.parametrize("params", [{}, {"m": 1.0}], ids=["no-params", "params"])
+def test_non_finite_lagrangian_literal_is_reported_in_the_text(tmp_path, capsys, params):
+    """1e400 overflows as written: the error names the text and the literal's position."""
+    cfg = base_config({"legendre": {}})
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*zx^2 - 1e400*z^2", "params": params}
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lagrangian.text: ")
+    assert "'1e400' is not finite (at position 22)" in err
+
+
 def test_readme_lists_every_schema_key():
     """README's command-block section names every key the config schema reads."""
     readme = (CONFIGS.parent / "README.md").read_text()

@@ -15,7 +15,7 @@ from fieldlab.evolve import (
     evolve_strang,
     observables,
 )
-from fieldlab.lagrangian import legendre_transform, parse_lagrangian
+from fieldlab.lagrangian import diagonal_density, legendre_transform, parse_lagrangian
 from fieldlab.lattice import (
     GaussianStateSpec,
     LatticeConfig,
@@ -320,3 +320,68 @@ def test_evolve_params_reject_non_positive_cn_tol(cn_tol):
     """GMRES cannot meet a zero tolerance and rejects a negative one."""
     with pytest.raises(ValueError, match="cn_tol"):
         EvolveParams(0.1, 1, "crank_nicolson", cn_tol=cn_tol)
+
+
+def cn_true_residual(op, psi, out, dt):
+    """||(1 + i a H) out - (1 - i a H) psi|| / ||(1 - i a H) psi|| from the dense matrix."""
+    mat = op.dense_matrix()
+    alpha = 0.5 * dt / op.cfg.hbar
+    rhs = psi.ravel() - 1j * alpha * (mat @ psi.ravel())
+    lhs = out.ravel() + 1j * alpha * (mat @ out.ravel())
+    return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("text,n,slopes", [
+    ("0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", 2, None),
+    ("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", 3, [0.1, -0.2, 0.05]),
+], ids=["linear-zt", "sloped-cross"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_crank_nicolson_step_meets_tol_on_true_residual(text, n, slopes, tol, rng):
+    """The GMRES answer meets cn_tol on the true residual of the Cayley system."""
+    cfg = LatticeConfig(n, 1.0, 16 if n == 2 else 8, 6.0)
+    op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, slopes)
+    assert not np.isrealobj(op.dense_matrix())
+    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    psi /= np.linalg.norm(psi)
+    out = crank_nicolson_step(op, psi, 0.05, tol, 500)
+    assert cn_true_residual(op, psi, out, 0.05) <= tol
+
+
+@pytest.mark.filterwarnings("error")
+def test_crank_nicolson_happy_breakdown_is_exact():
+    """On a diagonal operator Jacobi inverts the system, so Arnoldi breaks down at once."""
+    cfg = LatticeConfig(2, 1.0, 16, 6.0)
+    op = compile_hamiltonian(diagonal_density(0.5, (0.0, 0.3, 0.5, 0.0, 0.1)), cfg)
+    assert not op.terms
+    calls = []
+    apply = op.apply
+    op.apply = lambda psi: calls.append(1) or apply(psi)
+    psi = np.zeros(cfg.shape, dtype=complex)
+    psi[3, 5] = 1.0  # an eigenvector
+    dt = 0.1
+    alpha = 0.5 * dt / cfg.hbar
+    out = crank_nicolson_step(op, psi, dt, 1e-14, 500)
+    lam = op.diag[3, 5]
+    expected = np.zeros_like(psi)
+    expected[3, 5] = (1 - 1j * alpha * lam) / (1 + 1j * alpha * lam)
+    assert np.max(np.abs(out - expected)) < 1e-15
+    assert len(calls) == 3  # H psi, one Arnoldi step, the true residual
+
+
+def test_crank_nicolson_maxiter_counts_restart_cycles():
+    """cn_maxiter=1 allows one cycle of 20 Arnoldi steps; cn_tol 1e-14 is out of reach."""
+    cfg, op, state = free_setup(q=16)
+    calls = []
+    apply = op.apply
+    op.apply = lambda psi: calls.append(1) or apply(psi)
+    with pytest.raises(SolverDivergence, match="after 1 cycles"):
+        crank_nicolson_step(op, state.psi, 0.1, 1e-14, 1)
+    assert len(calls) == 1 + 20 + 1
+
+
+def test_crank_nicolson_non_finite_state_fails_at_once():
+    cfg, op, state = free_setup(q=16)
+    psi = state.psi.copy()
+    psi[0, 0] = np.nan
+    with pytest.raises(SolverDivergence, match="nan"):
+        crank_nicolson_step(op, psi, 0.1, 1e-10, 500)

@@ -1,4 +1,4 @@
-"""scipy stays off the start-up path: only the classical solver and flat CN evolution load it."""
+"""scipy stays off the start-up path: only the classical solver loads it."""
 
 import json
 import subprocess
@@ -55,6 +55,7 @@ def test_surface_crank_nicolson_loads_no_scipy(tmp_path):
 
 
 def test_classical_and_cn_runs_load_scipy_when_needed(tmp_path):
+    """classical loads LAPACK and no scipy.sparse; flat CN, on a numpy GMRES, loads no scipy."""
     classical = scipy_modules_after(RUN, str(CONFIGS / "classical_oscillator.json"),
                                     str(tmp_path / "classical"))
     assert "scipy.linalg.lapack" in classical
@@ -65,7 +66,7 @@ def test_classical_and_cn_runs_load_scipy_when_needed(tmp_path):
     config["evolve"].update(method="crank_nicolson", steps=4, log_every=2)
     path = tmp_path / "cn.json"
     path.write_text(json.dumps(config))
-    assert "scipy.sparse.linalg" in scipy_modules_after(RUN, str(path), str(tmp_path / "cn"))
+    assert scipy_modules_after(RUN, str(path), str(tmp_path / "cn")) == []
     rows = (tmp_path / "cn" / "trajectory.csv").read_text().splitlines()[2:]
     assert len(rows) == 3
     assert all(abs(float(row.split(",")[1]) - 1.0) < 1e-9 for row in rows)

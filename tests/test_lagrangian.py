@@ -103,6 +103,17 @@ def test_parse_overflowing_coefficient_rejected(text, params):
         parse_lagrangian(text, params)
 
 
+@pytest.mark.parametrize("text,position", [
+    ("0.5*zt^2 - 1e400*z^2", 11),
+    ("0.5*zt^2 - 0.5*z^2 + 2.5e+999*zt", 21),
+    ("0.5*zt^2 - 0.5*z^" + "9" * 400, 17),
+])
+def test_parse_non_finite_literal_rejected_at_its_position(text, position):
+    with pytest.raises(LagrangianSyntaxError, match="is not finite") as err:
+        parse_lagrangian(text, {"m": 1.0})
+    assert err.value.position == position
+
+
 def test_parse_syntax_error_positions():
     with pytest.raises(LagrangianSyntaxError) as err:
         parse_lagrangian("0.5*zt^2 - 0.5*q^2")

@@ -141,6 +141,16 @@ def test_massless_zero_mode():
         free_ground_state_covariance(cfg, 0.0)
 
 
+@pytest.mark.parametrize("n_sites,spacing,mass,needle", [
+    (1, 1.0, 1e-300, "omega = 0"),     # mass^2 underflows
+    (3, 1.0, 1e-155, "omega = 0"),     # mass^2 below the roundoff of the link coupling
+    (1, 1e-160, 1e-160, "overflows"),  # omega is positive, (hbar/a)/omega is not finite
+])
+def test_ground_state_refuses_an_undamped_or_infinite_mode(n_sites, spacing, mass, needle):
+    with pytest.raises(MasslessZeroMode, match=needle):
+        free_ground_state_covariance(LatticeConfig(n_sites, spacing, 16, 8.0), mass)
+
+
 def test_inner_product_properties(rng):
     cfg = LatticeConfig(2, 1.0, 8, 6.0)
     a = WaveFunctional(cfg, rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape))

@@ -8,7 +8,7 @@ import pytest
 from fieldlab.errors import NotSpacelike, UnsupportedOrdering
 from fieldlab.lagrangian import diagonal_density, legendre_transform, parse_lagrangian
 from fieldlab.lattice import LatticeConfig, WaveFunctional, inner
-from fieldlab.operators import compile_hamiltonian
+from fieldlab.operators import DENSE_GUARD, compile_hamiltonian
 
 
 def dense_oracle_fd(density, cfg):
@@ -293,3 +293,54 @@ def test_fused_cross_term_apply_matches_dense(text, slopes, sites, derivative, r
     assert np.max(np.abs(hx.ravel() - mat @ x.ravel())) < 1e-12
     assert np.max(np.abs(hy.ravel() - mat @ y.ravel())) < 1e-12
     assert np.array_equal(op.apply(x), hx)
+
+
+def fft_reference_apply(density, cfg, link_slopes, psi):
+    """H psi from per-axis np.fft multipliers, rebuilt from the density.
+
+    Site j carries a * [p_quad P_j^2 + (c_j P_j + P_j c_j) / 2 + scalar part],
+    with c_j the field-dependent p coefficient, P_j = (h/a) k1 and P_j^2 =
+    (h/a)^2 k^2 as Fourier multipliers on axis j, and the slope at a site
+    the mean of its two links.
+    """
+    n, a, h = cfg.n_sites, cfg.spacing, cfg.hbar
+    k = 2 * np.pi * np.fft.fftfreq(cfg.q_points, d=cfg.dz)
+    k1 = k.copy()
+    k1[cfg.q_points // 2] = 0.0
+    zg = cfg.z_values()
+    links = np.zeros(n) if link_slopes is None else np.asarray(link_slopes, dtype=float)
+
+    def along(mult, x, j):
+        shape = [1] * n
+        shape[j] = -1
+        return np.fft.ifft(mult.reshape(shape) * np.fft.fft(x, axis=j), axis=j)
+
+    out = np.zeros(cfg.shape, dtype=complex)
+    for j in range(n):
+        v = 0.5 * (links[j - 1] + links[j])
+        shape_j, shape_next = [1] * n, [1] * n
+        shape_j[j] = -1
+        shape_next[(j + 1) % n] = -1
+        zj = zg.reshape(shape_j)
+        zs = (zg.reshape(shape_next) - zj) / a
+        c = np.broadcast_to(a * density.p_lin_coeff(v, zs), cfg.shape)
+        out += a * density.scalar_part(v, zj, zs) * psi
+        out += a * density.p_quad_coeff(v) * along((h / a) ** 2 * k ** 2, psi, j)
+        out += 0.5 * (c * along(h / a * k1, psi, j) + along(h / a * k1, c * psi, j))
+    return out
+
+
+@pytest.mark.parametrize("n,q,slopes", [
+    (3, 32, None),
+    (3, 32, [0.1, -0.2, 0.05]),
+    (2, 128, None),
+], ids=["n3-q32-flat", "n3-q32-sloped", "n2-q128-flat"])
+def test_apply_past_dense_guard_matches_fft_reference(n, q, slopes, rng):
+    """Past DENSE_GUARD, the per-axis block apply equals the Fourier-multiplier formula."""
+    cfg = LatticeConfig(n, 1.0, q, 10.0)
+    assert cfg.dim > DENSE_GUARD
+    density = legendre_transform(parse_lagrangian(QUARTIC))
+    op = compile_hamiltonian(density, cfg, slopes)
+    x = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    reference = fft_reference_apply(density, cfg, slopes, x)
+    assert np.linalg.norm(op.apply(x) - reference) <= 1e-12 * np.linalg.norm(reference)
