@@ -53,5 +53,4 @@ from .surface import (
     SurfaceEvolver,
     integrability_test,
     local_density_operator,
-    run_schedule,
 )

@@ -241,7 +241,11 @@ def save_state(state: WaveFunctional, path) -> None:
 
 
 def load_state(path, derivative: str = "spectral") -> WaveFunctional:
-    """Read a ``save_state`` snapshot; ValueError when its length disagrees with the header."""
+    """Read a ``save_state`` snapshot.
+
+    Raises ValueError when the file's length disagrees with its header, or
+    when its amplitudes hold NaN or infinity or are all zero.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -251,7 +255,12 @@ def load_state(path, derivative: str = "spectral") -> WaveFunctional:
     if len(raw) != expected:
         raise ValueError(f"header needs {expected} bytes ({cfg.dim} amplitudes), "
                          f"file has {len(raw)}")
-    return WaveFunctional(cfg, np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).copy())
+    psi = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).copy()
+    if not np.isfinite(psi).all():
+        raise ValueError("amplitudes hold NaN or infinity")
+    if not psi.any():
+        raise ValueError("every amplitude is zero")
+    return WaveFunctional(cfg, psi)
 
 
 def state_to_csv(state: WaveFunctional, path, meta_line: str | None = None) -> None:

@@ -53,12 +53,11 @@ def fourier_matrix(multiplier: np.ndarray) -> np.ndarray:
     return np.fft.ifft(multiplier[:, None] * np.fft.fft(np.eye(q), axis=0), axis=0)
 
 
-def _hermitian_block(multiplier: np.ndarray, real: bool) -> np.ndarray:
-    """Exactly Hermitian (real symmetric if ``real``) matrix of a real multiplier."""
+def _hermitian_parts(multiplier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, K_imag): the real symmetric and real antisymmetric parts of a multiplier's
+    Fourier matrix, so that K + i K_imag is exactly Hermitian."""
     block = fourier_matrix(multiplier)
-    if real:
-        block = block.real
-    return 0.5 * (block + block.conj().T)
+    return 0.5 * (block.real + block.real.T), 0.5 * (block.imag - block.imag.T)
 
 
 def _along(block: np.ndarray, pair: np.ndarray, axis: int) -> np.ndarray:
@@ -112,64 +111,40 @@ class LatticeHamiltonian:
         """True when the operator splits into a k-diagonal plus a z-diagonal part."""
         return all(t.cross is None for t in self.terms)
 
-    @cached_property
-    def _kernels(self) -> list[tuple]:
-        """Per term: (axis, momentum multiplier or None, P/2 multiplier, cross f or None, linear).
+    def _momentum(self, term: _SiteTerm) -> np.ndarray | None:
+        """A term's 1-D multiplier of its p_site^2 and constant p_site parts, or None."""
+        if not (term.quad or term.lin_const):
+            return None
+        k2, k1 = momentum_grids(self.cfg)
+        h_over_a = self.cfg.hbar / self.cfg.spacing
+        return term.quad * (h_over_a ** 2) * k2 + term.lin_const * h_over_a * k1
 
-        Each array is shaped to broadcast against the state; ``linear`` is
-        True when the momentum multiplier has a first-derivative part.
+    @cached_property
+    def _table(self) -> list[tuple]:
+        """Per term: (axis, K or None, K_imag or None, R or None, cross f or None).
+
+        The term's momentum block is K + i K_imag, with K_imag kept only when
+        the term has a first-derivative part; its P/2 block is i R.  ``apply``
+        multiplies by these real Q x Q arrays along their axis, and
+        ``dense_matrix`` and ``site_blocks`` add the same arrays as Kronecker
+        sums.  f is shaped to broadcast against the state.
         """
         cfg = self.cfg
-        k2, k1 = momentum_grids(cfg)
-        h_over_a = cfg.hbar / cfg.spacing
-        kernels = []
+        table = []
         for term in self.terms:
-            shape = cfg.axis_shape(term.site)
-            mult = None
-            if term.quad or term.lin_const:
-                mult = (term.quad * (h_over_a ** 2) * k2
-                        + term.lin_const * h_over_a * k1).reshape(shape)
-            half_p = (0.5 * h_over_a * k1).reshape(shape)
-            f = None
+            k = k_imag = r = f = None
+            mult = self._momentum(term)
+            if mult is not None:
+                k, k_imag = _hermitian_parts(mult)
+                k_imag = k_imag if term.lin_const else None
             if term.cross is not None:
+                half_p = 0.5 * (cfg.hbar / cfg.spacing) * momentum_grids(cfg)[1]
+                r = _hermitian_parts(half_p)[1]
                 # the (Q, Q) array is stored in axis order, so this lines up for any pair
                 f = term.cross.reshape(cfg.axis_shape(term.site, term.neighbor))
-            if mult is not None or f is not None:
-                kernels.append((term.site, mult, half_p, f, term.lin_const != 0.0))
-        return kernels
-
-    @property
-    def _real(self) -> bool:
-        """True when no term has a first-derivative part, so the operator is real symmetric."""
-        return all(t.lin_const == 0.0 and t.cross is None for t in self.terms)
-
-    @cached_property
-    def _blocks(self) -> list[tuple]:
-        """Per term: (axis, momentum block or None, P/2 block or None, cross f or None).
-
-        The Q x Q blocks are exactly Hermitian, and real symmetric when the
-        operator is real.  ``dense_matrix`` and ``site_blocks`` add them as
-        Kronecker sums; ``apply`` multiplies by them along their axis.
-        """
-        real = self._real
-        return [(axis, None if mult is None else _hermitian_block(mult.ravel(), real),
-                 None if f is None else _hermitian_block(half_p.ravel(), real=False), f)
-                for axis, mult, half_p, f, _ in self._kernels]
-
-    @cached_property
-    def _real_blocks(self) -> list[tuple]:
-        """``_blocks`` as contiguous real GEMM operands for ``apply``.
-
-        Per term: (axis, real part of the momentum block or None, its
-        imaginary part if the term is ``linear`` else None, R with P/2 = i R
-        or None, cross f or None).  Without a first-derivative part the
-        momentum block is real up to roundoff, and P/2 is always imaginary.
-        """
-        return [(axis,
-                 None if kin is None else np.ascontiguousarray(kin.real),
-                 np.ascontiguousarray(kin.imag) if linear else None,
-                 None if half_p is None else np.ascontiguousarray(half_p.imag), f)
-                for (axis, kin, half_p, f), (*_, linear) in zip(self._blocks, self._kernels)]
+            if k is not None or f is not None:
+                table.append((term.site, k, k_imag, r, f))
+        return table
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi in real arithmetic: each term's Q x Q blocks act along its axis as GEMMs.
@@ -181,11 +156,11 @@ class LatticeHamiltonian:
         """
         pair = np.stack((psi.real, psi.imag))
         out = pair * self.diag
-        for axis, kin, kin_imag, r, f in self._real_blocks:
-            if kin is not None:
-                out += _along(kin, pair, axis)
-            if kin_imag is not None:
-                _add_turned(out, _along(kin_imag, pair, axis))
+        for axis, k, k_imag, r, f in self._table:
+            if k is not None:
+                out += _along(k, pair, axis)
+            if k_imag is not None:
+                _add_turned(out, _along(k_imag, pair, axis))
             if r is not None:
                 _add_turned(out, f * _along(r, pair, axis) + _along(r, f * pair, axis))
         result = np.empty(psi.shape, dtype=np.complex128)
@@ -208,16 +183,18 @@ class LatticeHamiltonian:
     def _field_diagonal(self) -> np.ndarray:
         # a one-axis Fourier multiplier puts its mean on the diagonal; a cross
         # term puts f * mean(k1) there, and the mean of k1 is zero
-        return self.diag + sum(float(np.mean(mult))
-                               for _, mult, _, _, _ in self._kernels if mult is not None)
+        return self.diag + sum(float(np.mean(mult)) for mult in map(self._momentum, self.terms)
+                               if mult is not None)
 
     def kinetic_multiplier(self) -> np.ndarray:
         """Fourier multiplier of the momentum part; requires separability."""
         mult = np.zeros(self.cfg.shape)
-        for _, term_mult, _, f, _ in self._kernels:
-            if f is not None:
+        for term in self.terms:
+            if term.cross is not None:
                 raise UnsupportedOrdering("cross terms have no global Fourier multiplier")
-            mult = mult + term_mult
+            term_mult = self._momentum(term)
+            if term_mult is not None:
+                mult = mult + term_mult.reshape(self.cfg.axis_shape(term.site))
         return mult
 
     def dense_matrix(self) -> np.ndarray:
@@ -250,19 +227,20 @@ class LatticeHamiltonian:
         diagonal goes in through axis 0.  The array is float64 when no term has
         a first-derivative part, complex128 otherwise.
         """
-        out = np.zeros(shape, dtype=np.float64 if self._real else np.complex128)
+        real = all(k_imag is None and r is None for _, _, k_imag, r, _ in self._table)
+        out = np.zeros(shape, dtype=np.float64 if real else np.complex128)
 
         def laid_out(values, block):  # full-grid values as (L, R, Q), matching block
             return np.broadcast_to(values, self.cfg.shape).reshape(
                 block.shape[0], self.cfg.q_points, block.shape[1]).transpose(0, 2, 1)
 
-        for axis, kin, half_p, f in self._blocks:
+        for axis, k, k_imag, r, f in self._table:
             block = blocks_at(out, axis)
-            if kin is not None:
-                block += kin
+            if k is not None:
+                block += k if k_imag is None else k + 1j * k_imag
             if f is not None:
                 f = laid_out(f, block)
-                block += (f[..., :, None] + f[..., None, :]) * half_p
+                block += (f[..., :, None] + f[..., None, :]) * (1j * r)
         block = blocks_at(out, 0)
         np.einsum("...ii->...i", block)[...] += laid_out(self.diag, block)
         return out
@@ -287,7 +265,7 @@ def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
     # zs is identically zero on one site, so a cross term needs two distinct axes
     varying = np.asarray(a * density.p_lin_coeff(v_site, zs) - lin_const)
     if np.any(varying):
-        # squeeze to (Q, Q) in axis order; LatticeHamiltonian._kernels
+        # squeeze to (Q, Q) in axis order; LatticeHamiltonian._table
         # reshapes with the same ordering
         cross_arr = np.ascontiguousarray(varying.reshape(q, q))
     terms_out.append(_SiteTerm(j, (j + 1) % cfg.n_sites, quad, lin_const, cross_arr))

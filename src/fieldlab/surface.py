@@ -57,8 +57,8 @@ class SpacelikeSurface:
         return cls((t,) * n_sites, spacing)
 
 
-def _rounds(span: float, dt: float, moves_per_round: int) -> float:
-    """span / dt, the number of rounds at step ``dt``, checked before any move is built.
+def _rounds(span: float, dt: float, moves_per_round: int) -> int:
+    """round(span / dt), at least 1: the rounds at step ``dt``, checked before any move is built.
 
     Raises ValueError for a step that is not positive or whose count is not
     finite, and DimensionTooLarge when the rounds hold more than MAX_MOVES moves.
@@ -68,10 +68,12 @@ def _rounds(span: float, dt: float, moves_per_round: int) -> float:
     rounds = span / dt
     if not math.isfinite(rounds):
         raise ValueError(f"step {dt} is too small to count the rounds in {span}")
-    if rounds * moves_per_round > MAX_MOVES:
-        raise DimensionTooLarge(f"step {dt:g} needs {rounds * moves_per_round:.3g} moves, "
+    n_rounds = max(1, round(rounds))
+    moves = float(n_rounds) * moves_per_round  # float: a huge int count cannot take :.3g
+    if moves > MAX_MOVES:
+        raise DimensionTooLarge(f"step {dt:g} needs {moves:.3g} moves, "
                                 f"above the {MAX_MOVES} move schedule guard")
-    return rounds
+    return n_rounds
 
 
 def surfaces_equal(a: SpacelikeSurface, b: SpacelikeSurface, tol: float = 1e-12) -> bool:
@@ -96,9 +98,8 @@ class DeformationSchedule:
     def sweep(cls, start: SpacelikeSurface, total_time: float, dt: float,
               direction: str = "left_right") -> "DeformationSchedule":
         """Repeated full sweeps advancing each site by dt until total_time."""
-        rounds = _rounds(total_time, dt, start.n_sites)
-        n_rounds = int(round(rounds))
-        if n_rounds < 1 or abs(rounds - n_rounds) > 1e-9:
+        n_rounds = _rounds(total_time, dt, start.n_sites)
+        if abs(total_time / dt - n_rounds) > 1e-9:
             raise ValueError(f"total_time {total_time} is not a multiple of dt {dt}")
         if direction == "left_right":
             order = list(range(start.n_sites))
@@ -113,7 +114,7 @@ class DeformationSchedule:
     def refined(cls, start: SpacelikeSurface, moves, dt: float) -> "DeformationSchedule":
         """``moves`` with each advance split into round(largest advance / dt) equal parts."""
         base = max((abs(step) for _, step in moves), default=1.0)
-        split = max(1, int(round(_rounds(base, dt, len(moves)))))
+        split = _rounds(base, dt, len(moves))
         return cls(start, tuple((j, step / split) for j, step in moves for _ in range(split)))
 
 
@@ -186,12 +187,6 @@ class SurfaceEvolver:
         for site, dt in schedule.moves:
             state, surface = self.deform_step(state, surface, site, dt)
         return state
-
-
-def run_schedule(state: WaveFunctional, density: HamiltonianDensity,
-                 schedule: DeformationSchedule,
-                 integrator: str = "crank_nicolson") -> WaveFunctional:
-    return SurfaceEvolver(density, state.cfg, integrator).run_schedule(state, schedule)
 
 
 def fit_order(dt_values, errors) -> float:

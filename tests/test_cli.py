@@ -11,7 +11,7 @@ import pytest
 import fieldlab.classical
 import fieldlab.feynman
 from fieldlab.cli import SCHEMA, main
-from fieldlab.lattice import load_state
+from fieldlab.lattice import LatticeConfig, WaveFunctional, load_state, save_state
 
 FREE_TEXT = "0.5*zt^2 - 0.5*zx^2 - 0.5*m^2*z^2"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -203,6 +203,17 @@ def test_surface_tiny_step_hits_move_guard(tmp_path, capsys, schedules):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("resource guard: ") and "move schedule guard" in err
+    assert not (tmp_path / "out" / "integrability.json").exists()
+
+
+def test_surface_rounded_refinement_hits_move_guard(tmp_path, capsys):
+    """Moves of 0.001 at dt 0.000625 split in 2, so 6,000 listed moves build 12,000: exit 4."""
+    forward = [[j % 3, 0.001] for j in range(6000)]
+    schedules = ({"kind": "moves", "moves": forward},
+                 {"kind": "moves", "moves": forward[::-1]})
+    assert run(tmp_path, surface_config(*schedules, dt_values=[0.000625])) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: ") and "1.2e+04 moves" in err
     assert not (tmp_path / "out" / "integrability.json").exists()
 
 
@@ -511,6 +522,24 @@ def test_truncated_state_file_rejected(tmp_path, capsys):
     (tmp_path / "cut.bin").write_bytes(state_bytes[:-8])
     assert run(tmp_path, evolve_config(5, initial={"kind": "file", "path": "cut.bin"})) == 2
     assert "evolve.initial.path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitude,reason", [
+    (np.nan, "NaN or infinity"), (np.inf, "NaN or infinity"), (0.0, "every amplitude is zero"),
+], ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize("command", ["evolve", "surface", "feynman"])
+def test_bad_state_file_is_a_config_error(tmp_path, capsys, command, amplitude, reason):
+    """A state file of NaN, infinite or zero amplitudes exits 2 when loaded, before any work."""
+    payload = {"evolve": evolve_config(5), "surface": surface_config(*SWEEPS),
+               "feynman": feynman_config()}[command]
+    cfg = LatticeConfig(**payload["lattice"])
+    save_state(WaveFunctional(cfg, np.full(cfg.shape, amplitude, dtype=complex)),
+               tmp_path / "bad.bin")
+    payload[command]["initial"] = {"kind": "file", "path": "bad.bin"}
+    assert run(tmp_path, payload) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {command}.initial.path: ") and reason in err
+    assert not any((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("initial,needle,reason", [

@@ -279,7 +279,7 @@ def test_field_diagonal_matches_dense(case):
     (QUARTIC, [-0.25, 0.15], None, "fd"),
 ])
 def test_fused_cross_term_apply_matches_dense(text, slopes, sites, derivative, rng):
-    """Sharing fft(psi) and one inverse transform per cross term keeps H psi exact."""
+    """The cross term applied as i (f R + R f) on the block table matches the dense matrix."""
     cfg = LatticeConfig(2, 1.0, 16, 6.0, derivative=derivative)
     op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, slopes, sites)
     assert not op.separable
@@ -289,7 +289,7 @@ def test_fused_cross_term_apply_matches_dense(text, slopes, sites, derivative, r
     y = rng.standard_normal(cfg.shape)  # a real state is upcast
     y /= np.linalg.norm(y)
     hx = op.apply(x)
-    hy = op.apply(y)  # reuses the work buffers; hx must be its own array
+    hy = op.apply(y)  # a second call must leave hx unchanged
     assert np.max(np.abs(hx.ravel() - mat @ x.ravel())) < 1e-12
     assert np.max(np.abs(hy.ravel() - mat @ y.ravel())) < 1e-12
     assert np.array_equal(op.apply(x), hx)

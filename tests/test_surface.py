@@ -142,6 +142,15 @@ def test_schedule_move_counts_checked_before_building(monkeypatch):
         DeformationSchedule.refined(start, moves, 5e-324)
 
 
+def test_refined_guard_counts_the_rounded_split():
+    """6,000 moves at 1.6 rounds each split in 2: 12,000 moves, over the guard."""
+    start = SpacelikeSurface.flat(3)
+    moves = [(j % 3, 0.001) for j in range(6000)]
+    with pytest.raises(DimensionTooLarge, match=r"needs 1\.2e\+04 moves"):
+        DeformationSchedule.refined(start, moves, 0.000625)
+    assert len(DeformationSchedule.refined(start, moves[:5000], 0.000625).moves) == 10_000
+
+
 def test_refined_schedule_splits_each_move():
     start = SpacelikeSurface.flat(3)
     moves = [(0, 0.05), (2, -0.02)]
