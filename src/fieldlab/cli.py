@@ -36,7 +36,6 @@ from .errors import (
     NotSpacelike,
     NumericalFailure,
     ResourceGuard,
-    ScheduleMismatch,
 )
 from .evolve import EvolveParams, ExactPropagator, evolve_crank_nicolson, evolve_strang, observables
 from .feynman import (
@@ -383,26 +382,21 @@ def cmd_surface(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
     initial = _build_initial(opts["initial"], "surface.initial", cfg, base_dir)
     build_a = _build_schedule_factory(opts["schedule_a"], "surface.schedule_a", start, total_time)
     build_b = _build_schedule_factory(opts["schedule_b"], "surface.schedule_b", start, total_time)
-    # every schedule of the ladder, counted before it is built and walked before the first solve
-    endpoints = None
+    # every schedule of the ladder is counted, built and walked once before the first solve
+    levels, endpoints = [], None
     for i, dt in enumerate(dt_values):
-        schedules = []
+        pair = []
         for name, build in (("schedule_a", build_a), ("schedule_b", build_b)):
             try:
-                schedules.append(build(dt))
+                pair.append(build(dt))
             except ValueError as exc:
                 raise ConfigError(f"surface.dt_values[{i}]", str(exc)) from exc
-            try:
-                schedules[-1].end()
-            except NotSpacelike as exc:
-                raise ConfigError(f"surface.{name}", str(exc)) from exc
-        try:
-            endpoints = shared_endpoints(*schedules, endpoints)
-        except ScheduleMismatch as exc:
-            raise ConfigError("surface.schedule_b", str(exc)) from exc
+            _build_at(f"surface.{name}", pair[-1].end)  # the walk refuses |v| >= 1
+        endpoints = _build_at("surface.schedule_b", shared_endpoints, *pair, endpoints)
+        levels.append(pair)
 
     density = legendre_transform(lagr)
-    report = integrability_test(initial, density, build_a, build_b, dt_values,
+    report = integrability_test(initial, density, levels, dt_values,
                                 integrator=opts["integrator"], ratio_floor=opts["ratio_floor"])
     report["spec_hash"] = meta["config_sha256"]
     report["meta"] = meta

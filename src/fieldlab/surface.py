@@ -6,33 +6,42 @@ deformations advance one site's time; the generator is the single-site
 density operator a * H_j built with the mean of the adjacent link slopes.
 Exact path independence would need commuting densities at distinct sites,
 which fails at finite spacing, so same-endpoint schedules are compared under
-step refinement instead.
+step refinement instead.  Times are exact decimals (0.1 is 1/10): a sweep
+step must divide its total time exactly, and schedules share an endpoint
+only when its times are equal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionTooLarge, ScheduleMismatch
 from .lagrangian import HamiltonianDensity
 from .lattice import LatticeConfig, WaveFunctional, link_difference, norm, spacelike
-from .operators import LatticeHamiltonian, compile_hamiltonian, site_slopes_from_links
+from .operators import LatticeHamiltonian, compile_hamiltonian
 
 MAX_MOVES = 10_000  # moves in one schedule; the largest committed ladder builds 48
 
 
-@dataclass(frozen=True)
-class SpacelikeSurface:
-    """Per-site times with the spacelike link-slope bound |v| < 1."""
+def _exact(value) -> Fraction:
+    """``value`` as the decimal it prints as, so that 0.1 + 0.2 == 0.3; a Fraction as it is."""
+    return value if isinstance(value, Fraction) else Fraction(repr(float(value)))
 
-    times: tuple[float, ...]
+
+@dataclass(frozen=True, slots=True)
+class SpacelikeSurface:
+    """Exact per-site times with the spacelike link-slope bound |v| < 1."""
+
+    times: tuple[Fraction, ...]
     spacing: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        object.__setattr__(self, "times", tuple(map(_exact, self.times)))
         if len(self.times) < 1:
             raise ValueError("surface needs at least one site")
         spacelike(self.link_slopes())
@@ -42,14 +51,16 @@ class SpacelikeSurface:
         return len(self.times)
 
     def link_slopes(self) -> np.ndarray:
-        return link_difference(self.times, self.spacing)
+        return link_difference(self.times, self.spacing).astype(float)  # exact differences, rounded
 
-    def site_slopes(self) -> np.ndarray:
-        return site_slopes_from_links(self.link_slopes())
+    def site_slope(self, site: int) -> float:
+        """Mean of the two link slopes at ``site``, (t_{j+1} - t_{j-1}) / 2a, rounded once."""
+        t = self.times
+        return float(t[(site + 1) % len(t)] - t[site - 1]) / (2 * self.spacing)
 
-    def advanced(self, site: int, dt: float) -> "SpacelikeSurface":
+    def advanced(self, site: int, dt) -> "SpacelikeSurface":
         t = list(self.times)
-        t[site] += dt
+        t[site] += _exact(dt)
         return SpacelikeSurface(tuple(t), self.spacing)
 
     @classmethod
@@ -76,46 +87,44 @@ def _rounds(span: float, dt: float, moves_per_round: int) -> int:
     return n_rounds
 
 
-def surfaces_equal(a: SpacelikeSurface, b: SpacelikeSurface, tol: float = 1e-12) -> bool:
-    return (a.n_sites == b.n_sites and a.spacing == b.spacing
-            and np.allclose(a.times, b.times, rtol=0.0, atol=tol))
-
-
 @dataclass(frozen=True)
 class DeformationSchedule:
-    """Ordered single-site advances; every intermediate surface is validated."""
+    """Ordered single-site advances; a float step counts as the decimal it prints as."""
 
     start: SpacelikeSurface
-    moves: tuple[tuple[int, float], ...]
+    moves: tuple[tuple[int, Fraction], ...]
+
+    @cached_property
+    def surfaces(self) -> tuple[SpacelikeSurface, ...]:
+        """The start and the surface after each move, walked and validated once."""
+        walk = [self.start]
+        for site, dt in self.moves:
+            walk.append(walk[-1].advanced(site, dt))
+        return tuple(walk)
 
     def end(self) -> SpacelikeSurface:
-        surface = self.start
-        for site, dt in self.moves:
-            surface = surface.advanced(site, dt)
-        return surface
+        return self.surfaces[-1]
 
     @classmethod
     def sweep(cls, start: SpacelikeSurface, total_time: float, dt: float,
               direction: str = "left_right") -> "DeformationSchedule":
-        """Repeated full sweeps advancing each site by dt until total_time."""
+        """Repeated full sweeps advancing each site by dt until total_time, which dt must divide."""
         n_rounds = _rounds(total_time, dt, start.n_sites)
-        if abs(total_time / dt - n_rounds) > 1e-9:
+        step = _exact(dt)
+        if _exact(total_time) != n_rounds * step:
             raise ValueError(f"total_time {total_time} is not a multiple of dt {dt}")
-        if direction == "left_right":
-            order = list(range(start.n_sites))
-        elif direction == "right_left":
-            order = list(range(start.n_sites - 1, -1, -1))
-        else:
+        if direction not in ("left_right", "right_left"):
             raise ValueError(f"unknown direction {direction!r}")
-        moves = tuple((j, dt) for _ in range(n_rounds) for j in order)
-        return cls(start, moves)
+        order = range(start.n_sites)[::1 if direction == "left_right" else -1]
+        return cls(start, tuple((j, step) for _ in range(n_rounds) for j in order))
 
     @classmethod
     def refined(cls, start: SpacelikeSurface, moves, dt: float) -> "DeformationSchedule":
         """``moves`` with each advance split into round(largest advance / dt) equal parts."""
         base = max((abs(step) for _, step in moves), default=1.0)
         split = _rounds(base, dt, len(moves))
-        return cls(start, tuple((j, step / split) for j, step in moves for _ in range(split)))
+        parts = [(j, _exact(step) / split) for j, step in moves]
+        return cls(start, tuple(part for part in parts for _ in range(split)))
 
 
 def local_density_operator(density: HamiltonianDensity, cfg: LatticeConfig,
@@ -135,7 +144,8 @@ class SurfaceEvolver:
     is built once per site slope on the pair lattice, and a move applies
     V g(w) V^H block by block: g is the exponential for ``'exact'`` and the
     Cayley factor of one Crank-Nicolson step, solved exactly, for
-    ``'crank_nicolson'``.
+    ``'crank_nicolson'``.  Slopes are rounded once from exact times, so
+    equal slopes share one cache entry.
     """
 
     def __init__(self, density: HamiltonianDensity, cfg: LatticeConfig,
@@ -164,37 +174,34 @@ class SurfaceEvolver:
         return self._prop_cache[key]
 
     def deform_step(self, state: WaveFunctional, surface: SpacelikeSurface,
-                    site: int, dt: float):
-        """Advance t_site by dt; the generator is frozen at the input surface."""
-        new_surface = surface.advanced(site, dt)  # raises NotSpacelike first
-        if dt == 0.0:
-            return state.copy(), new_surface
-        # surface times accumulate roundoff; rounding the slope gives equal
-        # slopes one cache key, and the blocks are built from the key
-        v_site = round(float(surface.site_slopes()[site]), 12)
-        u = self._propagator(v_site, dt)
+                    site: int, dt) -> WaveFunctional:
+        """Advance t_site by dt from ``surface``, where the generator is frozen;
+        the schedule's walk has validated the surface it reaches."""
+        if dt == 0:
+            return state.copy()
+        u = self._propagator(surface.site_slope(site), float(dt))
         cfg, axes = self.cfg, ((site + 1) % self.cfg.n_sites, site)
         if cfg.n_sites == 1:  # a lone site is one block
-            return WaveFunctional(cfg, u[0] @ state.psi), new_surface
+            return WaveFunctional(cfg, u[0] @ state.psi)
         # (neighbour, site, rest) axes: a batched matmul applies one block per neighbour value
         moved = np.moveaxis(state.psi, axes, (0, 1))
         out = (u @ moved.reshape(len(u), cfg.q_points, -1)).reshape(moved.shape)
-        return WaveFunctional(cfg, np.moveaxis(out, (0, 1), axes)), new_surface
+        return WaveFunctional(cfg, np.moveaxis(out, (0, 1), axes))
 
     def run_schedule(self, state: WaveFunctional,
                      schedule: DeformationSchedule) -> WaveFunctional:
-        surface = schedule.start
-        for site, dt in schedule.moves:
-            state, surface = self.deform_step(state, surface, site, dt)
+        """Apply every move from the surface the schedule's walk reached before it."""
+        for surface, (site, dt) in zip(schedule.surfaces, schedule.moves):
+            state = self.deform_step(state, surface, site, dt)
         return state
 
 
 def fit_order(dt_values, errors) -> float:
-    """Least-squares slope of log error against log dt."""
+    """Least-squares slope of log error against log dt; 0.0 without two distinct usable dt."""
     dt_values = np.asarray(dt_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     mask = np.isfinite(errors) & (errors > 0) & (dt_values > 0)
-    if mask.sum() < 2:
+    if np.unique(dt_values[mask]).size < 2:
         return 0.0
     slope = np.polyfit(np.log(dt_values[mask]), np.log(errors[mask]), 1)[0]
     return float(slope)
@@ -206,42 +213,40 @@ def shared_endpoints(sched_a: DeformationSchedule, sched_b: DeformationSchedule,
 
     Raises ScheduleMismatch when the schedules start or end on different
     surfaces, or when their endpoints differ from ``reference`` (the first
-    level of a refinement ladder).
+    level of a refinement ladder).  Surfaces match only when their times are
+    exactly equal.
     """
     start, end = sched_a.start, sched_a.end()
-    if not surfaces_equal(start, sched_b.start):
+    if start != sched_b.start:
         raise ScheduleMismatch("schedules start on different surfaces")
-    if not surfaces_equal(end, sched_b.end(), tol=1e-9):
+    if end != sched_b.end():
         raise ScheduleMismatch("schedules end on different surfaces")
-    if reference is None:
-        return start, end
-    if not (surfaces_equal(reference[0], start) and surfaces_equal(reference[1], end, tol=1e-9)):
+    if reference is not None and reference != (start, end):
         raise ScheduleMismatch("refinement levels changed the endpoint surfaces")
-    return reference
+    return start, end
 
 
 def integrability_test(state: WaveFunctional, density: HamiltonianDensity,
-                       build_a, build_b, dt_values,
+                       schedules, dt_values,
                        integrator: str = "exact", ratio_floor: float = 1.8) -> dict:
     """Compare two same-endpoint schedule families under step refinement.
 
-    ``build_a`` / ``build_b`` map a step size to a DeformationSchedule; all
-    schedules must share start and end surfaces.  The report carries the L2
-    discrepancies, consecutive-halving ratios, the fitted convergence order,
-    and flags for any ratio below ``ratio_floor`` (a flagged run is a
+    ``schedules`` holds one (schedule_a, schedule_b) pair per step of
+    ``dt_values``; all must share start and end surfaces.  The report carries
+    the L2 discrepancies, consecutive-halving ratios, the fitted convergence
+    order, and flags for any ratio below ``ratio_floor`` (a flagged run is a
     reported finding, not a failure: path independence here is a conjecture).
     """
     dt_values = [float(dt) for dt in dt_values]
+    endpoints = None
+    for pair in schedules:
+        endpoints = shared_endpoints(*pair, endpoints)
     evolver = SurfaceEvolver(density, state.cfg, integrator)
     discrepancies = []
-    reference = None
-    for dt in dt_values:
-        sched_a, sched_b = build_a(dt), build_b(dt)
-        reference = shared_endpoints(sched_a, sched_b, reference)
-        psi_a = evolver.run_schedule(state, sched_a)
-        psi_b = evolver.run_schedule(state, sched_b)
-        diff = WaveFunctional(state.cfg, psi_a.psi - psi_b.psi)
-        discrepancies.append(norm(diff))
+    for sched_a, sched_b in schedules:
+        psi_a = evolver.run_schedule(state, sched_a).psi
+        psi_b = evolver.run_schedule(state, sched_b).psi
+        discrepancies.append(norm(WaveFunctional(state.cfg, psi_a - psi_b)))
 
     ratios = []
     flags = []

@@ -188,16 +188,11 @@ def test_criterion_5_integrability():
         density = legendre_transform(FREE)
         state = init_wavefunctional(free_ground_state_covariance(cfg, 1.0), cfg)
         start = SpacelikeSurface.flat(3)
-        total = 0.2
+        dt_values = [0.05, 0.025, 0.0125]
+        pairs = [(DeformationSchedule.sweep(start, 0.2, dt, "left_right"),
+                  DeformationSchedule.sweep(start, 0.2, dt, "right_left")) for dt in dt_values]
 
-        def left(dt):
-            return DeformationSchedule.sweep(start, total, dt, "left_right")
-
-        def right(dt):
-            return DeformationSchedule.sweep(start, total, dt, "right_left")
-
-        report = integrability_test(state, density, left, right,
-                                    [0.05, 0.025, 0.0125], integrator="exact")
+        report = integrability_test(state, density, pairs, dt_values, integrator="exact")
         assert all(r >= 1.8 for r in report["ratios"]), report["ratios"]
         assert report["fitted_order"] >= 0.85
         assert report["flags"] == []
@@ -205,8 +200,8 @@ def test_criterion_5_integrability():
         control = diagonal_density(0.0, (0.0, 0.0, 0.5))
         control_state = init_wavefunctional(
             GaussianStateSpec((0.0,) * 3, widths=(1.0,) * 3), cfg)
-        control_report = integrability_test(control_state, control, left, right,
-                                            [0.05, 0.025], integrator="exact")
+        control_report = integrability_test(control_state, control, pairs[:2],
+                                            dt_values[:2], integrator="exact")
         assert max(control_report["discrepancies"]) <= 1e-12
 
 

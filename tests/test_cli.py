@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,8 +13,9 @@ import pytest
 
 import fieldlab.classical
 import fieldlab.feynman
+import fieldlab.surface
 from fieldlab.cli import SCHEMA, main
-from fieldlab.lattice import LatticeConfig, WaveFunctional, load_state, save_state
+from fieldlab.lattice import LatticeConfig, WaveFunctional, load_state, save_state, spacelike
 
 FREE_TEXT = "0.5*zt^2 - 0.5*zx^2 - 0.5*m^2*z^2"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -215,6 +219,45 @@ def test_surface_rounded_refinement_hits_move_guard(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource guard: ") and "1.2e+04 moves" in err
     assert not (tmp_path / "out" / "integrability.json").exists()
+
+
+def test_surface_advances_that_agree_in_decimal_share_an_end(tmp_path):
+    """0.1 + 0.2 and 0.3 reach the same surface: times are exact decimals, with no tolerance."""
+    schedules = ({"kind": "moves", "moves": [[0, 0.1], [0, 0.2]]},
+                 {"kind": "moves", "moves": [[0, 0.3]]})
+    assert run(tmp_path, surface_config(*schedules, dt_values=[0.1, 0.05])) == 0
+
+
+def test_surface_walks_each_schedule_once_per_level(tmp_path, monkeypatch):
+    """Pre-check, endpoint check and solve share one walk: one validation per surface built."""
+    calls = []
+
+    def counting(slopes, *args):
+        calls.append(slopes)
+        return spacelike(slopes, *args)
+
+    monkeypatch.setattr(fieldlab.surface, "spacelike", counting)
+    assert run(tmp_path, surface_config(*SWEEPS, dt_values=[0.05, 0.025])) == 0
+    # the start surface, then 2 schedules x (6 moves at dt 0.05 + 12 moves at dt 0.025)
+    assert len(calls) == 1 + 2 * (6 + 12)
+
+
+def test_surface_repeated_ladder_fits_no_order(tmp_path):
+    """Two equal steps leave no slope to fit: fitted_order 0.0, no RankWarning, ratio flagged."""
+    payload = json.loads((CONFIGS / "surface_sweeps.json").read_text())
+    payload["surface"]["dt_values"] = [0.05, 0.05]
+    path = write_config(tmp_path, payload)
+    src = str(Path(fieldlab.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "fieldlab", "run", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert "RankWarning" not in done.stderr
+    report = json.loads((tmp_path / "out" / "integrability.json").read_text())
+    assert report["fitted_order"] == 0.0
+    assert report["ratios"] == [1.0]
+    assert report["flags"] == ["ratio 1.000 between dt=0.05 and dt=0.05 below floor 1.8"]
 
 
 # --- feynman ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Single-site deformations, schedules, and the path-independence study."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from fieldlab.surface import (
     SurfaceEvolver,
     integrability_test,
     local_density_operator,
-    surfaces_equal,
 )
 
 
@@ -78,10 +78,10 @@ def test_potential_only_deformations_commute():
     state = init_wavefunctional(GaussianStateSpec((0.0,) * 3, widths=(1.0,) * 3), cfg)
     evolver = SurfaceEvolver(density, cfg, "exact")
     surf = SpacelikeSurface.flat(3)
-    a_first, s1 = evolver.deform_step(state, surf, 0, 0.3)
-    a_both, _ = evolver.deform_step(a_first, s1, 2, 0.2)
-    b_first, s2 = evolver.deform_step(state, surf, 2, 0.2)
-    b_both, _ = evolver.deform_step(b_first, s2, 0, 0.3)
+    a_first = evolver.deform_step(state, surf, 0, 0.3)
+    a_both = evolver.deform_step(a_first, surf.advanced(0, 0.3), 2, 0.2)
+    b_first = evolver.deform_step(state, surf, 2, 0.2)
+    b_both = evolver.deform_step(b_first, surf.advanced(2, 0.2), 0, 0.3)
     assert np.max(np.abs(a_both.psi - b_both.psi)) < 1e-14
 
 
@@ -89,9 +89,9 @@ def test_zero_step_identity():
     cfg, density, state = free_setup()
     evolver = SurfaceEvolver(density, cfg, "exact")
     surf = SpacelikeSurface.flat(3)
-    out, new_surf = evolver.deform_step(state, surf, 1, 0.0)
+    out = evolver.deform_step(state, surf, 1, 0.0)
     assert np.array_equal(out.psi, state.psi)
-    assert surfaces_equal(new_surf, surf)
+    assert surf.advanced(1, 0.0) == surf
 
 
 def flat_reference(cfg, density, state, total):
@@ -154,9 +154,11 @@ def test_refined_guard_counts_the_rounded_split():
 def test_refined_schedule_splits_each_move():
     start = SpacelikeSurface.flat(3)
     moves = [(0, 0.05), (2, -0.02)]
-    assert DeformationSchedule.refined(start, moves, 0.1).moves == tuple(moves)
+    assert DeformationSchedule.refined(start, moves, 0.1).moves == (
+        (0, Fraction("0.05")), (2, Fraction("-0.02")))
+    half, fifth = Fraction("0.025"), Fraction("-0.01")
     assert DeformationSchedule.refined(start, moves, 0.025).moves == (
-        (0, 0.025), (0, 0.025), (2, -0.01), (2, -0.01))
+        (0, half), (0, half), (2, fifth), (2, fifth))
     assert DeformationSchedule.refined(start, [], 0.025).moves == ()
 
 
@@ -218,8 +220,8 @@ def test_norm_preserved_along_schedule():
 def test_crank_nicolson_step_matches_local_exact():
     cfg, density, state = free_setup()
     surf = SpacelikeSurface((0.0, 0.05, -0.02), 1.0)
-    exact_step, _ = SurfaceEvolver(density, cfg, "exact").deform_step(state, surf, 1, 1e-3)
-    cn_step, _ = SurfaceEvolver(density, cfg, "crank_nicolson").deform_step(state, surf, 1, 1e-3)
+    exact_step = SurfaceEvolver(density, cfg, "exact").deform_step(state, surf, 1, 1e-3)
+    cn_step = SurfaceEvolver(density, cfg, "crank_nicolson").deform_step(state, surf, 1, 1e-3)
     assert norm(WaveFunctional(cfg, exact_step.psi - cn_step.psi)) < 1e-6
 
 
@@ -249,7 +251,7 @@ def test_crank_nicolson_deform_step_matches_full_lattice_solve(n, derivative, ti
     cfg, density, state, surf = block_setup(n, derivative, times, text)
     evolver = SurfaceEvolver(density, cfg, "crank_nicolson")
     for site in range(n):
-        step, _ = evolver.deform_step(state, surf, site, 0.05)
+        step = evolver.deform_step(state, surf, site, 0.05)
         op = local_density_operator(density, cfg, surf, site)
         full = crank_nicolson_step(op, state.psi, 0.05, tol=1e-13, maxiter=500)
         assert np.max(np.abs(step.psi - full)) <= 1e-12
@@ -260,7 +262,7 @@ def test_exact_deform_step_matches_expm_of_local_density(n, derivative, times, t
     cfg, density, state, surf = block_setup(n, derivative, times, text)
     evolver = SurfaceEvolver(density, cfg, "exact")
     for site in range(n):
-        step, _ = evolver.deform_step(state, surf, site, 0.05)
+        step = evolver.deform_step(state, surf, site, 0.05)
         mat = local_density_operator(density, cfg, surf, site).dense_matrix()
         full = (expm(-0.05j * mat / cfg.hbar) @ state.psi.ravel()).reshape(cfg.shape)
         assert np.max(np.abs(step.psi - full)) <= 1e-12
@@ -276,20 +278,16 @@ def test_site_blocks_need_a_local_density_on_the_pair_lattice():
     assert compile_hamiltonian(density, pair, sites=[0]).site_blocks().shape == (8, 8, 8)
 
 
-def sweep_builders(start, total):
-    def left(dt):
-        return DeformationSchedule.sweep(start, total, dt, "left_right")
-
-    def right(dt):
-        return DeformationSchedule.sweep(start, total, dt, "right_left")
-
-    return left, right
+def sweep_pairs(start, total, dt_values, directions=("left_right", "right_left")):
+    """One (schedule_a, schedule_b) pair of sweeps per step."""
+    return [tuple(DeformationSchedule.sweep(start, total, dt, d) for d in directions)
+            for dt in dt_values]
 
 
 def test_integrability_identical_schedules():
     cfg, density, state = free_setup()
-    left, _ = sweep_builders(SpacelikeSurface.flat(3), 0.1)
-    report = integrability_test(state, density, left, left, [0.05, 0.025])
+    pairs = sweep_pairs(SpacelikeSurface.flat(3), 0.1, [0.05, 0.025], ("left_right",) * 2)
+    report = integrability_test(state, density, pairs, [0.05, 0.025])
     assert report["discrepancies"] == [0.0, 0.0]
     assert report["degenerate"]
     assert report["flags"] == []
@@ -299,15 +297,16 @@ def test_integrability_potential_only():
     cfg = LatticeConfig(3, 1.0, 8, 6.0)
     density = diagonal_density(0.0, (0.0, 0.0, 0.5))
     state = init_wavefunctional(GaussianStateSpec((0.0,) * 3, widths=(1.0,) * 3), cfg)
-    left, right = sweep_builders(SpacelikeSurface.flat(3), 0.1)
-    report = integrability_test(state, density, left, right, [0.05, 0.025])
+    pairs = sweep_pairs(SpacelikeSurface.flat(3), 0.1, [0.05, 0.025])
+    report = integrability_test(state, density, pairs, [0.05, 0.025])
     assert max(report["discrepancies"]) <= 1e-12
 
 
 def test_integrability_free_field_first_order():
     cfg, density, state = free_setup()
-    left, right = sweep_builders(SpacelikeSurface.flat(3), 0.1)
-    report = integrability_test(state, density, left, right, [0.05, 0.025, 0.0125])
+    dt_values = [0.05, 0.025, 0.0125]
+    pairs = sweep_pairs(SpacelikeSurface.flat(3), 0.1, dt_values)
+    report = integrability_test(state, density, pairs, dt_values)
     assert all(r >= 1.8 for r in report["ratios"])
     assert report["fitted_order"] >= 0.85
     assert report["flags"] == []
@@ -316,26 +315,22 @@ def test_integrability_free_field_first_order():
 def test_schedule_mismatch():
     cfg, density, state = free_setup()
     start = SpacelikeSurface.flat(3)
-
-    def left(dt):
-        return DeformationSchedule.sweep(start, 0.1, dt, "left_right")
-
-    def other(dt):
-        return DeformationSchedule.sweep(start, 0.2, dt, "right_left")
-
+    pairs = [(DeformationSchedule.sweep(start, 0.1, dt, "left_right"),
+              DeformationSchedule.sweep(start, 0.2, dt, "right_left")) for dt in (0.05, 0.025)]
     with pytest.raises(ScheduleMismatch):
-        integrability_test(state, density, left, other, [0.05, 0.025])
+        integrability_test(state, density, pairs, [0.05, 0.025])
 
 
 def test_deform_step_not_spacelike():
+    """The schedule's walk refuses the surface a move would reach, before the move runs."""
     cfg, density, state = free_setup()
     evolver = SurfaceEvolver(density, cfg, "exact")
     with pytest.raises(NotSpacelike):
-        evolver.deform_step(state, SpacelikeSurface.flat(3), 0, 2.0)
+        evolver.run_schedule(state, DeformationSchedule(SpacelikeSurface.flat(3), ((0, 2.0),)))
 
 
 def test_pair_cache_one_entry_per_slope():
-    """The sample sweep ladder meets 7 distinct site slopes; time roundoff must not split them."""
+    """The sample sweep ladder meets 7 distinct site slopes and 9 (slope, dt) pairs, not 21."""
     config = json.loads((Path(__file__).parents[1] / "configs" / "surface_sweeps.json").read_text())
     lattice, block = config["lattice"], config["surface"]
     cfg = LatticeConfig(lattice["n_sites"], 1.0, lattice["q_points"], lattice["q_extent"])
@@ -349,4 +344,4 @@ def test_pair_cache_one_entry_per_slope():
                 direction = block[name]["direction"]
                 schedule = DeformationSchedule.sweep(start, block["total_time"], dt, direction)
                 evolver.run_schedule(state, schedule)
-        assert len(evolver._eig_cache) == 7, integrator
+        assert (len(evolver._eig_cache), len(evolver._prop_cache)) == (7, 9), integrator
