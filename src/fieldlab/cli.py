@@ -30,6 +30,7 @@ from .classical import (
 )
 from .errors import (
     ConfigError,
+    DimensionTooLarge,
     FieldLabError,
     NonFiniteCoefficient,
     NonFiniteResult,
@@ -56,7 +57,13 @@ from .lattice import (
     state_to_csv,
 )
 from .operators import compile_hamiltonian
-from .surface import DeformationSchedule, SpacelikeSurface, integrability_test, shared_endpoints
+from .surface import (
+    MAX_LADDER_MOVES,
+    DeformationSchedule,
+    SpacelikeSurface,
+    integrability_test,
+    shared_endpoints,
+)
 
 COMMANDS = ("legendre", "evolve", "surface", "feynman", "classical")
 
@@ -382,18 +389,24 @@ def cmd_surface(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
     initial = _build_initial(opts["initial"], "surface.initial", cfg, base_dir)
     build_a = _build_schedule_factory(opts["schedule_a"], "surface.schedule_a", start, total_time)
     build_b = _build_schedule_factory(opts["schedule_b"], "surface.schedule_b", start, total_time)
-    # every schedule of the ladder is counted, built and walked once before the first solve
-    levels, endpoints = [], None
+    # every schedule of the ladder is built and its moves counted, then each is
+    # walked once, all before the first solve
+    levels, moves = [], 0
     for i, dt in enumerate(dt_values):
-        pair = []
-        for name, build in (("schedule_a", build_a), ("schedule_b", build_b)):
-            try:
-                pair.append(build(dt))
-            except ValueError as exc:
-                raise ConfigError(f"surface.dt_values[{i}]", str(exc)) from exc
-            _build_at(f"surface.{name}", pair[-1].end)  # the walk refuses |v| >= 1
-        endpoints = _build_at("surface.schedule_b", shared_endpoints, *pair, endpoints)
+        try:
+            pair = (build_a(dt), build_b(dt))
+        except ValueError as exc:
+            raise ConfigError(f"surface.dt_values[{i}]", str(exc)) from exc
+        moves += len(pair[0].moves) + len(pair[1].moves)
+        if moves > MAX_LADDER_MOVES:
+            raise DimensionTooLarge(f"surface.dt_values: the first {i + 1} steps need {moves} "
+                                    f"moves, above the {MAX_LADDER_MOVES} move ladder guard")
         levels.append(pair)
+    endpoints = None
+    for pair in levels:
+        for name, schedule in zip(("schedule_a", "schedule_b"), pair):
+            _build_at(f"surface.{name}", schedule.end)  # the walk refuses |v| >= 1
+        endpoints = _build_at("surface.schedule_b", shared_endpoints, *pair, endpoints)
 
     density = legendre_transform(lagr)
     report = integrability_test(initial, density, levels, dt_values,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
-from .lattice import WaveFunctional, norm as state_norm, site_moments
+from .lattice import LatticeConfig, WaveFunctional, norm as state_norm, site_moments
 from .operators import DENSE_GUARD, LatticeHamiltonian
 
 MAX_STEPS = 100_000  # time steps in one run; committed configs and benchmarks take at most 1000
@@ -48,11 +48,59 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return mat @ vec
 
 
-class ExactPropagator:
-    """Dense Hermitian eigendecomposition of the compiled operator.
+def _shift_orbits(mat: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+    """(M, R) flat indices S^m r of the orbits of the largest cyclic site-shift
+    group {S^m} that leaves ``mat`` exactly unchanged; row 0 holds the
+    representatives r, the least index of each orbit.
 
-    A real operator (no first-derivative terms) takes the real symmetric
-    ``eigh`` and keeps real eigenvectors.
+    S shifts every site label by d, for the least divisor d of n_sites with
+    ``mat[S x, S y] == mat[x, y]`` for all x, y; d = n_sites is the trivial
+    group, one orbit per index.
+    """
+    n, index = cfg.n_sites, np.arange(cfg.dim)
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        perm = index.reshape(cfg.shape).transpose(np.roll(np.arange(n), d)).ravel()
+        if d == n or np.array_equal(mat[np.ix_(perm, perm)], mat):
+            break
+    orbits = [index]
+    for _ in range(n // d - 1):
+        orbits.append(perm[orbits[-1]])
+    orbits = np.array(orbits)
+    return orbits[:, orbits.min(axis=0) == index]
+
+
+def _sector_block(mat: np.ndarray, orbits: np.ndarray, k: int, scale: np.ndarray) -> np.ndarray:
+    """H_k[a, b] = s_a s_b sum_m w^(k m) mat[r_a, S^m r_b], w = exp(2 pi i / M), over the
+    orbit columns ``orbits`` (M, R_k) with s = sqrt(L / M), L the orbit lengths.
+
+    Real when ``mat`` is and w^k = +-1.
+    """
+    m_order, reps = len(orbits), orbits[0]
+    block = mat[np.ix_(reps, reps)]
+    for m in range(1, m_order):
+        turns = 2 * k * m / m_order  # w^(k m) = exp(i pi turns)
+        phase = (-1.0) ** turns if turns.is_integer() else np.exp(1j * np.pi * turns)
+        block = block + phase * mat[np.ix_(reps, orbits[m])]
+    block *= scale[:, None]
+    block *= scale
+    return block
+
+
+class ExactPropagator:
+    """Dense Hermitian eigendecomposition of the compiled operator, one block per momentum sector.
+
+    When a cyclic shift of the site labels leaves the dense operator exactly
+    unchanged, the lattice momentum k of the shift group (order M) is
+    conserved, and H splits into one block per k over the orbit basis
+    |r, k> = L^-1/2 sum_{m<L} w^(k m) |S^m r> (w = exp(2 pi i / M), L the
+    orbit length; k needs k L = 0 mod M).  Each block takes one ``eigh``;
+    a real operator takes the real ``eigh`` in sectors k = 0 and M/2 and
+    keeps real eigenvectors there, and serves sector M - k with the complex
+    conjugate of sector k.  Without such a shift (one site, per-site slopes,
+    a ``sites`` subset, or sums whose order the shift changes in the last
+    bit) the group is trivial and the one block is H itself.
     """
 
     def __init__(self, hamiltonian: LatticeHamiltonian):
@@ -61,15 +109,38 @@ class ExactPropagator:
                 f"dimension {hamiltonian.cfg.dim} exceeds dense guard {DENSE_GUARD}")
         self.cfg = hamiltonian.cfg
         mat = hamiltonian.dense_matrix()
-        self.eigvals, self.eigvecs = np.linalg.eigh(mat)
+        self._orbits = _shift_orbits(mat, self.cfg)
+        m_order = len(self._orbits)
+        length = m_order // np.sum(self._orbits == self._orbits[0], axis=0)
+        self._scale = np.sqrt(length) / m_order
+        rows = [np.flatnonzero(k * length % m_order == 0) for k in range(m_order)]
+        conjugate = np.isrealobj(mat)  # then sector M - k is the conjugate of sector k
+        blocks = {k: _sector_block(mat, self._orbits[:, rows[k]], k,
+                                   np.sqrt(length[rows[k]] / m_order))
+                  for k in range(m_order) if not (conjugate and 2 * k > m_order)}
+        del mat  # freed before the eigh calls, which read only the blocks
+        self.sectors = []  # (k, representative columns, eigenvalues, eigenvectors)
+        for k in range(m_order):
+            if k in blocks:
+                eigvals, eigvecs = np.linalg.eigh(blocks.pop(k))
+            else:
+                _, _, eigvals, eigvecs = self.sectors[m_order - k]
+                eigvecs = eigvecs.conj()
+            self.sectors.append((k, rows[k], eigvals, eigvecs))
 
     def propagate(self, state: WaveFunctional, t: float) -> WaveFunctional:
-        coeff = _matvec(self.eigvecs.conj().T, state.psi.ravel())
-        coeff = coeff * np.exp(-1j * t * self.eigvals / self.cfg.hbar)
-        return WaveFunctional(self.cfg, _matvec(self.eigvecs, coeff))
+        amps = np.fft.fft(state.psi.ravel()[self._orbits], axis=0) * self._scale
+        out = np.zeros_like(amps)
+        for k, rows, eigvals, eigvecs in self.sectors:
+            coeff = _matvec(eigvecs.conj().T, amps[k, rows])
+            coeff = coeff * np.exp(-1j * t * eigvals / self.cfg.hbar)
+            out[k, rows] = _matvec(eigvecs, coeff)
+        psi = np.empty(self.cfg.dim, dtype=np.complex128)
+        psi[self._orbits] = np.fft.ifft(out, axis=0) / self._scale
+        return WaveFunctional(self.cfg, psi)
 
     def ground_energy(self) -> float:
-        return float(self.eigvals[0])
+        return min(float(eigvals[0]) for _, _, eigvals, _ in self.sectors)
 
 
 def evolve_exact(hamiltonian: LatticeHamiltonian, state: WaveFunctional,

@@ -17,7 +17,6 @@ refined.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .operators import compile_hamiltonian, fourier_matrix, momentum_grids
 from .surface import fit_order
 
 ENUMERATION_GUARD = 2 ** 22
+BLOCK_TERMS = 2 ** 14  # history-final terms the history sum forms at once
 
 KERNELS = ("fresnel_exact", "lagrangian_riemann")
 
@@ -57,6 +57,19 @@ class PathIntegralSpec:
         return (self.t_steps + 1) * self.dt
 
 
+def _history_actions(histories: np.ndarray, pspec: PathIntegralSpec,
+                     lagr: LagrangianSpec, cfg: LatticeConfig) -> np.ndarray:
+    """The discrete action of each history along the leading axes of ``histories``.
+
+    The last two axes are (t_steps + 2 slices, n_sites); see ``discrete_action``.
+    """
+    earlier = histories[..., :-1, :]
+    zdot = (histories[..., 1:, :] - earlier) / pspec.dt
+    zx = link_difference(earlier, cfg.spacing, axis=-1)
+    f_vals = lagr.evaluate(earlier, zdot, zx)
+    return pspec.dt * cfg.spacing * f_vals.sum(axis=(-2, -1))
+
+
 def discrete_action(history: np.ndarray, pspec: PathIntegralSpec,
                     lagr: LagrangianSpec, cfg: LatticeConfig) -> float:
     """S = sum_t sum_j dt * a * F(z_j^t, forward dz/dt, forward dz/dx).
@@ -67,11 +80,7 @@ def discrete_action(history: np.ndarray, pspec: PathIntegralSpec,
     expected = (pspec.t_steps + 2, cfg.n_sites)
     if history.shape != expected:
         raise ShapeMismatch(f"history shape {history.shape}, expected {expected}")
-    earlier = history[:-1]
-    zdot = (history[1:] - earlier) / pspec.dt
-    zx = link_difference(earlier, cfg.spacing, axis=1)
-    f_vals = lagr.evaluate(earlier, zdot, zx)
-    return float(pspec.dt * cfg.spacing * f_vals.sum())
+    return float(_history_actions(history, pspec, lagr, cfg))
 
 
 def one_site_kinetic_matrix(pspec: PathIntegralSpec, lagr: LagrangianSpec,
@@ -130,6 +139,61 @@ def _check_enumerable(pspec: PathIntegralSpec, cfg: LatticeConfig):
             f"{count} histories exceed the enumeration guard {ENUMERATION_GUARD}")
 
 
+def _history_sum(state: WaveFunctional, pspec: PathIntegralSpec, lagr: LagrangianSpec,
+                 finals: np.ndarray) -> np.ndarray:
+    """Literal history sum at each row of ``finals``, an (F, n_sites) array of grid indices.
+
+    Histories are enumerated in blocks of consecutive indices, each a digit
+    string (slice-major, then site) over the Q grid points.  Every history's
+    weight is formed whole, then summed over the block for each final.  The
+    block size depends only on the lattice, so a final's amplitude is the
+    same sum whichever other finals are asked for.
+    """
+    cfg = state.cfg
+    _check_enumerable(pspec, cfg)
+    n, q = cfg.n_sites, cfg.q_points
+    n_free = pspec.t_steps + 1
+    count = q ** (n * n_free)
+    places = q ** np.arange(n * n_free - 1, -1, -1)
+    block = max(1, BLOCK_TERMS // cfg.dim)
+    site_places = q ** np.arange(n - 1, -1, -1)  # a slice's digits to its grid index
+    psi0 = state.psi.ravel()
+    riemann = pspec.kernel == "lagrangian_riemann"
+    if riemann:
+        c2 = lagr.kinetic_coeff
+        nu_dz = cfg.dz * np.sqrt(c2 * cfg.spacing / (np.pi * cfg.hbar * pspec.dt)) \
+            * np.exp(-0.25j * np.pi)
+        measure = nu_dz ** (n * n_free)
+        zg = cfg.z_values()
+        z_final = zg[finals][:, None, None, :]
+    else:
+        kin = one_site_kinetic_matrix(pspec, lagr, cfg)
+        diag_phase = _diagonal_action_phase(pspec, lagr, cfg).ravel()
+
+    out = np.zeros(len(finals), dtype=np.complex128)
+    for start in range(0, count, block):
+        hist = np.arange(start, min(start + block, count))
+        idx = (hist[:, None] // places % q).reshape(-1, n_free, n)  # (B, slice, site)
+        weight = psi0[idx[:, 0] @ site_places]
+        if riemann:
+            histories = np.empty((len(finals), len(hist), n_free + 1, n))
+            histories[:, :, :-1] = zg[idx]
+            histories[:, :, -1:] = z_final
+            s_val = _history_actions(histories, pspec, lagr, cfg)
+            terms = measure * np.exp(1j * s_val / cfg.hbar) * weight  # (F, B)
+        else:
+            for t in range(n_free):
+                weight = weight * diag_phase[idx[:, t] @ site_places]
+                if t + 1 < n_free:
+                    for j in range(n):
+                        weight = weight * kin[idx[:, t + 1, j], idx[:, t, j]]
+            terms = weight * kin[finals[:, :1], idx[:, -1, 0]]  # (F, B)
+            for j in range(1, n):
+                terms *= kin[finals[:, j:j + 1], idx[:, -1, j]]
+        out += terms.sum(axis=1)
+    return out
+
+
 def brute_force_amplitudes(state: WaveFunctional, pspec: PathIntegralSpec,
                            lagr: LagrangianSpec) -> np.ndarray:
     """Literal history sum for every final configuration (the exact oracle).
@@ -138,41 +202,8 @@ def brute_force_amplitudes(state: WaveFunctional, pspec: PathIntegralSpec,
     t_steps intermediates; the final slice indexes the output array.
     """
     cfg = state.cfg
-    _check_enumerable(pspec, cfg)
-    n, q = cfg.n_sites, cfg.q_points
-    zg = cfg.z_values()
-    n_free = pspec.t_steps + 1
-    out = np.zeros(cfg.shape, dtype=np.complex128)
-    riemann = pspec.kernel == "lagrangian_riemann"
-    if riemann:
-        c2 = lagr.kinetic_coeff
-        nu_dz = cfg.dz * np.sqrt(c2 * cfg.spacing / (np.pi * cfg.hbar * pspec.dt)) \
-            * np.exp(-0.25j * np.pi)
-        measure = nu_dz ** (n * n_free)
-    else:
-        kin = one_site_kinetic_matrix(pspec, lagr, cfg)
-        diag_phase = _diagonal_action_phase(pspec, lagr, cfg)
-
-    site_range = range(q)
-    for final_idx in itertools.product(site_range, repeat=n):
-        total = 0.0 + 0.0j
-        for flat_hist in itertools.product(site_range, repeat=n * n_free):
-            idx = np.asarray(flat_hist, dtype=int).reshape(n_free, n)
-            first = tuple(idx[0])
-            if riemann:
-                history = np.vstack([zg[idx], zg[np.asarray(final_idx)][None, :]])
-                s_val = discrete_action(history, pspec, lagr, cfg)
-                total += measure * np.exp(1j * s_val / cfg.hbar) * state.psi[first]
-            else:
-                factor = state.psi[first]
-                for t in range(n_free):
-                    factor *= diag_phase[tuple(idx[t])]
-                    nxt = idx[t + 1] if t + 1 < n_free else np.asarray(final_idx)
-                    for j in range(n):
-                        factor *= kin[nxt[j], idx[t, j]]
-                total += factor
-        out[final_idx] = total
-    return out
+    finals = np.indices(cfg.shape).reshape(cfg.n_sites, -1).T
+    return _history_sum(state, pspec, lagr, finals).reshape(cfg.shape)
 
 
 def brute_force_feynman(state: WaveFunctional, z_final, pspec: PathIntegralSpec,
@@ -189,7 +220,7 @@ def brute_force_feynman(state: WaveFunctional, z_final, pspec: PathIntegralSpec,
         if abs(zg[m] - value) > 1e-9:
             raise ValueError(f"final value {value} is not a grid point")
         idx.append(m)
-    return complex(brute_force_amplitudes(state, pspec, lagr)[tuple(idx)])
+    return complex(_history_sum(state, pspec, lagr, np.array([idx]))[0])
 
 
 def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,

@@ -26,6 +26,7 @@ from .lattice import LatticeConfig, WaveFunctional, link_difference, norm, space
 from .operators import LatticeHamiltonian, compile_hamiltonian
 
 MAX_MOVES = 10_000  # moves in one schedule; the largest committed ladder builds 48
+MAX_LADDER_MOVES = 100_000  # moves in all schedules of one ladder; configs/surface_sweeps.json builds 168
 
 
 def _exact(value) -> Fraction:

@@ -173,6 +173,16 @@ def test_criterion_4_feynman_identity():
             transfer = TransferOperator(spec2, FREE, cfg2).evolve(state2)
             assert np.max(np.abs(brute - transfer.psi)) < 1e-12
 
+    # 8**4 histories for each of 64 finals per kernel: the history sum runs in numpy blocks
+    with budget(1.0, "4c brute-force-identity N=2 Q=8"):
+        cfg3 = LatticeConfig(2, 1.0, 8, 6.0)
+        state3 = init_wavefunctional(GaussianStateSpec((0.2, -0.1), widths=(1.2, 1.1)), cfg3)
+        for kernel in ("fresnel_exact", "lagrangian_riemann"):
+            spec3 = PathIntegralSpec(1, 0.2, kernel)
+            brute = brute_force_amplitudes(state3, spec3, QUARTIC)
+            transfer = TransferOperator(spec3, QUARTIC, cfg3).evolve(state3)
+            assert np.max(np.abs(brute - transfer.psi)) < 1e-12
+
     with budget(60.0, "4b feynman-vs-schrodinger"):
         cfg = LatticeConfig(1, 1.0, 64, 12.0)
         state = init_wavefunctional(GaussianStateSpec((0.3,), widths=(1.0,)), cfg)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fieldlab.classical
+import fieldlab.cli
 import fieldlab.feynman
 import fieldlab.surface
 from fieldlab.cli import SCHEMA, main
@@ -219,6 +220,34 @@ def test_surface_rounded_refinement_hits_move_guard(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("resource guard: ") and "1.2e+04 moves" in err
     assert not (tmp_path / "out" / "integrability.json").exists()
+
+
+def test_surface_repeated_guard_size_step_hits_ladder_guard(tmp_path, capsys, monkeypatch):
+    """Six levels of 2 x 9,999 moves exceed the 100,000-move ladder guard: exit 4, no walk."""
+    calls = []
+
+    def counting(slopes, *args):
+        calls.append(slopes)
+        return spacelike(slopes, *args)
+
+    monkeypatch.setattr(fieldlab.surface, "spacelike", counting)
+    step = 0.05 / 3333  # each 0.05 advance splits into 3,333 parts: 9,999 moves a schedule
+    start = time.perf_counter()
+    assert run(tmp_path, surface_config(*MOVES, dt_values=[step] * 6)) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: surface.dt_values: the first 6 steps need 119988 "
+                          "moves, above the 100000 move ladder guard")
+    assert len(calls) == 1  # the start surface; no schedule was walked
+    assert not (tmp_path / "out" / "integrability.json").exists()
+
+
+@pytest.mark.parametrize("guard,code", [(36, 0), (35, 4)])
+def test_surface_ladder_guard_counts_both_schedules_of_every_level(tmp_path, monkeypatch,
+                                                                   guard, code):
+    """Sweeps of 6 and 12 moves, two schedules each: 36 moves in all."""
+    monkeypatch.setattr(fieldlab.cli, "MAX_LADDER_MOVES", guard)
+    assert run(tmp_path, surface_config(*SWEEPS, dt_values=[0.05, 0.025])) == code
 
 
 def test_surface_advances_that_agree_in_decimal_share_an_end(tmp_path):

@@ -59,12 +59,49 @@ def test_exact_real_operator_keeps_real_eigenvectors(rng):
     """A flat operator takes the real eigh; propagation matches the complex one."""
     cfg, op, _ = free_setup()
     prop = ExactPropagator(op)
-    assert prop.eigvecs.dtype == np.float64
+    assert all(eigvecs.dtype == np.float64 for _, _, _, eigvecs in prop.sectors)
     psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
     state = normalize(WaveFunctional(cfg, psi))
     w, vecs = np.linalg.eigh(op.dense_matrix().astype(np.complex128))
     expected = vecs @ (np.exp(-0.7j * w) * (vecs.conj().T @ state.psi.ravel()))
     assert np.max(np.abs(prop.propagate(state, 0.7).psi.ravel() - expected)) < 1e-12
+
+
+FREE_TEXT = "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2"
+DRIFT_TEXT = "0.5*zt^2 + 0.25*zt - 0.5*zx^2 - 0.5*z^2"
+
+
+@pytest.mark.parametrize("text,n,q,lq,v_links,sites,order", [
+    (FREE_TEXT, 1, 16, 8.0, None, None, 1),
+    (FREE_TEXT + " - 0.1*z^4", 2, 8, 6.0, None, None, 2),
+    (FREE_TEXT + " - 0.125*z^4", 3, 8, 8.0, None, None, 3),
+    (FREE_TEXT, 4, 4, 4.0, None, None, 4),
+    (DRIFT_TEXT, 3, 8, 8.0, None, None, 3),
+    (DRIFT_TEXT, 4, 4, 4.0, None, None, 4),
+    (FREE_TEXT, 2, 8, 6.0, 0.25, None, 2),
+    (FREE_TEXT, 3, 8, 8.0, [0.25, -0.25, 0.0], None, 1),
+    (FREE_TEXT, 3, 8, 8.0, None, [0], 1),
+    (FREE_TEXT, 2, 8, 6.0, None, [1], 1),
+], ids=["n1", "n2-quartic", "n3-quartic", "n4", "n3-drift", "n4-drift", "n2-slope",
+        "n3-v-links", "n3-site-0", "n2-site-1"])
+def test_exact_momentum_sectors_match_dense_eigh(text, n, q, lq, v_links, sites, order, rng):
+    """One block per momentum of the shift group that fixes H, or one block when none does.
+
+    Grids and coefficients are dyadic where a sector split is expected, so the
+    shifted operator is equal bit for bit; the N = 4 lattice has orbits of 1, 2
+    and 4 configurations.
+    """
+    cfg = LatticeConfig(n, 1.0, q, lq)
+    op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, v_links, sites)
+    prop = ExactPropagator(op)
+    assert [k for k, _, _, _ in prop.sectors] == list(range(order))
+    assert sum(len(rows) for _, rows, _, _ in prop.sectors) == cfg.dim
+    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    state = normalize(WaveFunctional(cfg, psi))
+    w, vecs = np.linalg.eigh(op.dense_matrix().astype(np.complex128))
+    expected = vecs @ (np.exp(-0.7j * w) * (vecs.conj().T @ state.psi.ravel()))
+    assert np.max(np.abs(prop.propagate(state, 0.7).psi.ravel() - expected)) < 1e-12
+    assert abs(prop.ground_energy() - w[0]) < 1e-12
 
 
 def test_exact_unitarity(rng):

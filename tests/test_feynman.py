@@ -1,12 +1,18 @@
 """History sums, transfer operators, and the factorization identity."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fieldlab.errors import EnumerationTooLarge, ShapeMismatch
 from fieldlab.feynman import (
+    KERNELS,
     PathIntegralSpec,
     TransferOperator,
+    _check_enumerable,
+    _diagonal_action_phase,
     brute_force_amplitudes,
     brute_force_feynman,
     discrete_action,
@@ -38,6 +44,46 @@ def slow_action_oracle(history, dt, a, lagr):
                  - sum(c * z ** k for k, c in enumerate(lagr.potential)))
             total += dt * a * f
     return total
+
+
+def reference_history_sum(state, pspec, lagr):
+    """The history sum one history at a time in Python: the reference for the block sum."""
+    cfg = state.cfg
+    _check_enumerable(pspec, cfg)
+    n, q = cfg.n_sites, cfg.q_points
+    zg = cfg.z_values()
+    n_free = pspec.t_steps + 1
+    out = np.zeros(cfg.shape, dtype=np.complex128)
+    riemann = pspec.kernel == "lagrangian_riemann"
+    if riemann:
+        c2 = lagr.kinetic_coeff
+        nu_dz = cfg.dz * np.sqrt(c2 * cfg.spacing / (np.pi * cfg.hbar * pspec.dt)) \
+            * np.exp(-0.25j * np.pi)
+        measure = nu_dz ** (n * n_free)
+    else:
+        kin = one_site_kinetic_matrix(pspec, lagr, cfg)
+        diag_phase = _diagonal_action_phase(pspec, lagr, cfg)
+
+    site_range = range(q)
+    for final_idx in itertools.product(site_range, repeat=n):
+        total = 0.0 + 0.0j
+        for flat_hist in itertools.product(site_range, repeat=n * n_free):
+            idx = np.asarray(flat_hist, dtype=int).reshape(n_free, n)
+            first = tuple(idx[0])
+            if riemann:
+                history = np.vstack([zg[idx], zg[np.asarray(final_idx)][None, :]])
+                s_val = discrete_action(history, pspec, lagr, cfg)
+                total += measure * np.exp(1j * s_val / cfg.hbar) * state.psi[first]
+            else:
+                factor = state.psi[first]
+                for t in range(n_free):
+                    factor *= diag_phase[tuple(idx[t])]
+                    nxt = idx[t + 1] if t + 1 < n_free else np.asarray(final_idx)
+                    for j in range(n):
+                        factor *= kin[nxt[j], idx[t, j]]
+                total += factor
+        out[final_idx] = total
+    return out
 
 
 def test_action_zero_history(free_lagr):
@@ -233,3 +279,65 @@ def test_riemann_requires_positive_dt():
     with pytest.raises(ValueError, match="needs dt > 0"):
         PathIntegralSpec(0, 0.0, "lagrangian_riemann")
     PathIntegralSpec(0, 0.0, "fresnel_exact")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("n_sites,q,t_steps", [
+    (1, 8, 0), (1, 8, 1), (1, 4, 2), (2, 4, 0), (2, 4, 1), (3, 4, 0),
+])
+def test_block_history_sum_matches_reference(kernel, n_sites, q, t_steps, rng):
+    """The block sum equals the per-history loop, with a drift term and a complex state."""
+    lagr = parse_lagrangian("0.5*zt^2 + 0.2*zt - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
+    cfg = LatticeConfig(n_sites, 0.9, q, 5.0)
+    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    state = WaveFunctional(cfg, psi)
+    pspec = PathIntegralSpec(t_steps, 0.2, kernel)
+    reference = reference_history_sum(state, pspec, lagr)
+    block = brute_force_amplitudes(state, pspec, lagr)
+    assert np.max(np.abs(block - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("n_sites,q", [(2, 4), (1, 64)])
+def test_single_final_sums_like_all_finals(quartic_lagr, kernel, n_sites, q, rng):
+    """brute_force_feynman enumerates one final, yet forms the same sum as the full array.
+
+    At Q = 64 the full array sums 4096 histories in 16 blocks.
+    """
+    cfg = LatticeConfig(n_sites, 1.0, q, 5.0)
+    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    state = WaveFunctional(cfg, psi)
+    pspec = PathIntegralSpec(1, 0.2, kernel)
+    brute = brute_force_amplitudes(state, pspec, quartic_lagr)
+    zg = cfg.z_values()
+    for final in itertools.product(range(cfg.q_points), repeat=cfg.n_sites):
+        assert brute_force_feynman(state, zg[list(final)], pspec, quartic_lagr) == brute[final]
+
+
+def test_single_final_refuses_bad_finals(free_lagr):
+    cfg = LatticeConfig(2, 1.0, 4, 5.0)
+    state = WaveFunctional(cfg, np.ones(cfg.shape))
+    pspec = PathIntegralSpec(0, 0.2)
+    with pytest.raises(ShapeMismatch):
+        brute_force_feynman(state, (0.0,), pspec, free_lagr)
+    with pytest.raises(ValueError, match="not a grid point"):
+        brute_force_feynman(state, (cfg.z_values()[1], 0.1), pspec, free_lagr)
+
+
+@pytest.mark.parametrize("kernel,t_steps", [("fresnel_exact", 2), ("lagrangian_riemann", 1)])
+def test_history_sum_memory_is_bounded_by_its_block(quartic_lagr, kernel, t_steps):
+    """64**(t_steps + 1) histories for each of 64 finals: peak allocation stays under 32 MB.
+
+    The Riemann case runs 64**2 histories, which builds the same blocks as 64**3 in a
+    sixteenth of the time.
+    """
+    cfg = LatticeConfig(1, 1.0, 64, 12.0)
+    state = init_wavefunctional(GaussianStateSpec((0.3,), widths=(1.0,)), cfg)
+    pspec = PathIntegralSpec(t_steps, 0.05, kernel)
+    tracemalloc.start()
+    try:
+        brute_force_amplitudes(state, pspec, quartic_lagr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
