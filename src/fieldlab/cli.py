@@ -342,24 +342,19 @@ def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Pa
         obs = observables(state, hamiltonian)
         rows.append([t, obs["norm"], obs["energy"], *obs["z_mean"], *obs["z2_mean"]])
 
-    state = initial
+    stepper = {"strang": evolve_strang, "crank_nicolson": evolve_crank_nicolson}.get(method)
+    if stepper is None and steps > 0:  # zero steps build no propagator and meet no dense guard
+        propagator = ExactPropagator(hamiltonian)
+    state, done = initial, 0
     log_row(0.0, state)
-    if steps > 0:
-        if method == "exact":
-            propagator = ExactPropagator(hamiltonian)
-            for step in range(log_every, steps + 1, log_every):
-                log_row(step * dt, propagator.propagate(initial, step * dt))
-            state = propagator.propagate(initial, steps * dt)
-            if steps % log_every != 0:
-                log_row(steps * dt, state)
+    while done < steps:
+        chunk = min(log_every, steps - done)
+        done += chunk
+        if stepper is None:
+            state = propagator.propagate(initial, done * dt)
         else:
-            stepper = evolve_strang if method == "strang" else evolve_crank_nicolson
-            done = 0
-            while done < steps:
-                chunk = min(log_every, steps - done)
-                state = stepper(hamiltonian, state, replace(params, steps=chunk))
-                done += chunk
-                log_row(done * dt, state)
+            state = stepper(hamiltonian, state, replace(params, steps=chunk))
+        log_row(done * dt, state)
     _require_finite(state.psi, "final_state.bin")
     _write_csv(outdir / "trajectory.csv", meta, columns, rows)
     save_state(state, outdir / "final_state.bin")

@@ -48,25 +48,19 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return mat @ vec
 
 
-def _shift_orbits(mat: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
-    """(M, R) flat indices S^m r of the orbits of the largest cyclic site-shift
-    group {S^m} that leaves ``mat`` exactly unchanged; row 0 holds the
-    representatives r, the least index of each orbit.
+def _shift_orbits(cfg: LatticeConfig, shift: bool) -> np.ndarray:
+    """(M, R) flat indices S^m r of the orbits of the cyclic group {S^m}; row 0 holds
+    the representatives r, the least index of each orbit.
 
-    S shifts every site label by d, for the least divisor d of n_sites with
-    ``mat[S x, S y] == mat[x, y]`` for all x, y; d = n_sites is the trivial
-    group, one orbit per index.
+    S moves every site label one site on, so M = n_sites, when ``shift``; otherwise
+    the group is trivial, M = 1, with one orbit per index.
     """
-    n, index = cfg.n_sites, np.arange(cfg.dim)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        perm = index.reshape(cfg.shape).transpose(np.roll(np.arange(n), d)).ravel()
-        if d == n or np.array_equal(mat[np.ix_(perm, perm)], mat):
-            break
+    index = np.arange(cfg.dim)
     orbits = [index]
-    for _ in range(n // d - 1):
-        orbits.append(perm[orbits[-1]])
+    if shift:
+        perm = index.reshape(cfg.shape).transpose(np.roll(np.arange(cfg.n_sites), 1)).ravel()
+        for _ in range(cfg.n_sites - 1):
+            orbits.append(perm[orbits[-1]])
     orbits = np.array(orbits)
     return orbits[:, orbits.min(axis=0) == index]
 
@@ -91,16 +85,15 @@ def _sector_block(mat: np.ndarray, orbits: np.ndarray, k: int, scale: np.ndarray
 class ExactPropagator:
     """Dense Hermitian eigendecomposition of the compiled operator, one block per momentum sector.
 
-    When a cyclic shift of the site labels leaves the dense operator exactly
-    unchanged, the lattice momentum k of the shift group (order M) is
-    conserved, and H splits into one block per k over the orbit basis
-    |r, k> = L^-1/2 sum_{m<L} w^(k m) |S^m r> (w = exp(2 pi i / M), L the
-    orbit length; k needs k L = 0 mod M).  Each block takes one ``eigh``;
-    a real operator takes the real ``eigh`` in sectors k = 0 and M/2 and
-    keeps real eigenvectors there, and serves sector M - k with the complex
-    conjugate of sector k.  Without such a shift (one site, per-site slopes,
-    a ``sites`` subset, or sums whose order the shift changes in the last
-    bit) the group is trivial and the one block is H itself.
+    When the operator's site terms are translates of one another, the unit
+    site shift S commutes with H, the lattice momentum k of its group (order
+    M = n_sites) is conserved, and H splits into one block per k over the
+    orbit basis |r, k> = L^-1/2 sum_{m<L} w^(k m) |S^m r> (w = exp(2 pi i / M),
+    L the orbit length; k needs k L = 0 mod M).  Each block takes one
+    ``eigh``; a real operator takes the real ``eigh`` in sectors k = 0 and
+    M/2 and keeps real eigenvectors there, and serves sector M - k with the
+    complex conjugate of sector k.  Otherwise (per-site slopes or a ``sites``
+    subset) the group is trivial and the one block is H itself.
     """
 
     def __init__(self, hamiltonian: LatticeHamiltonian):
@@ -108,8 +101,8 @@ class ExactPropagator:
             raise DimensionTooLarge(
                 f"dimension {hamiltonian.cfg.dim} exceeds dense guard {DENSE_GUARD}")
         self.cfg = hamiltonian.cfg
+        self._orbits = _shift_orbits(self.cfg, hamiltonian.translation_invariant)
         mat = hamiltonian.dense_matrix()
-        self._orbits = _shift_orbits(mat, self.cfg)
         m_order = len(self._orbits)
         length = m_order // np.sum(self._orbits == self._orbits[0], axis=0)
         self._scale = np.sqrt(length) / m_order

@@ -91,20 +91,42 @@ def _site_diagonal(mat: np.ndarray, n: int, q: int, site: int) -> np.ndarray:
 
 @dataclass
 class _SiteTerm:
+    """One site's share a * H_j; its arrays broadcast on the site and neighbour axes."""
+
     site: int
-    neighbor: int
-    quad: float                      # coefficient of p_site^2
-    lin_const: float                 # field-independent coefficient of p_site
-    cross: np.ndarray | None = None  # (Q, Q) field-dependent p coefficient, axis-ordered
+    scalar: np.ndarray               # the momentum-free part, diagonal in the field basis
+    quad: float = 0.0                # coefficient of p_site^2
+    lin_const: float = 0.0           # field-independent coefficient of p_site
+    cross: np.ndarray | None = None  # field-dependent coefficient of p_site
 
 
 @dataclass
 class LatticeHamiltonian:
-    """Hermitian matrix-free operator: a real diagonal plus per-site momentum terms."""
+    """Hermitian matrix-free operator: a sum of site terms, each a real diagonal part
+    plus a momentum part."""
 
     cfg: LatticeConfig
-    diag: np.ndarray
     terms: list[_SiteTerm] = field(default_factory=list)
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """The field-diagonal part: the terms' scalar arrays summed in term order."""
+        return sum((term.scalar for term in self.terms), np.zeros(self.cfg.shape))
+
+    @property
+    def translation_invariant(self) -> bool:
+        """True when the terms are translates: one per site, in site order, and term
+        j + 1 equal bit for bit to term j with every axis moved one site on."""
+        n = self.cfg.n_sites
+        axes = np.roll(np.arange(n), 1)
+
+        def moved(x, y):  # y is x moved one site on, or both are None
+            return x is y if x is None or y is None else np.array_equal(x.transpose(axes), y)
+
+        return [t.site for t in self.terms] == list(range(n)) and all(
+            t.quad == u.quad and t.lin_const == u.lin_const
+            and moved(t.scalar, u.scalar) and moved(t.cross, u.cross)
+            for t, u in zip(self.terms, self.terms[1:]))
 
     @property
     def separable(self) -> bool:
@@ -140,8 +162,7 @@ class LatticeHamiltonian:
             if term.cross is not None:
                 half_p = 0.5 * (cfg.hbar / cfg.spacing) * momentum_grids(cfg)[1]
                 r = _hermitian_parts(half_p)[1]
-                # the (Q, Q) array is stored in axis order, so this lines up for any pair
-                f = term.cross.reshape(cfg.axis_shape(term.site, term.neighbor))
+                f = term.cross
             if k is not None or f is not None:
                 table.append((term.site, k, k_imag, r, f))
         return table
@@ -252,23 +273,17 @@ def site_slopes_from_links(v_links: np.ndarray) -> np.ndarray:
 
 
 def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
-                v_site: float, diag_out: np.ndarray, terms_out: list):
-    q, a = cfg.q_points, cfg.spacing
+                v_site: float) -> _SiteTerm:
+    a, shape = cfg.spacing, cfg.axis_shape(j, (j + 1) % cfg.n_sites)
     zj, zs = cfg.site_fields(j)
-
-    diag_out += a * density.scalar_part(v_site, zj, zs)
+    scalar = np.broadcast_to(a * density.scalar_part(v_site, zj, zs), shape)
     if not density.has_momentum:
-        return
+        return _SiteTerm(j, scalar)
     quad = float(a * density.p_quad_coeff(v_site))
     lin_const = float(a * density.p_lin_coeff(v_site, 0.0))
-    cross_arr = None
     # zs is identically zero on one site, so a cross term needs two distinct axes
-    varying = np.asarray(a * density.p_lin_coeff(v_site, zs) - lin_const)
-    if np.any(varying):
-        # squeeze to (Q, Q) in axis order; LatticeHamiltonian._table
-        # reshapes with the same ordering
-        cross_arr = np.ascontiguousarray(varying.reshape(q, q))
-    terms_out.append(_SiteTerm(j, (j + 1) % cfg.n_sites, quad, lin_const, cross_arr))
+    varying = np.broadcast_to(a * density.p_lin_coeff(v_site, zs) - lin_const, shape)
+    return _SiteTerm(j, scalar, quad, lin_const, varying if np.any(varying) else None)
 
 
 def compile_hamiltonian(density: HamiltonianDensity, cfg: LatticeConfig,
@@ -288,9 +303,5 @@ def compile_hamiltonian(density: HamiltonianDensity, cfg: LatticeConfig,
     else:
         v_arr = np.broadcast_to(np.asarray(v_links, dtype=float), (n,)).astype(float)
     v_sites = site_slopes_from_links(spacelike(v_arr))
-
-    diag = np.zeros(cfg.shape)
-    terms: list[_SiteTerm] = []
-    for j in sites if sites is not None else range(n):
-        _build_site(density, cfg, j, float(v_sites[j]), diag, terms)
-    return LatticeHamiltonian(cfg, diag, terms)
+    return LatticeHamiltonian(cfg, [_build_site(density, cfg, j, float(v_sites[j]))
+                                    for j in (sites if sites is not None else range(n))])

@@ -17,7 +17,7 @@ from fieldlab.classical import (
     reparameterization_check,
     solve_extremal,
 )
-from fieldlab.errors import DimensionTooLarge, NotSpacelike, SingularBVP
+from fieldlab.errors import DimensionTooLarge, NewtonDivergence, NotSpacelike, SingularBVP
 from fieldlab.lagrangian import parse_lagrangian
 from fieldlab.lattice import LatticeConfig, mode_frequencies
 
@@ -59,6 +59,17 @@ def test_zero_boundary_gives_zero(quartic_lagr):
     assert np.max(np.abs(sol.z)) < 1e-12
     assert abs(sol.action) < 1e-12
     assert sol.residual < 1e-10
+
+
+TWO_STEP_BOUNDARY = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.12, -0.1), (-0.1, 0.09))
+
+
+def test_newton_iteration_cap_raises(quartic_lagr, monkeypatch):
+    """A quartic solve whose first Newton step leaves a residual near 2e-7 fails under a cap of 1."""
+    solve_extremal(TWO_STEP_BOUNDARY, quartic_lagr, 1e-2)
+    monkeypatch.setattr(fieldlab.classical, "NEWTON_MAXITER", 1)
+    with pytest.raises(NewtonDivergence, match="no convergence after 1 iterations"):
+        solve_extremal(TWO_STEP_BOUNDARY, quartic_lagr, 1e-2)
 
 
 def test_oscillator_principal_function():

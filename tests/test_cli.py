@@ -114,6 +114,30 @@ def test_evolve_exact_method_matches_strang(tmp_path):
     assert np.max(np.abs(a.psi - b.psi)) < 1e-4
 
 
+@pytest.mark.parametrize("steps,log_every", [(10, 5), (10, 3), (1, 5), (0, 5)])
+def test_evolve_exact_propagates_once_per_logged_row(tmp_path, monkeypatch, steps, log_every):
+    """Each logged row after t = 0 takes one propagation, the final state included."""
+    calls = []
+    propagate = fieldlab.cli.ExactPropagator.propagate
+    monkeypatch.setattr(fieldlab.cli.ExactPropagator, "propagate",
+                        lambda self, state, t: calls.append(t) or propagate(self, state, t))
+    cfg = evolve_config(steps, "exact")
+    cfg["evolve"]["log_every"] = log_every
+    assert run(tmp_path, cfg) == 0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    times = [float(line.split(",")[0]) for line in lines[3:]]  # after the t = 0 row
+    assert len(calls) == len(times) == -(-steps // log_every)
+    assert calls == times
+
+
+def test_evolve_exact_zero_steps_skips_the_dense_guard(tmp_path):
+    """No step means no propagator, so a lattice past the dense guard still runs."""
+    cfg = evolve_config(0, "exact")
+    cfg["lattice"] = {"n_sites": 2, "q_points": 128, "q_extent": 8.0}
+    assert run(tmp_path, cfg) == 0
+    assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 3
+
+
 def test_evolve_unknown_method(tmp_path, capsys):
     assert run(tmp_path, evolve_config(5, "leapfrog")) == 2
     assert "evolve.method" in capsys.readouterr().err
@@ -421,6 +445,19 @@ def test_classical_resonant_interval(tmp_path, capsys):
                            checks=(), dt_c=1e-3)
     assert run(tmp_path, cfg) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_classical_newton_divergence_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    """A quartic solve that needs two Newton steps, capped at one, exits 3 without a traceback."""
+    monkeypatch.setattr(fieldlab.classical, "NEWTON_MAXITER", 1)
+    cfg = classical_config({"t0": [0.0, 0.0], "t1": [1.0, 1.0],
+                            "z0": [0.12, -0.1], "z1": [-0.1, 0.09]})
+    cfg["lattice"]["n_sites"] = 2
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", "params": {}}
+    assert run(tmp_path, cfg) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: no convergence after 1 iterations")
+    assert "Traceback" not in err
 
 
 ORACLE_BOUNDARY = {"t0": [0.0], "t1": [1.0], "z0": [0.3], "z1": [-0.4]}

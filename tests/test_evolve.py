@@ -26,7 +26,7 @@ from fieldlab.lattice import (
     normalize,
     site_moments,
 )
-from fieldlab.operators import compile_hamiltonian
+from fieldlab.operators import LatticeHamiltonian, compile_hamiltonian
 
 
 def coherent_center(t, z0, omega=1.0):
@@ -69,30 +69,45 @@ def test_exact_real_operator_keeps_real_eigenvectors(rng):
 
 FREE_TEXT = "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2"
 DRIFT_TEXT = "0.5*zt^2 + 0.25*zt - 0.5*zx^2 - 0.5*z^2"
+PERIOD_2 = (0.25, -0.25, 0.25, -0.25)
 
 
-@pytest.mark.parametrize("text,n,q,lq,v_links,sites,order", [
-    (FREE_TEXT, 1, 16, 8.0, None, None, 1),
-    (FREE_TEXT + " - 0.1*z^4", 2, 8, 6.0, None, None, 2),
-    (FREE_TEXT + " - 0.125*z^4", 3, 8, 8.0, None, None, 3),
-    (FREE_TEXT, 4, 4, 4.0, None, None, 4),
-    (DRIFT_TEXT, 3, 8, 8.0, None, None, 3),
-    (DRIFT_TEXT, 4, 4, 4.0, None, None, 4),
-    (FREE_TEXT, 2, 8, 6.0, 0.25, None, 2),
-    (FREE_TEXT, 3, 8, 8.0, [0.25, -0.25, 0.0], None, 1),
-    (FREE_TEXT, 3, 8, 8.0, None, [0], 1),
-    (FREE_TEXT, 2, 8, 6.0, None, [1], 1),
+@pytest.mark.parametrize("text,n,a,q,lq,v_links,v_sites,sites,order", [
+    (FREE_TEXT, 1, 1.0, 16, 8.0, None, None, None, 1),
+    (FREE_TEXT + " - 0.1*z^4", 2, 1.0, 8, 6.0, None, None, None, 2),
+    (FREE_TEXT + " - 0.125*z^4", 3, 1.0, 8, 8.0, None, None, None, 3),
+    (FREE_TEXT, 4, 1.0, 4, 4.0, None, None, None, 4),
+    (DRIFT_TEXT, 3, 1.0, 8, 8.0, None, None, None, 3),
+    (DRIFT_TEXT, 4, 1.0, 4, 4.0, None, None, None, 4),
+    (FREE_TEXT, 2, 1.0, 8, 6.0, 0.25, None, None, 2),
+    (FREE_TEXT, 3, 1.0, 8, 8.0, [0.25, -0.25, 0.0], None, None, 1),
+    (FREE_TEXT, 3, 1.0, 8, 8.0, None, None, [0], 1),
+    (FREE_TEXT, 2, 1.0, 8, 6.0, None, None, [1], 1),
+    ("0.5*zt^2 - 0.5*zx^2 - 0.3*z^2 - 0.1*z^4", 3, 0.7, 8, 5.0, None, None, None, 3),
+    (FREE_TEXT, 3, 1.0, 8, 8.0, 0.25, None, None, 3),
+    (FREE_TEXT, 4, 1.0, 4, 4.0, 0.25, None, None, 4),
+    (DRIFT_TEXT, 3, 1.0, 8, 5.0, None, None, None, 3),
+    (FREE_TEXT, 4, 1.0, 4, 4.0, None, PERIOD_2, None, 1),
 ], ids=["n1", "n2-quartic", "n3-quartic", "n4", "n3-drift", "n4-drift", "n2-slope",
-        "n3-v-links", "n3-site-0", "n2-site-1"])
-def test_exact_momentum_sectors_match_dense_eigh(text, n, q, lq, v_links, sites, order, rng):
-    """One block per momentum of the shift group that fixes H, or one block when none does.
+        "n3-v-links", "n3-site-0", "n2-site-1", "n3-quartic-a07", "n3-slope", "n4-slope",
+        "n3-drift-lq5", "n4-period-2"])
+def test_exact_momentum_sectors_match_dense_eigh(text, n, a, q, lq, v_links, v_sites, sites,
+                                                 order, rng):
+    """One block per momentum of the unit site shift when the site terms are translates,
+    one block otherwise.
 
-    Grids and coefficients are dyadic where a sector split is expected, so the
-    shifted operator is equal bit for bit; the N = 4 lattice has orbits of 1, 2
-    and 4 configurations.
+    The terms are compared, not the dense operator, so non-dyadic grids and
+    coefficients split too.  The N = 4 lattice has orbits of 1, 2 and 4
+    configurations.  ``v_sites`` gives each term its own slope, which no set
+    of link slopes does: period-2 site slopes are left to one block.
     """
-    cfg = LatticeConfig(n, 1.0, q, lq)
-    op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, v_links, sites)
+    cfg = LatticeConfig(n, a, q, lq)
+    density = legendre_transform(parse_lagrangian(text))
+    if v_sites is None:
+        op = compile_hamiltonian(density, cfg, v_links, sites)
+    else:
+        op = LatticeHamiltonian(cfg, [compile_hamiltonian(density, cfg, v, [j]).terms[0]
+                                      for j, v in enumerate(v_sites)])
     prop = ExactPropagator(op)
     assert [k for k, _, _, _ in prop.sectors] == list(range(order))
     assert sum(len(rows) for _, rows, _, _ in prop.sectors) == cfg.dim
@@ -389,7 +404,7 @@ def test_crank_nicolson_happy_breakdown_is_exact():
     """On a diagonal operator Jacobi inverts the system, so Arnoldi breaks down at once."""
     cfg = LatticeConfig(2, 1.0, 16, 6.0)
     op = compile_hamiltonian(diagonal_density(0.5, (0.0, 0.3, 0.5, 0.0, 0.1)), cfg)
-    assert not op.terms
+    assert np.array_equal(op.dense_matrix(), np.diag(op.diag.ravel()))
     calls = []
     apply = op.apply
     op.apply = lambda psi: calls.append(1) or apply(psi)
