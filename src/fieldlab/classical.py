@@ -18,7 +18,11 @@ minimum equals +V(const).
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -28,8 +32,11 @@ from .lattice import link_difference, spacelike
 
 COND_LIMIT = 1e12
 NEWTON_TOL = 1e-10
+ROUNDOFF_MARGIN = 4.0  # Newton also stops within this many roundoff floors of the gradient
 NEWTON_MAXITER = 60
 MAX_GRID_POINTS = 250_000  # (R+1)*N; a 32-site quartic solve at the guard peaks near 0.3 GB
+
+_FLAPACK = None  # scipy's compiled LAPACK extension, loaded by _flapack() when first needed
 
 
 @dataclass(frozen=True)
@@ -88,12 +95,17 @@ def _ring_order(n: int) -> np.ndarray:
     return order
 
 
-def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a square A held in band storage, ``band[b + row - col, col]``."""
+def _band_matvec(band: np.ndarray, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """``A @ x`` for a square A held in band storage, ``band[b + row - col, col]``.
+
+    With ``absolute``, ``|A| @ x``, taking one diagonal's magnitudes at a time.
+    """
     b = band.shape[0] // 2
     m = x.size
     y = np.zeros(m)
     for k, diag in enumerate(band):
+        if absolute:
+            diag = np.abs(diag)
         d = k - b
         if d >= 0:
             y[d:] += diag[:m - d] * x[:m - d]
@@ -222,6 +234,18 @@ class _ActionGrid:
         pot = self._w_pot_flat * self.lagr.potential_derivative(z_flat)
         return _band_matvec(self.band, z_flat) + self.lin - pot
 
+    def gradient_floor(self, z_flat: np.ndarray) -> float:
+        """Roundoff floor of the interior gradient at ``z_flat``.
+
+        eps times the largest interior row sum of the magnitudes of the
+        gradient's terms, ``|band| |z| + |lin| + |pot|``: a residual below it
+        is rounding noise.
+        """
+        pot = self._w_pot_flat * self.lagr.potential_derivative(z_flat)
+        terms = (_band_matvec(self.band, np.abs(z_flat), absolute=True)
+                 + np.abs(self.lin) + np.abs(pot))
+        return float(np.finfo(float).eps * terms[self.interior].max())
+
     def interior_system(self, z_flat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The Hessian block of the interior rows at ``z_flat``, written into ``out``.
 
@@ -300,6 +324,32 @@ def _inverse_norm_estimate(solve, m: int) -> float:
     return float(np.maximum(est, 2.0 * np.abs(solve(alternating, 0)).sum() / (3.0 * m)))
 
 
+def _flapack():
+    """scipy's LAPACK extension ``scipy/linalg/_flapack``, loaded without importing scipy.
+
+    ``scipy.linalg.lapack`` re-exports this module's ``dgbtrf`` and ``dgbtrs``,
+    but importing it runs the ``scipy`` and ``scipy.linalg`` package set-up
+    (about 0.35 s in a fresh interpreter); the extension alone loads in about
+    7 ms.  It is cached in ``_FLAPACK`` and kept out of ``sys.modules``.
+    """
+    global _FLAPACK
+    if _FLAPACK is None:
+        package = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        paths = [os.path.join(package, "linalg", "_flapack" + suffix)
+                 for suffix in EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"scipy's LAPACK extension is not in {package}")
+        loader = ExtensionFileLoader("_flapack", path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location("_flapack", path, loader=loader))
+        loader.exec_module(module)
+        if sys.modules.get("_flapack") is module:    # single-phase init registers the module
+            del sys.modules["_flapack"]
+        _FLAPACK = module
+    return _FLAPACK
+
+
 def _factor(system: np.ndarray, b: int):
     """LU-factor a banded system in dgbtrf's layout (overwritten) after checking its condition.
 
@@ -307,8 +357,9 @@ def _factor(system: np.ndarray, b: int):
     exactly zero or the 1-norm condition estimate ||A||_1 * est(||A^-1||_1)
     is not finite or exceeds COND_LIMIT.
     """
-    # dgbtrf through the module attribute, so a wrapper installed on it sees every call
-    from scipy.linalg import lapack
+    # dgbtrf and dgbtrs are looked up on the handle at each call, so a wrapper
+    # installed on the handle sees every call
+    lapack = _flapack()
 
     column_sums = np.zeros(system.shape[1])
     for diagonal in system[b:]:               # row by row: no band-sized temporary
@@ -349,12 +400,18 @@ def grid_rows(bd: BoundaryData, dt_c: float) -> int:
     return n_rows
 
 
+def _newton_tol(grid: _ActionGrid, z_flat: np.ndarray) -> float:
+    """Newton's stopping residual at ``z_flat``: NEWTON_TOL, or ROUNDOFF_MARGIN floors if larger."""
+    return max(NEWTON_TOL, ROUNDOFF_MARGIN * grid.gradient_floor(z_flat))
+
+
 def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> ExtremalSolution:
     """Stationary point of the discrete action between the two surfaces.
 
     Quadratic potentials reduce to one banded LU solve with one refinement
     pass; higher-degree potentials run a damped Newton iteration from
-    the straight-line interpolant.  Near-singular two-time problems (the
+    the straight-line interpolant, of at most NEWTON_MAXITER steps, until
+    the residual reaches ``_newton_tol``.  Near-singular two-time problems (the
     resonances of the oscillator family) raise SingularBVP instead of
     returning garbage.
     """
@@ -375,8 +432,11 @@ def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> Extre
     else:
         grad = grid.gradient(z_flat)[inner]
         best = np.max(np.abs(grad))
+        # converged after a step when the residual is down to NEWTON_TOL, or to the roundoff
+        # floor where that lies above it (the floor is only computed in that case)
+        converged = lambda: best <= NEWTON_TOL or best <= _newton_tol(grid, z_flat)
         for _ in range(NEWTON_MAXITER):
-            if best <= NEWTON_TOL:
+            if converged():
                 break
             step = factor(z_flat)(-grad)
             scale = 1.0
@@ -392,8 +452,9 @@ def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> Extre
             else:
                 raise NewtonDivergence(f"line search stalled at residual {best:.3e}")
         else:
-            raise NewtonDivergence(f"no convergence after {NEWTON_MAXITER} iterations "
-                                   f"(residual {best:.3e})")
+            if not converged():    # the cap counts steps: the last one gets its check too
+                raise NewtonDivergence(f"no convergence after {NEWTON_MAXITER} iterations "
+                                       f"(residual {best:.3e})")
         factor(z_flat)
 
     residual = float(np.max(np.abs(grid.gradient(z_flat)[inner])))

@@ -6,10 +6,14 @@ from scipy.linalg import lapack
 
 import fieldlab.classical
 from fieldlab.classical import (
+    NEWTON_TOL,
+    ROUNDOFF_MARGIN,
     BoundaryData,
     _ActionGrid,
     _factor,
+    _flapack,
     _inverse_norm_estimate,
+    _newton_tol,
     boundary_momenta,
     grid_rows,
     hj_residuals,
@@ -70,6 +74,46 @@ def test_newton_iteration_cap_raises(quartic_lagr, monkeypatch):
     monkeypatch.setattr(fieldlab.classical, "NEWTON_MAXITER", 1)
     with pytest.raises(NewtonDivergence, match="no convergence after 1 iterations"):
         solve_extremal(TWO_STEP_BOUNDARY, quartic_lagr, 1e-2)
+
+
+def test_newton_cap_counts_steps(quartic_lagr, monkeypatch):
+    """A solve that converges on its last allowed step succeeds, with one factorization per step."""
+    calls = []
+    real = fieldlab.classical._factor
+
+    def counting(system, b):
+        calls.append(b)
+        return real(system, b)
+
+    monkeypatch.setattr(fieldlab.classical, "_factor", counting)
+    monkeypatch.setattr(fieldlab.classical, "NEWTON_MAXITER", 2)
+    sol = solve_extremal(TWO_STEP_BOUNDARY, quartic_lagr, 1e-2)
+    assert sol.residual <= NEWTON_TOL
+    assert len(calls) == 3      # two Newton steps and the condition check at the extremal
+
+
+def test_newton_stops_at_the_gradient_roundoff_floor():
+    """A quartic swing of 60 in a time of 0.1: the gradient sums terms near 1e6, so
+    rounding alone leaves a residual above NEWTON_TOL."""
+    lagr = parse_lagrangian("0.5*zt^2 - 0.5*z^2 - 0.1*z^4")
+    bd = BoundaryData((0.0,), (0.1,), (30.0,), (-30.0,))
+    sol = solve_extremal(bd, lagr, 1e-4)
+    grid = _ActionGrid(bd, lagr, sol.n_rows)
+    floor = grid.gradient_floor(grid.flatten(sol.z))
+    assert NEWTON_TOL < sol.residual <= ROUNDOFF_MARGIN * floor
+    assert _newton_tol(grid, grid.flatten(sol.z)) == ROUNDOFF_MARGIN * floor
+
+
+def test_newton_tol_is_absolute_on_small_boundaries():
+    """On boundary data like the benchmark's, the roundoff floor lies far below NEWTON_TOL."""
+    lagr = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
+    bd = BoundaryData((0.0,) * 3, (1.0,) * 3, (-0.15, -0.08, -0.12), (0.14, 0.09, 0.15))
+    sol = solve_extremal(bd, lagr, 1e-3)
+    grid = _ActionGrid(bd, lagr, sol.n_rows)
+    for z_flat in (grid.flatten(grid.interpolant()), grid.flatten(sol.z)):
+        assert 0.0 < grid.gradient_floor(z_flat) < 1e-2 * NEWTON_TOL
+        assert _newton_tol(grid, z_flat) == NEWTON_TOL
+    assert sol.residual <= NEWTON_TOL
 
 
 def test_oscillator_principal_function():
@@ -339,6 +383,30 @@ def test_inverse_norm_estimate_bounds_the_exact_norm(key, lagr_text, total_time)
     estimate = _inverse_norm_estimate(solve, system.shape[1])
     # a lower bound up to the roundoff of the two inverses (it is often exact)
     assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("lagr_name", ["free_lagr", "quartic_lagr"])
+@pytest.mark.parametrize("key", list(BOUNDARIES), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_flapack_handle_matches_scipy_lapack(request, lagr_name, key):
+    """The directly loaded extension factors and solves bit for bit as scipy.linalg.lapack.
+
+    scipy.linalg is imported by this module, so the handle is a second load of
+    the same extension.
+    """
+    grid, _, system = interior_system(BOUNDARIES[key], request.getfixturevalue(lagr_name), 0.1)
+    handle = _flapack()
+    assert handle.dgbtrf is not lapack.dgbtrf
+    b = grid.b
+    lu, ipiv, info = handle.dgbtrf(system.copy(order="F"), b, b, overwrite_ab=1)
+    lu_ref, ipiv_ref, info_ref = lapack.dgbtrf(system.copy(order="F"), b, b, overwrite_ab=1)
+    assert info == info_ref == 0
+    assert lu.tobytes() == lu_ref.tobytes() and ipiv.tobytes() == ipiv_ref.tobytes()
+    rhs = np.sin(1.0 + np.arange(system.shape[1]))
+    for trans in (0, 1):
+        x, solve_info = handle.dgbtrs(lu, b, b, rhs, ipiv, trans=trans)
+        x_ref, solve_info_ref = lapack.dgbtrs(lu_ref, b, b, rhs, ipiv_ref, trans=trans)
+        assert solve_info == solve_info_ref == 0
+        assert x.tobytes() == x_ref.tobytes()
 
 
 def test_nan_hessian_raises_singular_bvp(free_lagr):

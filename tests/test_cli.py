@@ -460,6 +460,15 @@ def test_classical_newton_divergence_is_numerical_failure(tmp_path, capsys, monk
     assert "Traceback" not in err
 
 
+def test_classical_solves_above_the_absolute_newton_tol(tmp_path):
+    """A quartic swing whose gradient cannot reach NEWTON_TOL in floating point still solves."""
+    cfg = classical_config({"t0": [0.0], "t1": [0.1], "z0": [30.0], "z1": [-30.0]}, dt_c=1e-4)
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*z^2 - 0.1*z^4", "params": {}}
+    assert run(tmp_path, cfg) == 0
+    report = json.loads((tmp_path / "out" / "residuals.json").read_text())
+    assert fieldlab.classical.NEWTON_TOL < report["residual"] < 1e-8
+
+
 ORACLE_BOUNDARY = {"t0": [0.0], "t1": [1.0], "z0": [0.3], "z1": [-0.4]}
 
 

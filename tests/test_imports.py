@@ -1,4 +1,9 @@
-"""scipy stays off the start-up path: only the classical solver loads it."""
+"""No command imports the scipy package.
+
+``classical`` loads scipy's compiled LAPACK extension at its first
+factorization, straight from its file, so no ``scipy`` module is left in
+``sys.modules``; every other command needs nothing from scipy.
+"""
 
 import json
 import subprocess
@@ -7,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 import fieldlab
+import fieldlab.classical
 from fieldlab.classical import BoundaryData, solve_extremal
 
 SRC = Path(fieldlab.__file__).resolve().parent.parent
@@ -17,9 +22,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def scipy_modules_after(code: str, *args: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter; return the scipy modules it left loaded."""
+    """Run ``code`` in a fresh interpreter; return the scipy modules it left loaded.
+
+    scipy's ``_flapack`` extension counts too, under any package name.
+    """
     probe = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+             "                        or m.split('.')[-1] == '_flapack')))")
     done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -35,10 +44,26 @@ def test_import_loads_no_scipy(statement):
     assert scipy_modules_after(statement) == []
 
 
+def classical_checks_config(tmp_path) -> Path:
+    """A 2-site quartic classical config that runs both checks."""
+    config = json.loads((CONFIGS / "classical_oscillator.json").read_text())
+    config["lagrangian"] = {"text": "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", "params": {}}
+    config["lattice"]["n_sites"] = 2
+    config["classical"].update(
+        boundary={"t0": [0.0, 0.0], "t1": [1.0, 1.0], "z0": [0.12, -0.1], "z1": [-0.1, 0.09]},
+        dt_c=0.01, checks=["hj_residuals", "reparameterization"])
+    path = tmp_path / "classical_checks.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 @pytest.mark.parametrize("name", ["legendre_free", "evolve_coherent", "feynman_quartic",
-                                  "surface_sweeps"])
+                                  "surface_sweeps", "classical_oscillator", "classical_checks"])
 def test_sample_run_loads_no_scipy(tmp_path, name):
-    assert scipy_modules_after(RUN, str(CONFIGS / f"{name}.json"), str(tmp_path / "out")) == []
+    path = (classical_checks_config(tmp_path) if name == "classical_checks"
+            else CONFIGS / f"{name}.json")
+    assert scipy_modules_after(RUN, str(path), str(tmp_path / "out")) == []
+    assert any((tmp_path / "out").iterdir())
 
 
 def test_surface_crank_nicolson_loads_no_scipy(tmp_path):
@@ -55,11 +80,10 @@ def test_surface_crank_nicolson_loads_no_scipy(tmp_path):
 
 
 def test_classical_and_cn_runs_load_scipy_when_needed(tmp_path):
-    """classical loads LAPACK and no scipy.sparse; flat CN, on a numpy GMRES, loads no scipy."""
+    """No scipy module after classical (scipy's LAPACK extension only) or flat CN (numpy GMRES)."""
     classical = scipy_modules_after(RUN, str(CONFIGS / "classical_oscillator.json"),
                                     str(tmp_path / "classical"))
-    assert "scipy.linalg.lapack" in classical
-    assert not [m for m in classical if m.startswith("scipy.sparse")]
+    assert classical == []
     assert json.loads((tmp_path / "classical" / "residuals.json").read_text())["n_rows"] == 1000
 
     config = json.loads((CONFIGS / "evolve_coherent.json").read_text())
@@ -73,15 +97,16 @@ def test_classical_and_cn_runs_load_scipy_when_needed(tmp_path):
 
 
 def test_solve_extremal_factorizes_through_the_module_attribute(monkeypatch, free_lagr):
-    """A wrapper installed on scipy.linalg.lapack.dgbtrf sees every factorization."""
+    """A wrapper installed on the cached LAPACK handle's dgbtrf sees every factorization."""
+    handle = fieldlab.classical._flapack()
     calls = []
-    real = lapack.dgbtrf
+    real = handle.dgbtrf
 
     def counting(ab, kl, ku, *args, **kwargs):
         calls.append((ab.shape, kl, ku))
         return real(ab, kl, ku, *args, **kwargs)
 
-    monkeypatch.setattr(lapack, "dgbtrf", counting)
+    monkeypatch.setattr(handle, "dgbtrf", counting)
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.1, -0.2), (0.3, 0.0))
     sol = solve_extremal(bd, free_lagr, 0.05)
     # two sites: half-bandwidth 2n - 1 = 3, so 3b + 1 = 10 storage rows
