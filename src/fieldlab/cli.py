@@ -487,7 +487,10 @@ def run_config(config: dict, outdir: Path, base_dir: Path) -> None:
         "command": command,
         "seed": root["seed"],
     }
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output_dir", str(exc)) from exc
     # built per call, so a wrapper bound over a cmd_* name is the one that runs
     run = {"legendre": cmd_legendre, "evolve": cmd_evolve, "surface": cmd_surface,
            "feynman": cmd_feynman, "classical": cmd_classical}[command]
@@ -513,6 +516,11 @@ def main(argv=None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, bytes that are not UTF-8, nesting too deep to decode, an
+        # integer too long to convert
+        print(f"config error: cannot read {config_path}: {exc}", file=sys.stderr)
         return 2
 
     if args.out is not None:

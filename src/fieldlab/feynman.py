@@ -25,7 +25,7 @@ from .errors import DimensionTooLarge, EnumerationTooLarge, ShapeMismatch
 from .evolve import MAX_STEPS, ExactPropagator
 from .lagrangian import LagrangianSpec, legendre_transform
 from .lattice import LatticeConfig, WaveFunctional, link_difference, norm
-from .operators import compile_hamiltonian, fourier_matrix, momentum_grids
+from .operators import compile_hamiltonian, fourier_matrix, momentum_multiplier
 from .surface import fit_order
 
 ENUMERATION_GUARD = 2 ** 22
@@ -87,12 +87,14 @@ def one_site_kinetic_matrix(pspec: PathIntegralSpec, lagr: LagrangianSpec,
                             cfg: LatticeConfig) -> np.ndarray:
     """(Q, Q) one-step kinetic kernel including the quadrature weight."""
     a, h, dt = cfg.spacing, cfg.hbar, pspec.dt
-    c2, c1 = lagr.kinetic_coeff, lagr.kinetic_linear
     if pspec.kernel == "fresnel_exact":
-        k2, k1 = momentum_grids(cfg)
-        h_over_a = h / a
-        mult = a * (h_over_a ** 2 * k2 - 2.0 * c1 * h_over_a * k1 + c1 ** 2) / (4.0 * c2)
+        # one flat site term's momentum multiplier, plus the constant term of a * (H - V)
+        coeffs = legendre_transform(lagr).coefficients(0.0)
+        mult = (momentum_multiplier(cfg, a * coeffs.get((2, 0), 0.0), a * coeffs.get((1, 0), 0.0))
+                + a * coeffs.get((0, 0), 0.0))
         return fourier_matrix(np.exp(-1j * dt * mult / h))
+    # the discrete action's kinetic part, a dt (c2 (delta/dt)^2 + c1 delta/dt)
+    c2, c1 = lagr.kinetic_coeff, lagr.kinetic_linear
     zg = cfg.z_values()
     delta = zg[:, None] - zg[None, :]
     amp = cfg.dz * np.sqrt(c2 * a / (np.pi * h * dt)) * np.exp(-0.25j * np.pi)

@@ -33,29 +33,31 @@ from .errors import (
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^()]))"
+    r"|(?P<op>[-+*^()])"
+    r"|(?P<bad>\S))"
 )
 
-DEFAULT_MAX_DEGREE = 6
+MAX_DEGREE = 6  # the largest exponent and potential degree the parser accepts
+# how deep parentheses and unary minus signs may nest; a parenthesis costs the
+# parser four stack frames, so the deepest text stays inside Python's default
+# recursion limit of 1000
+MAX_NESTING = 200
 
 
 def _tokenize(text: str):
+    """(kind, text, position) per token, then an ("end", "", len(text)) token.
+
+    Every character that is not whitespace matches a group (``bad`` last), so
+    the matches skip nothing but whitespace.
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise LagrangianSyntaxError(f"unexpected character {text[bad_at]!r}", bad_at)
-        kind = m.lastgroup
-        if kind == "number" and not math.isfinite(float(m.group(kind))):
-            raise LagrangianSyntaxError(f"number {m.group(kind)!r} is not finite", m.start(kind))
-        if kind is not None:
-            tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)
+        if kind == "bad":
+            raise LagrangianSyntaxError(f"unexpected character {value!r}", pos)
+        if kind == "number" and not math.isfinite(float(value)):
+            raise LagrangianSyntaxError(f"number {value!r} is not finite", pos)
+        tokens.append((kind, value, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -83,12 +85,6 @@ class _Poly:
             out[k] = out.get(k, 0.0) + v
         return _Poly(out)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) - v
-        return _Poly(out)
-
     def __mul__(self, other):
         out = {}
         for ka, va in self.terms.items():
@@ -108,72 +104,81 @@ class _Poly:
 
 
 class _Parser:
-    def __init__(self, tokens, params, max_degree):
+    """Recursive descent over the token list:
+
+        expr   = ["+"] term {("+" | "-") term}
+        term   = factor {"*" factor}
+        factor = "-" factor | atom ["^" digits]
+        atom   = number | symbol | parameter | "(" expr ")"
+
+    A unary minus negates a whole factor, exponent included, and takes no
+    exponent itself, so ``-z^2^2`` is refused as ``z^2^2`` is.  Unary minus
+    signs and open parentheses nest at most MAX_NESTING deep.
+    """
+
+    def __init__(self, tokens, params):
         self.tokens = tokens
         self.params = params
-        self.max_degree = max_degree
         self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
+        self.depth = 0
 
     def next(self):
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect_op(self, op):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise LagrangianSyntaxError(f"expected {op!r}", pos)
-        return self.next()
+    def accept(self, ops: str):
+        """The next token, consumed, if it is an operator in ``ops``; otherwise None."""
+        tok = self.tokens[self.i]
+        if tok[0] == "op" and tok[1] in ops:
+            self.i += 1
+            return tok
+        return None
+
+    def deeper(self, pos: int) -> None:
+        """Open one nesting level at the token at ``pos``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise LagrangianSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def parse(self):
         poly = self.expr()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.next()
         if kind != "end":
             raise LagrangianSyntaxError(f"unexpected token {value!r}", pos)
         return poly
 
     def expr(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.next()
-            poly = -self.term() if value == "-" else self.term()
-        else:
-            poly = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                rhs = self.term()
-                poly = poly + rhs if value == "+" else poly - rhs
-            else:
-                return poly
+        self.accept("+")
+        poly = self.term()
+        while op := self.accept("+-"):
+            rhs = self.term()
+            poly = poly + (rhs if op[1] == "+" else -rhs)
+        return poly
 
     def term(self):
         poly = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.next()
-                poly = poly * self.factor()
-            else:
-                return poly
+        while self.accept("*"):
+            poly = poly * self.factor()
+        return poly
 
     def factor(self):
+        minus = self.accept("-")
+        if minus:
+            self.deeper(minus[2])
+            poly = -self.factor()
+            self.depth -= 1
+            return poly
         base = self.atom()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            kind, value, pos = self.next()
-            if kind != "number" or not re.fullmatch(r"\d+", value):
-                raise LagrangianSyntaxError("exponent must be a nonnegative integer", pos)
-            power = int(value)
-            if power > self.max_degree:
-                raise DegreeTooHigh(f"exponent {power} exceeds maximum degree {self.max_degree}")
-            return base ** power
-        return base
+        if not self.accept("^"):
+            return base
+        kind, value, pos = self.next()
+        if kind != "number" or not re.fullmatch(r"\d+", value):
+            raise LagrangianSyntaxError("exponent must be a nonnegative integer", pos)
+        power = int(value)
+        if power > MAX_DEGREE:
+            raise DegreeTooHigh(f"exponent {power} exceeds maximum degree {MAX_DEGREE}")
+        return base ** power
 
     def atom(self):
         kind, value, pos = self.next()
@@ -185,17 +190,16 @@ class _Parser:
             if value in self.params:
                 return _Poly.const(float(self.params[value]))
             raise LagrangianSyntaxError(f"unknown symbol {value!r}", pos)
-        if kind == "op" and value == "(":
-            poly = self.expr()
-            self.expect_op(")")
-            return poly
-        if kind == "op" and value == "-":
-            return -self.factor()
-        raise LagrangianSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
-
-
-def _format_coeff(value: float) -> str:
-    return repr(float(value))
+        if kind != "op" or value != "(":
+            raise LagrangianSyntaxError(
+                f"unexpected token {value!r}" if value else "unexpected end of input", pos)
+        self.deeper(pos)
+        poly = self.expr()
+        kind, value, pos = self.next()
+        if kind != "op" or value != ")":
+            raise LagrangianSyntaxError("expected ')'", pos)
+        self.depth -= 1
+        return poly
 
 
 def _polyval(z, coeffs):
@@ -256,7 +260,7 @@ def _join_terms(terms):
         return "0.0"
     parts = []
     for i, (coeff, mono) in enumerate(terms):
-        body = _format_coeff(abs(coeff))
+        body = repr(float(abs(coeff)))
         if mono:
             body = f"{body}*{mono}"
         if i == 0:
@@ -266,19 +270,17 @@ def _join_terms(terms):
     return " ".join(parts)
 
 
-def parse_lagrangian(text: str, params: dict[str, float] | None = None,
-                     max_degree: int = DEFAULT_MAX_DEGREE) -> LagrangianSpec:
+def parse_lagrangian(text: str, params: dict[str, float] | None = None) -> LagrangianSpec:
     """Parse Lagrangian text over {z, zt, zx} with named-parameter substitution.
 
-    Raises LagrangianSyntaxError (with position), NonQuadraticKinetic when any
-    zt power exceeds 2 or the zt^2 coefficient is not positive,
-    UnsupportedMixing for monomials outside the supported forms, and
-    DegreeTooHigh for a potential degree or any exponent above ``max_degree``,
-    and NonFiniteCoefficient when a coefficient overflows to infinity or NaN.
+    Raises LagrangianSyntaxError (with position) for bad syntax or nesting
+    deeper than MAX_NESTING, NonQuadraticKinetic when any zt power exceeds 2
+    or the zt^2 coefficient is not positive, UnsupportedMixing for monomials
+    outside the supported forms, DegreeTooHigh for a potential degree or any
+    exponent above MAX_DEGREE, and NonFiniteCoefficient when a coefficient
+    overflows to infinity or NaN.
     """
-    if max_degree < 2:
-        raise ValueError("max_degree must be at least 2")
-    poly = _Parser(_tokenize(text), params or {}, max_degree).parse()
+    poly = _Parser(_tokenize(text), params or {}).parse()
 
     kinetic = 0.0
     kinetic_linear = 0.0
@@ -303,8 +305,8 @@ def parse_lagrangian(text: str, params: dict[str, float] | None = None,
                 raise UnsupportedMixing(f"monomial z^{iz}*zx^{ix} is not a pure zx^2 term")
             gradient += coeff
         else:
-            if iz > max_degree:
-                raise DegreeTooHigh(f"potential degree {iz} exceeds maximum {max_degree}")
+            if iz > MAX_DEGREE:
+                raise DegreeTooHigh(f"potential degree {iz} exceeds maximum {MAX_DEGREE}")
             pot[iz] = pot.get(iz, 0.0) - coeff
     if kinetic <= 0.0:
         raise NonQuadraticKinetic(f"kinetic coefficient {kinetic} is not positive")
@@ -320,7 +322,8 @@ class HamiltonianDensity:
 
     Produced by ``legendre_transform``; ``kinetic_coeff == 0`` marks a
     directly-constructed diagonal density H = -g*zs^2 + V(z) with no momentum
-    dependence (useful as a commuting control case).
+    dependence (useful as a commuting control case).  ``coefficients`` writes
+    the transform; every other method reads it.
     """
 
     kinetic_coeff: float
@@ -339,83 +342,78 @@ class HamiltonianDensity:
     def has_momentum(self) -> bool:
         return self.kinetic_coeff > 0.0
 
+    def coefficients(self, v) -> dict[tuple[int, int], float]:
+        """The nonzero coefficients of H - V(z) at slope v, keyed by (p power, zs power).
+
+        H - V = (p - B)^2 / (4A) - g*zs^2 expanded, with A = c2 + g*v^2 and
+        B = c1 - 2*g*v*zs; a diagonal density keeps only -g*zs^2.
+        """
+        g = self.gradient_coeff
+        if not self.has_momentum:
+            return {(0, 2): -g} if g else {}
+        a_eff = self.effective_quad(v)
+        c1 = self.kinetic_linear
+        terms = {
+            (2, 0): 1.0 / (4.0 * a_eff),
+            (1, 0): -c1 / (2.0 * a_eff),
+            (1, 1): g * v / a_eff,
+            (0, 0): c1 * c1 / (4.0 * a_eff),
+            (0, 1): -c1 * g * v / a_eff,
+            (0, 2): g * g * v * v / a_eff - g,
+        }
+        return {key: coeff for key, coeff in terms.items() if coeff}
+
+    def _of_zs(self, v, p_power: int, zs):
+        """The coefficient of p^p_power at slope v: sum_k c[p_power, k] * zs^k."""
+        zs = np.asarray(zs)
+        out = 0.0
+        for (ip, k), coeff in self.coefficients(v).items():
+            if ip == p_power:
+                out = out + coeff * zs ** k
+        return out
+
     def p_quad_coeff(self, v) -> float:
-        return 1.0 / (4.0 * self.effective_quad(v))
+        return self.coefficients(v).get((2, 0), 0.0)
 
     def p_lin_coeff(self, v, zs):
         """Coefficient of p: -B/(2A) with B = c1 - 2*g*v*zs."""
-        a_eff = self.effective_quad(v)
-        return (2.0 * self.gradient_coeff * v * np.asarray(zs) - self.kinetic_linear) / (2.0 * a_eff)
+        return self._of_zs(v, 1, zs)
 
     def scalar_part(self, v, z, zs):
         """Momentum-free part: B^2/(4A) - g*zs^2 + V(z)."""
-        pot = _polyval(z, self.potential)
-        grad = -self.gradient_coeff * np.asarray(zs) ** 2
-        if not self.has_momentum:
-            return pot + grad
-        a_eff = self.effective_quad(v)
-        b = self.kinetic_linear - 2.0 * self.gradient_coeff * v * np.asarray(zs)
-        return b * b / (4.0 * a_eff) + grad + pot
+        return self._of_zs(v, 0, zs) + _polyval(z, self.potential)
 
     def zdot(self, zs, p, v):
-        """Velocity solving p = dF/d(zt) at slope v."""
+        """Velocity solving p = dF/d(zt) at slope v: dH/dp."""
         if not self.has_momentum:
             raise DegenerateKinetic("density has no momentum dependence")
-        a_eff = self.effective_quad(v)
-        b = self.kinetic_linear - 2.0 * self.gradient_coeff * v * np.asarray(zs)
-        return (np.asarray(p) - b) / (2.0 * a_eff)
+        return 2.0 * self.p_quad_coeff(v) * np.asarray(p) + self.p_lin_coeff(v, zs)
 
     def evaluate(self, z, zs, p, v):
         p = np.asarray(p)
-        out = self.scalar_part(v, z, zs)
-        if self.has_momentum:
-            out = out + self.p_quad_coeff(v) * p ** 2 + self.p_lin_coeff(v, zs) * p
-        return out
+        return (self.scalar_part(v, z, zs) + self.p_quad_coeff(v) * p ** 2
+                + self.p_lin_coeff(v, zs) * p)
 
     def to_lagrangian(self) -> LagrangianSpec:
-        """Inverse transform at v = 0, rebuilt from the polynomial coefficients."""
+        """Inverse transform at v = 0, read off the coefficients there.
+
+        At v = 0, H - V = p^2/(4 c2) - c1 p/(2 c2) + c1^2/(4 c2) - g zs^2.
+        """
         if not self.has_momentum:
             raise DegenerateKinetic("diagonal density has no Legendre inverse")
-        alpha = self.p_quad_coeff(0.0)
-        beta = float(self.p_lin_coeff(0.0, 0.0))
-        # F(zt) = p*zt - H(p) at p = (zt - beta) / (2*alpha)
-        c2 = 1.0 / (4.0 * alpha)
-        c1 = -beta / (2.0 * alpha)
-        # scalar_part(0, z, zs) = c1^2/(4 c2) - g zs^2 + V(z); strip the constant shift
-        shift = c1 * c1 / (4.0 * c2)
-        base = float(self.scalar_part(0.0, 0.0, 0.0))
-        g = -(float(self.scalar_part(0.0, 0.0, 1.0)) - base)
-        v0 = base - shift
+        h = self.coefficients(0.0)
+        c2 = 0.25 / h[2, 0]
         pot = list(self.potential)
-        if pot:
-            pot[0] = v0
-        elif v0:
-            pot = [v0]
         while pot and pot[-1] == 0.0:
             pot.pop()
-        return LagrangianSpec(c2, c1, g, tuple(pot))
+        return LagrangianSpec(c2, -2.0 * c2 * h.get((1, 0), 0.0), -h.get((0, 2), 0.0), tuple(pot))
 
     def monomials(self, v=0.0) -> dict[tuple[int, int, int], float]:
         """Coefficients keyed by (p power, zx power, z power) at fixed slope."""
-        out: dict[tuple[int, int, int], float] = {}
-
-        def add(key, value):
-            if value:
-                out[key] = out.get(key, 0.0) + value
-
-        if self.has_momentum:
-            a_eff = self.effective_quad(v)
-            c1, g = self.kinetic_linear, self.gradient_coeff
-            add((2, 0, 0), 1.0 / (4.0 * a_eff))
-            add((1, 0, 0), -c1 / (2.0 * a_eff))
-            add((1, 1, 0), g * v / a_eff)
-            add((0, 0, 0), c1 * c1 / (4.0 * a_eff))
-            add((0, 1, 0), -c1 * g * v / a_eff)
-            add((0, 2, 0), g * g * v * v / a_eff - g)
-        else:
-            add((0, 2, 0), -self.gradient_coeff)
+        out = {(ip, ix, 0): coeff for (ip, ix), coeff in self.coefficients(v).items()}
         for k, coeff in enumerate(self.potential):
-            add((0, 0, k), coeff)
+            if coeff:
+                out[0, 0, k] = out.get((0, 0, k), 0.0) + coeff
         return out
 
     def emit(self, v=0.0) -> str:

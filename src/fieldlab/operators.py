@@ -47,6 +47,13 @@ def momentum_grids(cfg: LatticeConfig):
     return k2, k1
 
 
+def momentum_multiplier(cfg: LatticeConfig, quad: float, lin: float) -> np.ndarray:
+    """1-D Fourier multiplier of quad * p^2 + lin * p on one site's field grid."""
+    k2, k1 = momentum_grids(cfg)
+    h_over_a = cfg.hbar / cfg.spacing
+    return quad * (h_over_a ** 2) * k2 + lin * h_over_a * k1
+
+
 def fourier_matrix(multiplier: np.ndarray) -> np.ndarray:
     """(Q, Q) matrix of a one-axis Fourier multiplier, ifft(mult * fft(column))."""
     q = multiplier.shape[0]
@@ -137,9 +144,7 @@ class LatticeHamiltonian:
         """A term's 1-D multiplier of its p_site^2 and constant p_site parts, or None."""
         if not (term.quad or term.lin_const):
             return None
-        k2, k1 = momentum_grids(self.cfg)
-        h_over_a = self.cfg.hbar / self.cfg.spacing
-        return term.quad * (h_over_a ** 2) * k2 + term.lin_const * h_over_a * k1
+        return momentum_multiplier(self.cfg, term.quad, term.lin_const)
 
     @cached_property
     def _table(self) -> list[tuple]:
@@ -276,14 +281,12 @@ def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
                 v_site: float) -> _SiteTerm:
     a, shape = cfg.spacing, cfg.axis_shape(j, (j + 1) % cfg.n_sites)
     zj, zs = cfg.site_fields(j)
+    h = density.coefficients(v_site)
     scalar = np.broadcast_to(a * density.scalar_part(v_site, zj, zs), shape)
-    if not density.has_momentum:
-        return _SiteTerm(j, scalar)
-    quad = float(a * density.p_quad_coeff(v_site))
-    lin_const = float(a * density.p_lin_coeff(v_site, 0.0))
     # zs is identically zero on one site, so a cross term needs two distinct axes
-    varying = np.broadcast_to(a * density.p_lin_coeff(v_site, zs) - lin_const, shape)
-    return _SiteTerm(j, scalar, quad, lin_const, varying if np.any(varying) else None)
+    cross = np.broadcast_to(a * h.get((1, 1), 0.0) * zs, shape)
+    return _SiteTerm(j, scalar, a * h.get((2, 0), 0.0), a * h.get((1, 0), 0.0),
+                     cross if np.any(cross) else None)
 
 
 def compile_hamiltonian(density: HamiltonianDensity, cfg: LatticeConfig,

@@ -720,6 +720,45 @@ def test_invalid_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,content", [
+    ("directory", None),
+    ("utf16.json", b"\xff\xfe{\x00}\x00"),
+    ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+    ("long_int.json", b'{"seed": ' + b"7" * 5000 + b"}"),
+], ids=["directory", "not-utf8", "nested-100000", "int-5000-digits"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_unusable_output_dir_is_a_config_error(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    code = main(["run", str(write_config(tmp_path, base_config({"legendre": {}}))),
+                 "--out", str(tmp_path / out)])
+    assert code == 2
+    assert "config error: output_dir:" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("text,position", [
+    ("(" * 300 + "0.5*zt^2" + ")" * 300, 200),
+    ("0.5*zt^2 + " + "-" * 3000 + "z", 211),
+], ids=["parentheses-300", "minus-3000"])
+def test_deeply_nested_lagrangian_is_a_config_error(tmp_path, capsys, text, position):
+    cfg = base_config({"legendre": {}})
+    cfg["lagrangian"] = {"text": text, "params": {}}
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert "lagrangian.text" in err and f"(at position {position})" in err
+
+
 def test_output_dir_from_config(tmp_path):
     cfg = base_config({"legendre": {}})
     cfg["output_dir"] = "nested/results"

@@ -208,6 +208,21 @@ def test_fresnel_step_is_one_trotter_step(free_lagr, rng):
     assert np.max(np.abs(manual - transfer)) < 1e-12
 
 
+def test_fresnel_step_with_linear_kinetic_is_one_trotter_step(rng):
+    """The same split with a linear zt term, a != 1 and h != 1: the kernel carries the
+    constant c1^2/(4 c2) of H that the compiled operator keeps in its diagonal."""
+    lagr = parse_lagrangian("0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
+    cfg = LatticeConfig(2, 0.5, 16, 8.0, hbar=0.7)
+    op = compile_hamiltonian(legendre_transform(lagr), cfg)
+    dt, h = 0.13, cfg.hbar
+    kin_phase = np.exp(-1j * dt * op.kinetic_multiplier() / h)
+    diag_phase = np.exp(-1j * dt * op.diag / h)
+    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    manual = np.fft.ifftn(kin_phase * np.fft.fftn(diag_phase * psi))
+    transfer = TransferOperator(PathIntegralSpec(0, dt, "fresnel_exact"), lagr, cfg).step(psi)
+    assert np.max(np.abs(manual - transfer)) < 1e-12
+
+
 def test_kernel_consistency_under_grid_refinement(free_lagr):
     """Riemann step approaches the grid kinetic step as Q, Lq grow.
 

@@ -1,14 +1,23 @@
 """Parser and Legendre-transform checks, including the sampled-solve oracle."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import fieldlab.lagrangian
+from fieldlab import cli
 from fieldlab.errors import (
     DegenerateKinetic,
     DegreeTooHigh,
+    FieldLabError,
     LagrangianSyntaxError,
     NonFiniteCoefficient,
     NonQuadraticKinetic,
@@ -78,10 +87,11 @@ def test_parse_mixing_rejected():
         parse_lagrangian("0.5*zt^2 + zx^4")
 
 
-def test_parse_degree_guard():
+def test_parse_degree_guard(monkeypatch):
     with pytest.raises(DegreeTooHigh):
         parse_lagrangian("0.5*zt^2 - z^7")
-    spec = parse_lagrangian("0.5*zt^2 - z^8", max_degree=8)
+    monkeypatch.setattr(fieldlab.lagrangian, "MAX_DEGREE", 8)
+    spec = parse_lagrangian("0.5*zt^2 - z^8")
     assert spec.potential[8] == 1.0
 
 
@@ -125,6 +135,92 @@ def test_parse_syntax_error_positions():
         parse_lagrangian("0.5*zt^2 ? z")
     with pytest.raises(LagrangianSyntaxError):
         parse_lagrangian("zt^2.5")
+
+
+# each text against a text that must give the same spec, bit for bit, or against
+# the exact error type and position it must raise
+GRAMMAR = [
+    ("+zt^2 - z", "zt^2 - z"),                      # a leading plus sign
+    ("0.5*zt^2 + 2*+z", (LagrangianSyntaxError, 13)),  # but no unary plus after an operator
+    ("--z + zt^2", "z + zt^2"),
+    ("-2*z^2 + zt^2", "(-2)*z^2 + zt^2"),
+    ("0.5*zt^2 + (+z)", "0.5*zt^2 + z"),
+    ("0.5*zt^2 - z^(2)", (LagrangianSyntaxError, 13)),
+    ("0.5*zt^2 - z^02", "0.5*zt^2 - z^2"),
+    ("0.5*zt^2 - z^2^2", (LagrangianSyntaxError, 14)),
+    ("0.5*zt^2 - z^2\n\t", "0.5*zt^2 - z^2"),
+    ("0.5*zt^2 ? z", (LagrangianSyntaxError, 9)),
+    ("0.5*zt^2 - q*z", (LagrangianSyntaxError, 11)),
+    ("0.5*zt^2 - (z + 1", (LagrangianSyntaxError, 17)),
+]
+
+
+@pytest.mark.parametrize("text,expected", GRAMMAR)
+def test_grammar_table(text, expected):
+    if isinstance(expected, str):
+        assert repr(parse_lagrangian(text)) == repr(parse_lagrangian(expected))
+        return
+    kind, position = expected
+    with pytest.raises(FieldLabError) as err:
+        parse_lagrangian(text)
+    assert type(err.value) is kind
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text,position", [
+    ("-z^2^2 + zt^2", 4),
+    ("zt^2 + 2*-z^2^2", 13),
+    ("zt^2 - -z^2^2", 11),
+])
+def test_negated_factor_takes_no_exponent(text, position):
+    """A unary minus negates a factor with its exponent; a second exponent is refused
+    wherever the minus stands, as it is after a bare factor."""
+    with pytest.raises(LagrangianSyntaxError, match="unexpected token '\\^'") as err:
+        parse_lagrangian(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("opener", ["(", "-", "(-"])
+def test_nesting_bound(opener):
+    bound = fieldlab.lagrangian.MAX_NESTING
+    levels = bound // len(opener)  # an even count, so the minus signs cancel
+
+    def nested(count):
+        return opener * count + "0.5*zt^2" + ")" * (count * opener.count("("))
+
+    assert parse_lagrangian(nested(levels)) == parse_lagrangian("0.5*zt^2")
+    with pytest.raises(LagrangianSyntaxError, match="nesting deeper") as err:
+        parse_lagrangian(nested(levels + 1))
+    assert err.value.position == bound  # the token that opens level bound + 1
+
+
+TOKENS = ["z", "zt", "zx", "m", "q", "0", "2", "0.5", ".5", "1e3", "1e400", "02",
+          "+", "-", "*", "^", "(", ")", "?", " ", "\n"]
+
+
+# Hypothesis lifts the recursion limit by 2,000 frames while a test runs, so
+# the nesting reaches 3,000 levels to overrun it
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    depth=st.integers(min_value=0, max_value=3000),
+    opener=st.sampled_from(["(", "-", "(-", "- "]),
+    body=st.lists(st.sampled_from(TOKENS), max_size=30),
+    closers=st.integers(min_value=0, max_value=400),
+)
+def test_random_token_strings_give_a_spec_or_a_typed_error(depth, opener, body, closers):
+    """Through the parser and through ``main``: a spec or a typed error, exit 0 or 2."""
+    text = opener * depth + "0.5*zt^2 " + "".join(body) + ")" * closers
+    try:
+        assert isinstance(parse_lagrangian(text, {"m": 1.0}), LagrangianSpec)
+    except FieldLabError:
+        pass
+    config = {"lagrangian": {"text": text, "params": {"m": 1.0}}, "legendre": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2)
 
 
 def test_parse_parentheses_and_params():
