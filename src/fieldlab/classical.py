@@ -553,7 +553,7 @@ def hj_variations(bd: BoundaryData, fd_epsilon: float) -> dict:
     return variations
 
 
-def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float = 1e-4) -> dict:
+def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float) -> dict:
     """Finite-difference boundary variations of S around the extremal ``base``.
 
     Checks, per final-surface site: dS/dz vs a*p and dS/dt vs -a*energy

@@ -45,6 +45,7 @@ from .feynman import (
     TransferOperator,
     brute_force_amplitudes,
     feynman_vs_schrodinger,
+    history_count,
 )
 from .lagrangian import legendre_transform, parse_lagrangian
 from .lattice import (
@@ -303,10 +304,10 @@ def _build_initial(block: dict, path: str, cfg: LatticeConfig, base_dir: Path):
         return _build_at(f"{path}.widths", init_wavefunctional, spec, cfg)
     rel = opts["path"]
     file_path = (base_dir / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
-    if not file_path.exists():
-        raise ConfigError(f"{path}.path", f"file {file_path} does not exist")
     try:
         state = load_state(file_path, derivative=cfg.derivative)
+    except FileNotFoundError:
+        raise ConfigError(f"{path}.path", f"file {file_path} does not exist") from None
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}.path", str(exc)) from exc
     if state.cfg != cfg:
@@ -328,7 +329,7 @@ def cmd_legendre(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: 
 def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     cfg = _build_lattice(lattice)
     method, steps, dt, log_every = opts["method"], opts["steps"], opts["dt"], opts["log_every"]
-    params = EvolveParams(dt, steps, method, cn_tol=opts["cn_tol"])  # the step guard, before any work
+    params = EvolveParams(dt, steps, cn_tol=opts["cn_tol"])  # the step guard, before any work
     initial = _build_initial(opts["initial"], "evolve.initial", cfg, base_dir)
 
     density = legendre_transform(lagr)
@@ -421,7 +422,7 @@ def cmd_feynman(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
 
     identity = {"checked": False}
     identity_mode = opts["identity_check"]
-    histories = cfg.q_points ** (cfg.n_sites * (pspec.t_steps + 1))
+    histories = history_count(pspec, cfg)
     if identity_mode == "force" or (identity_mode == "auto" and histories <= 2 ** 14):
         amps = brute_force_amplitudes(initial, pspec, lagr)
         err = float(np.max(np.abs(amps - transfer_state.psi)))
@@ -487,15 +488,17 @@ def run_config(config: dict, outdir: Path, base_dir: Path) -> None:
         "command": command,
         "seed": root["seed"],
     }
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("output_dir", str(exc)) from exc
     # built per call, so a wrapper bound over a cmd_* name is the one that runs
     run = {"legendre": cmd_legendre, "evolve": cmd_evolve, "surface": cmd_surface,
            "feynman": cmd_feynman, "classical": cmd_classical}[command]
-    run(lagr, root["lattice"], opts, outdir, meta, base_dir)
-    _write_json(outdir / "meta.json", meta)
+    # the commands read no file but initial.path, whose errors _build_initial reports,
+    # so an OSError here is an output directory or file that cannot be written
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        run(lagr, root["lattice"], opts, outdir, meta, base_dir)
+        _write_json(outdir / "meta.json", meta)
+    except OSError as exc:
+        raise ConfigError("output_dir", str(exc)) from exc
 
 
 def main(argv=None) -> int:

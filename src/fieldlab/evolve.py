@@ -18,15 +18,14 @@ from .lattice import LatticeConfig, WaveFunctional, norm as state_norm, site_mom
 from .operators import DENSE_GUARD, LatticeHamiltonian
 
 MAX_STEPS = 100_000  # time steps in one run; committed configs and benchmarks take at most 1000
+CN_MAXITER = 500  # GMRES restart cycles in one Crank-Nicolson step
 
 
 @dataclass
 class EvolveParams:
     dt: float
     steps: int
-    method: str = "strang"
     cn_tol: float = 1e-10
-    cn_maxiter: int = 500
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -37,8 +36,6 @@ class EvolveParams:
             raise DimensionTooLarge(f"{self.steps} steps exceed the {MAX_STEPS} step guard")
         if self.cn_tol <= 0:
             raise ValueError("cn_tol must be positive")
-        if self.method not in ("exact", "strang", "crank_nicolson"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -136,14 +133,6 @@ class ExactPropagator:
         return min(float(eigvals[0]) for _, _, eigvals, _ in self.sectors)
 
 
-def evolve_exact(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
-                 t: float) -> WaveFunctional:
-    """psi(t) = exp(-i t H / h) psi, unitary to roundoff."""
-    if t == 0.0:
-        return state.copy()
-    return ExactPropagator(hamiltonian).propagate(state, t)
-
-
 def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
                   params: EvolveParams) -> WaveFunctional:
     """Half diagonal phase, full momentum step in Fourier space, half phase."""
@@ -237,12 +226,12 @@ def _gmres(matvec, b: np.ndarray, precond: np.ndarray, atol: float, maxiter: int
 
 
 def crank_nicolson_step(hamiltonian: LatticeHamiltonian, psi: np.ndarray,
-                        dt: float, tol: float, maxiter: int) -> np.ndarray:
+                        dt: float, tol: float) -> np.ndarray:
     """One Cayley step (1 + i dt H / 2h) psi' = (1 - i dt H / 2h) psi, matrix-free.
 
     GMRES solves for the change psi' - psi, whose right-hand side -i dt H psi / h
     costs no product beyond H psi, right preconditioned by the inverse of the
-    system's diagonal in the field basis (Jacobi), in at most ``maxiter``
+    system's diagonal in the field basis (Jacobi), in at most ``CN_MAXITER``
     cycles.  It stops when the true residual is within ``tol`` of the norm of
     the full right-hand side.
     """
@@ -256,10 +245,10 @@ def crank_nicolson_step(hamiltonian: LatticeHamiltonian, psi: np.ndarray,
         out += arr
         return out.ravel()
 
-    jacobi = (1.0 / (1.0 + 1j * alpha * hamiltonian.field_diagonal())).ravel()
+    jacobi = (1.0 / (1.0 + 1j * alpha * hamiltonian.field_diagonal)).ravel()
     h_psi = hamiltonian.apply(psi)
     rhs_norm = np.linalg.norm(psi - 1j * alpha * h_psi)
-    change = _gmres(matvec, (-2j * alpha * h_psi).ravel(), jacobi, tol * rhs_norm, maxiter)
+    change = _gmres(matvec, (-2j * alpha * h_psi).ravel(), jacobi, tol * rhs_norm, CN_MAXITER)
     return psi + change.reshape(cfg.shape)
 
 
@@ -267,19 +256,16 @@ def evolve_crank_nicolson(hamiltonian: LatticeHamiltonian, state: WaveFunctional
                           params: EvolveParams) -> WaveFunctional:
     psi = state.psi
     for _ in range(params.steps):
-        psi = crank_nicolson_step(hamiltonian, psi, params.dt, params.cn_tol, params.cn_maxiter)
+        psi = crank_nicolson_step(hamiltonian, psi, params.dt, params.cn_tol)
     return WaveFunctional(state.cfg, psi.copy())
 
 
-def observables(state: WaveFunctional,
-                hamiltonian: LatticeHamiltonian | None = None) -> dict:
-    """norm, per-site <z_j> and <z_j^2>, and <H> when an operator is given."""
+def observables(state: WaveFunctional, hamiltonian: LatticeHamiltonian) -> dict:
+    """norm, per-site <z_j> and <z_j^2>, and <H>."""
     z_mean, z2_mean = site_moments(state)
-    record = {
+    return {
         "norm": state_norm(state),
         "z_mean": z_mean,
         "z2_mean": z2_mean,
+        "energy": hamiltonian.expectation(state),
     }
-    if hamiltonian is not None:
-        record["energy"] = hamiltonian.expectation(state)
-    return record

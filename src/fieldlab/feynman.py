@@ -57,12 +57,18 @@ class PathIntegralSpec:
         return (self.t_steps + 1) * self.dt
 
 
-def _history_actions(histories: np.ndarray, pspec: PathIntegralSpec,
-                     lagr: LagrangianSpec, cfg: LatticeConfig) -> np.ndarray:
-    """The discrete action of each history along the leading axes of ``histories``.
+def discrete_action(histories: np.ndarray, pspec: PathIntegralSpec,
+                    lagr: LagrangianSpec, cfg: LatticeConfig) -> np.ndarray:
+    """S = sum_t sum_j dt * a * F(z_j^t, forward dz/dt, forward dz/dx) of each history.
 
-    The last two axes are (t_steps + 2 slices, n_sites); see ``discrete_action``.
+    The last two axes of ``histories`` are its t_steps + 2 slices, both
+    boundary slices included, and its sites; the leading axes, if any, index
+    histories, and the result has their shape.
     """
+    histories = np.asarray(histories, dtype=float)
+    expected = (pspec.t_steps + 2, cfg.n_sites)
+    if histories.shape[-2:] != expected:
+        raise ShapeMismatch(f"history shape {histories.shape}, expected (..., {expected})")
     earlier = histories[..., :-1, :]
     zdot = (histories[..., 1:, :] - earlier) / pspec.dt
     zx = link_difference(earlier, cfg.spacing, axis=-1)
@@ -70,17 +76,12 @@ def _history_actions(histories: np.ndarray, pspec: PathIntegralSpec,
     return pspec.dt * cfg.spacing * f_vals.sum(axis=(-2, -1))
 
 
-def discrete_action(history: np.ndarray, pspec: PathIntegralSpec,
-                    lagr: LagrangianSpec, cfg: LatticeConfig) -> float:
-    """S = sum_t sum_j dt * a * F(z_j^t, forward dz/dt, forward dz/dx).
-
-    ``history`` holds t_steps + 2 slices including both boundary slices.
-    """
-    history = np.asarray(history, dtype=float)
-    expected = (pspec.t_steps + 2, cfg.n_sites)
-    if history.shape != expected:
-        raise ShapeMismatch(f"history shape {history.shape}, expected {expected}")
-    return float(_history_actions(history, pspec, lagr, cfg))
+def _riemann_measure(pspec: PathIntegralSpec, lagr: LagrangianSpec,
+                     cfg: LatticeConfig) -> complex:
+    """dz sqrt(c2 a / (pi h dt)) e^(-i pi / 4): the quadrature weight dz times the
+    Gaussian normalization sqrt(2 c2 a / (2 pi i h dt)), per site and step."""
+    return cfg.dz * np.sqrt(lagr.kinetic_coeff * cfg.spacing / (np.pi * cfg.hbar * pspec.dt)) \
+        * np.exp(-0.25j * np.pi)
 
 
 def one_site_kinetic_matrix(pspec: PathIntegralSpec, lagr: LagrangianSpec,
@@ -97,8 +98,8 @@ def one_site_kinetic_matrix(pspec: PathIntegralSpec, lagr: LagrangianSpec,
     c2, c1 = lagr.kinetic_coeff, lagr.kinetic_linear
     zg = cfg.z_values()
     delta = zg[:, None] - zg[None, :]
-    amp = cfg.dz * np.sqrt(c2 * a / (np.pi * h * dt)) * np.exp(-0.25j * np.pi)
-    return amp * np.exp(1j * a * (c2 * delta ** 2 / dt + c1 * delta) / h)
+    return (_riemann_measure(pspec, lagr, cfg)
+            * np.exp(1j * a * (c2 * delta ** 2 / dt + c1 * delta) / h))
 
 
 def _diagonal_action_phase(pspec: PathIntegralSpec, lagr: LagrangianSpec,
@@ -134,11 +135,18 @@ class TransferOperator:
         return WaveFunctional(self.cfg, psi)
 
 
-def _check_enumerable(pspec: PathIntegralSpec, cfg: LatticeConfig):
-    count = cfg.q_points ** (cfg.n_sites * (pspec.t_steps + 1))
+def history_count(pspec: PathIntegralSpec, cfg: LatticeConfig) -> int:
+    """Q^(N (t_steps + 1)): the grid histories of the free slices, the initial one included."""
+    return cfg.q_points ** (cfg.n_sites * (pspec.t_steps + 1))
+
+
+def _check_enumerable(pspec: PathIntegralSpec, cfg: LatticeConfig) -> int:
+    """The history count, or EnumerationTooLarge above ENUMERATION_GUARD."""
+    count = history_count(pspec, cfg)
     if count > ENUMERATION_GUARD:
         raise EnumerationTooLarge(
             f"{count} histories exceed the enumeration guard {ENUMERATION_GUARD}")
+    return count
 
 
 def _history_sum(state: WaveFunctional, pspec: PathIntegralSpec, lagr: LagrangianSpec,
@@ -152,20 +160,16 @@ def _history_sum(state: WaveFunctional, pspec: PathIntegralSpec, lagr: Lagrangia
     same sum whichever other finals are asked for.
     """
     cfg = state.cfg
-    _check_enumerable(pspec, cfg)
+    count = _check_enumerable(pspec, cfg)
     n, q = cfg.n_sites, cfg.q_points
     n_free = pspec.t_steps + 1
-    count = q ** (n * n_free)
     places = q ** np.arange(n * n_free - 1, -1, -1)
     block = max(1, BLOCK_TERMS // cfg.dim)
     site_places = q ** np.arange(n - 1, -1, -1)  # a slice's digits to its grid index
     psi0 = state.psi.ravel()
     riemann = pspec.kernel == "lagrangian_riemann"
     if riemann:
-        c2 = lagr.kinetic_coeff
-        nu_dz = cfg.dz * np.sqrt(c2 * cfg.spacing / (np.pi * cfg.hbar * pspec.dt)) \
-            * np.exp(-0.25j * np.pi)
-        measure = nu_dz ** (n * n_free)
+        measure = _riemann_measure(pspec, lagr, cfg) ** (n * n_free)
         zg = cfg.z_values()
         z_final = zg[finals][:, None, None, :]
     else:
@@ -181,7 +185,7 @@ def _history_sum(state: WaveFunctional, pspec: PathIntegralSpec, lagr: Lagrangia
             histories = np.empty((len(finals), len(hist), n_free + 1, n))
             histories[:, :, :-1] = zg[idx]
             histories[:, :, -1:] = z_final
-            s_val = _history_actions(histories, pspec, lagr, cfg)
+            s_val = discrete_action(histories, pspec, lagr, cfg)
             terms = measure * np.exp(1j * s_val / cfg.hbar) * weight  # (F, B)
         else:
             for t in range(n_free):
@@ -226,7 +230,7 @@ def brute_force_feynman(state: WaveFunctional, z_final, pspec: PathIntegralSpec,
 
 
 def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,
-                           lagr: LagrangianSpec, levels: int = 3) -> dict:
+                           lagr: LagrangianSpec, levels: int) -> dict:
     """Transfer-operator evolution against the exact exponential, dt refined.
 
     Total time is held fixed while dt halves per level; the report carries L2

@@ -175,10 +175,12 @@ class _Parser:
         kind, value, pos = self.next()
         if kind != "number" or not re.fullmatch(r"\d+", value):
             raise LagrangianSyntaxError("exponent must be a nonnegative integer", pos)
-        power = int(value)
-        if power > MAX_DEGREE:
-            raise DegreeTooHigh(f"exponent {power} exceeds maximum degree {MAX_DEGREE}")
-        return base ** power
+        # leading zeros drop, as in z^02; a longer digit string than MAX_DEGREE's is
+        # refused before int() sees it, since int() refuses literals past 4,300 digits
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+            raise DegreeTooHigh(f"exponent {digits} exceeds maximum degree {MAX_DEGREE}")
+        return base ** int(digits)
 
     def atom(self):
         kind, value, pos = self.next()

@@ -185,12 +185,6 @@ def free_ground_state_covariance(cfg: LatticeConfig, mass: float) -> GaussianSta
     )
 
 
-def mode_frequencies(cfg: LatticeConfig, mass: float) -> np.ndarray:
-    """omega_k = sqrt(mass^2 + (4/a^2) sin^2(pi k / N)), k = 0..N-1."""
-    k = np.arange(cfg.n_sites)
-    return np.sqrt(mass ** 2 + (4.0 / cfg.spacing ** 2) * np.sin(np.pi * k / cfg.n_sites) ** 2)
-
-
 def init_wavefunctional(spec: GaussianStateSpec, cfg: LatticeConfig) -> WaveFunctional:
     """Sample the Gaussian on the grid and normalize.
 
@@ -287,19 +281,3 @@ def site_moments(state: WaveFunctional):
         z_mean[j] = (marginal * zg).sum() / total
         z2_mean[j] = (marginal * zg ** 2).sum() / total
     return z_mean, z2_mean
-
-
-def site_covariance(state: WaveFunctional) -> np.ndarray:
-    """<z_j z_k> - <z_j><z_k> matrix over sites."""
-    first, second_diag = site_moments(state)
-    prob = np.abs(state.psi) ** 2
-    total = prob.sum()
-    zg = state.cfg.z_values()
-    n = state.cfg.n_sites
-    second = np.diag(second_diag)
-    for j in range(n):
-        for k in range(j + 1, n):
-            axes = tuple(m for m in range(n) if m not in (j, k))
-            marg = prob.sum(axis=axes) if axes else prob
-            second[j, k] = second[k, j] = (marg * np.outer(zg, zg)).sum() / total
-    return second - np.outer(first, first)

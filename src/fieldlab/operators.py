@@ -193,20 +193,14 @@ class LatticeHamiltonian:
         result.real, result.imag = out
         return result
 
-    def __call__(self, state: WaveFunctional) -> WaveFunctional:
-        return WaveFunctional(self.cfg, self.apply(state.psi))
-
     def expectation(self, state: WaveFunctional) -> float:
         num = np.vdot(state.psi, self.apply(state.psi))
         den = np.vdot(state.psi, state.psi)
         return float((num / den).real)
 
+    @cached_property
     def field_diagonal(self) -> np.ndarray:
         """The operator's diagonal in the field basis, computed once per operator."""
-        return self._field_diagonal
-
-    @cached_property
-    def _field_diagonal(self) -> np.ndarray:
         # a one-axis Fourier multiplier puts its mean on the diagonal; a cross
         # term puts f * mean(k1) there, and the mean of k1 is zero
         return self.diag + sum(float(np.mean(mult)) for mult in map(self._momentum, self.terms)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionTooLarge, ScheduleMismatch
 from .lagrangian import HamiltonianDensity
 from .lattice import LatticeConfig, WaveFunctional, link_difference, norm, spacelike
-from .operators import LatticeHamiltonian, compile_hamiltonian
+from .operators import compile_hamiltonian
 
 MAX_MOVES = 10_000  # moves in one schedule; the largest committed ladder builds 48
 MAX_LADDER_MOVES = 100_000  # moves in all schedules of one ladder; configs/surface_sweeps.json builds 168
@@ -128,14 +128,6 @@ class DeformationSchedule:
         return cls(start, tuple(part for part in parts for _ in range(split)))
 
 
-def local_density_operator(density: HamiltonianDensity, cfg: LatticeConfig,
-                           surface: SpacelikeSurface, site: int) -> LatticeHamiltonian:
-    """The single term a * H_site on the full lattice, slopes from the surface."""
-    if surface.n_sites != cfg.n_sites:
-        raise ValueError("surface and lattice site counts differ")
-    return compile_hamiltonian(density, cfg, surface.link_slopes(), sites=[site])
-
-
 class SurfaceEvolver:
     """Applies elementary deformations with a chosen integrator.
 
@@ -149,8 +141,7 @@ class SurfaceEvolver:
     equal slopes share one cache entry.
     """
 
-    def __init__(self, density: HamiltonianDensity, cfg: LatticeConfig,
-                 integrator: str = "crank_nicolson"):
+    def __init__(self, density: HamiltonianDensity, cfg: LatticeConfig, integrator: str):
         if integrator not in ("exact", "crank_nicolson"):
             raise ValueError(f"unknown integrator {integrator!r}")
         self.density = density

@@ -130,8 +130,7 @@ def test_criterion_3_flat_evolution():
         for dt in (1e-3, 5e-4):
             steps = int(round(1.0 / dt))
             s_out = evolve_strang(op, state, EvolveParams(dt, steps))
-            c_out = evolve_crank_nicolson(op, state,
-                                          EvolveParams(dt, steps, "crank_nicolson"))
+            c_out = evolve_crank_nicolson(op, state, EvolveParams(dt, steps))
             errors["strang"].append(norm(WaveFunctional(cfg, s_out.psi - exact.psi)))
             errors["crank_nicolson"].append(norm(WaveFunctional(cfg, c_out.psi - exact.psi)))
             if dt == 1e-3:
@@ -142,7 +141,7 @@ def test_criterion_3_flat_evolution():
             order = np.log2(errs[0] / errs[1])
             assert 1.7 <= order <= 2.3, f"{method} order {order}"
         # Crank-Nicolson norm drift per step at tolerance 1e-10
-        stepped = crank_nicolson_step(op, state.psi, 1e-3, 1e-10, 500)
+        stepped = crank_nicolson_step(op, state.psi, 1e-3, 1e-10)
         assert abs(norm(WaveFunctional(cfg, stepped)) - 1.0) < 1e-9
 
         # oscillator coherent-state center (independent closed form)

@@ -23,7 +23,9 @@ from fieldlab.classical import (
 )
 from fieldlab.errors import DimensionTooLarge, NewtonDivergence, NotSpacelike, SingularBVP
 from fieldlab.lagrangian import parse_lagrangian
-from fieldlab.lattice import LatticeConfig, mode_frequencies
+from fieldlab.lattice import LatticeConfig
+
+from conftest import mode_frequencies
 
 
 def oscillator_action(z0, z1, total_time, omega=1.0):

@@ -625,6 +625,25 @@ def test_non_finite_lattice_number_rejected(tmp_path, capsys):
     assert "lattice.q_extent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exponent,code", [
+    ("0" * 5000 + "2", 0),  # leading zeros drop: the same spec as z^2
+    ("0" * 5000 + "123456789012345678901234", 2),
+], ids=["zero-padded-2", "zero-padded-long"])
+def test_long_exponent_literal(tmp_path, capsys, exponent, code):
+    """An exponent literal past int()'s 4,300-digit limit is read by its significant digits."""
+    cfg = base_config({"legendre": {}})
+    cfg["lagrangian"]["text"] = f"0.5*zt^2 - z^{exponent}"
+    assert run(tmp_path, cfg) == code
+    if code == 0:
+        cfg["lagrangian"]["text"] = "0.5*zt^2 - z^2"
+        assert run(tmp_path, cfg, out="plain") == 0
+        assert ((tmp_path / "out" / "hamiltonian.txt").read_text()
+                == (tmp_path / "plain" / "hamiltonian.txt").read_text())
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lagrangian.text: ") and "maximum degree 6" in err
+
+
 def test_huge_exponent_rejected_quickly(tmp_path, capsys):
     cfg = base_config({"legendre": {}})
     cfg["lagrangian"]["text"] = "0.5*zt^2 - 0.5*z^99999999"
@@ -757,6 +776,29 @@ def test_deeply_nested_lagrangian_is_a_config_error(tmp_path, capsys, text, posi
     assert run(tmp_path, cfg) == 2
     err = capsys.readouterr().err
     assert "lagrangian.text" in err and f"(at position {position})" in err
+
+
+@pytest.mark.parametrize("payload,taken", [
+    (base_config({"legendre": {}}), "hamiltonian.txt"),
+    (evolve_config(5), "final_state.bin"),
+    (base_config({"legendre": {}}), "meta.json"),
+], ids=["legendre", "evolve", "meta"])
+def test_unwritable_output_file_is_a_config_error(tmp_path, capsys, payload, taken):
+    """An output file whose name a directory holds exits 2 at output_dir, no traceback."""
+    (tmp_path / "out" / taken).mkdir(parents=True)
+    assert run(tmp_path, payload) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir: ") and taken in err
+
+
+@pytest.mark.parametrize("path,reason", [
+    ("missing.bin", "does not exist"),
+    ("x" * 5000, ""),  # a name the OS refuses to look up
+], ids=["missing", "name-too-long"])
+def test_unreadable_initial_path_is_reported_there(tmp_path, capsys, path, reason):
+    assert run(tmp_path, evolve_config(5, initial={"kind": "file", "path": path})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: evolve.initial.path: ") and reason in err
 
 
 def test_output_dir_from_config(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from fieldlab import evolve
 from fieldlab.errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
 from fieldlab.evolve import (
     MAX_STEPS,
@@ -11,7 +12,6 @@ from fieldlab.evolve import (
     ExactPropagator,
     crank_nicolson_step,
     evolve_crank_nicolson,
-    evolve_exact,
     evolve_strang,
     observables,
 )
@@ -47,12 +47,6 @@ def free_setup(n=2, q=16, lq=8.0, mass=1.0):
     op = compile_hamiltonian(legendre_transform(lagr), cfg)
     state = init_wavefunctional(free_ground_state_covariance(cfg, mass), cfg)
     return cfg, op, state
-
-
-def test_exact_t0_identity(rng):
-    cfg, op, state = free_setup()
-    out = evolve_exact(op, state, 0.0)
-    assert np.array_equal(out.psi, state.psi)
 
 
 def test_exact_real_operator_keeps_real_eigenvectors(rng):
@@ -123,7 +117,7 @@ def test_exact_unitarity(rng):
     cfg, op, _ = free_setup()
     psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
     state = normalize(WaveFunctional(cfg, psi))
-    out = evolve_exact(op, state, 1.0)
+    out = ExactPropagator(op).propagate(state, 1.0)
     assert abs(norm(out) - 1.0) < 1e-12
 
 
@@ -131,9 +125,8 @@ def test_exact_guard():
     lagr = parse_lagrangian("0.5*zt^2 - 0.5*z^2")
     cfg = LatticeConfig(2, 1.0, 128, 16.0)
     op = compile_hamiltonian(legendre_transform(lagr), cfg)
-    state = init_wavefunctional(GaussianStateSpec((0.0, 0.0), widths=(1.0, 1.0)), cfg)
     with pytest.raises(DimensionTooLarge):
-        evolve_exact(op, state, 0.1)
+        ExactPropagator(op)
 
 
 def test_coherent_state_center():
@@ -152,7 +145,7 @@ def test_strang_kinetic_only_exact(rng):
     op = compile_hamiltonian(legendre_transform(lagr), cfg)
     state = init_wavefunctional(GaussianStateSpec((0.0, 0.0), widths=(1.0, 1.0)), cfg)
     one = evolve_strang(op, state, EvolveParams(0.3, 1))
-    exact = evolve_exact(op, state, 0.3)
+    exact = ExactPropagator(op).propagate(state, 0.3)
     assert np.max(np.abs(one.psi - exact.psi)) < 1e-12
 
 
@@ -190,7 +183,7 @@ def test_crank_nicolson_matches_exact():
                           covariance=free_ground_state_covariance(cfg, 1.0).covariance),
         cfg)
     t_total = 0.5
-    params = EvolveParams(1e-3, 500, "crank_nicolson")
+    params = EvolveParams(1e-3, 500)
     out = evolve_crank_nicolson(op, state, params)
     exact = ExactPropagator(op).propagate(state, t_total)
     assert norm(WaveFunctional(cfg, out.psi - exact.psi)) < 1e-6
@@ -198,7 +191,7 @@ def test_crank_nicolson_matches_exact():
 
 def test_crank_nicolson_norm_drift():
     cfg, op, state = free_setup(q=16)
-    out = evolve_crank_nicolson(op, state, EvolveParams(1e-2, 1, "crank_nicolson"))
+    out = evolve_crank_nicolson(op, state, EvolveParams(1e-2, 1))
     assert abs(norm(out) - 1.0) < 1e-9
 
 
@@ -213,15 +206,16 @@ def test_crank_nicolson_second_order():
     errors = []
     for dt in (0.02, 0.01):
         steps = int(round(t_total / dt))
-        out = evolve_crank_nicolson(op, state, EvolveParams(dt, steps, "crank_nicolson"))
+        out = evolve_crank_nicolson(op, state, EvolveParams(dt, steps))
         errors.append(norm(WaveFunctional(cfg, out.psi - exact.psi)))
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.5
 
 
-def test_crank_nicolson_divergence():
+def test_crank_nicolson_divergence(monkeypatch):
     cfg, op, state = free_setup(q=16)
-    params = EvolveParams(0.1, 1, "crank_nicolson", cn_tol=1e-14, cn_maxiter=1)
+    monkeypatch.setattr(evolve, "CN_MAXITER", 1)
+    params = EvolveParams(0.1, 1, cn_tol=1e-14)
     with pytest.raises(SolverDivergence):
         evolve_crank_nicolson(op, state, params)
 
@@ -257,19 +251,20 @@ def test_method_agreement_quartic():
     t_total = 0.2
     exact = ExactPropagator(op).propagate(state, t_total)
     strang = evolve_strang(op, state, EvolveParams(1e-3, 200))
-    cn = evolve_crank_nicolson(op, state, EvolveParams(1e-3, 200, "crank_nicolson"))
+    cn = evolve_crank_nicolson(op, state, EvolveParams(1e-3, 200))
     assert norm(WaveFunctional(cfg, strang.psi - exact.psi)) < 1e-5
     assert norm(WaveFunctional(cfg, cn.psi - exact.psi)) < 1e-5
 
 
 def test_unitarity_all_integrators(rng):
     cfg, op, _ = free_setup(q=16)
+    propagator = ExactPropagator(op)
     for _ in range(10):
         psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
         state = normalize(WaveFunctional(cfg, psi))
-        assert abs(norm(evolve_exact(op, state, 0.3)) - 1.0) < 1e-12
+        assert abs(norm(propagator.propagate(state, 0.3)) - 1.0) < 1e-12
         assert abs(norm(evolve_strang(op, state, EvolveParams(0.05, 6))) - 1.0) < 1e-12
-        cn = evolve_crank_nicolson(op, state, EvolveParams(0.05, 2, "crank_nicolson"))
+        cn = evolve_crank_nicolson(op, state, EvolveParams(0.05, 2))
         assert abs(norm(cn) - 1.0) < 1e-9
 
 
@@ -349,7 +344,7 @@ def test_crank_nicolson_jacobi_preconditioner_saves_matvecs():
         return (arr + 1j * alpha * counted(arr)).ravel()
 
     rhs = (state.psi - 1j * alpha * apply(state.psi)).ravel()
-    out = crank_nicolson_step(op, state.psi, dt, tol, 500)
+    out = crank_nicolson_step(op, state.psi, dt, tol)
     preconditioned = len(calls)
     residual = np.linalg.norm(system(out.ravel()) - rhs) / np.linalg.norm(rhs)
     assert residual <= tol
@@ -371,7 +366,7 @@ def test_evolve_params_step_guard():
 def test_evolve_params_reject_non_positive_cn_tol(cn_tol):
     """GMRES cannot meet a zero tolerance and rejects a negative one."""
     with pytest.raises(ValueError, match="cn_tol"):
-        EvolveParams(0.1, 1, "crank_nicolson", cn_tol=cn_tol)
+        EvolveParams(0.1, 1, cn_tol=cn_tol)
 
 
 def cn_true_residual(op, psi, out, dt):
@@ -395,7 +390,7 @@ def test_crank_nicolson_step_meets_tol_on_true_residual(text, n, slopes, tol, rn
     assert not np.isrealobj(op.dense_matrix())
     psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
     psi /= np.linalg.norm(psi)
-    out = crank_nicolson_step(op, psi, 0.05, tol, 500)
+    out = crank_nicolson_step(op, psi, 0.05, tol)
     assert cn_true_residual(op, psi, out, 0.05) <= tol
 
 
@@ -412,7 +407,7 @@ def test_crank_nicolson_happy_breakdown_is_exact():
     psi[3, 5] = 1.0  # an eigenvector
     dt = 0.1
     alpha = 0.5 * dt / cfg.hbar
-    out = crank_nicolson_step(op, psi, dt, 1e-14, 500)
+    out = crank_nicolson_step(op, psi, dt, 1e-14)
     lam = op.diag[3, 5]
     expected = np.zeros_like(psi)
     expected[3, 5] = (1 - 1j * alpha * lam) / (1 + 1j * alpha * lam)
@@ -420,14 +415,15 @@ def test_crank_nicolson_happy_breakdown_is_exact():
     assert len(calls) == 3  # H psi, one Arnoldi step, the true residual
 
 
-def test_crank_nicolson_maxiter_counts_restart_cycles():
-    """cn_maxiter=1 allows one cycle of 20 Arnoldi steps; cn_tol 1e-14 is out of reach."""
+def test_crank_nicolson_maxiter_counts_restart_cycles(monkeypatch):
+    """CN_MAXITER = 1 allows one cycle of 20 Arnoldi steps; cn_tol 1e-14 is out of reach."""
     cfg, op, state = free_setup(q=16)
+    monkeypatch.setattr(evolve, "CN_MAXITER", 1)
     calls = []
     apply = op.apply
     op.apply = lambda psi: calls.append(1) or apply(psi)
     with pytest.raises(SolverDivergence, match="after 1 cycles"):
-        crank_nicolson_step(op, state.psi, 0.1, 1e-14, 1)
+        crank_nicolson_step(op, state.psi, 0.1, 1e-14)
     assert len(calls) == 1 + 20 + 1
 
 
@@ -436,4 +432,4 @@ def test_crank_nicolson_non_finite_state_fails_at_once():
     psi = state.psi.copy()
     psi[0, 0] = np.nan
     with pytest.raises(SolverDivergence, match="nan"):
-        crank_nicolson_step(op, psi, 0.1, 1e-10, 500)
+        crank_nicolson_step(op, psi, 0.1, 1e-10)

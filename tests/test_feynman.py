@@ -114,6 +114,22 @@ def test_action_shape_guard(free_lagr):
     cfg = LatticeConfig(2, 1.0, 4, 4.0)
     with pytest.raises(ShapeMismatch):
         discrete_action(np.zeros((2, 2)), PathIntegralSpec(1, 0.1), free_lagr, cfg)
+    for shape in [(3, 4, 2, 2), (3, 4, 3, 3), (3,), ()]:
+        with pytest.raises(ShapeMismatch):
+            discrete_action(np.zeros(shape), PathIntegralSpec(1, 0.1), free_lagr, cfg)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2])
+def test_batched_action_equals_each_history(quartic_lagr, rng, n_sites):
+    """Leading axes index histories; each entry is the single-history action bit for bit."""
+    cfg = LatticeConfig(n_sites, 0.8, 8, 4.0)
+    pspec = PathIntegralSpec(2, 0.17)
+    grid = cfg.z_values()
+    histories = grid[rng.integers(0, cfg.q_points, size=(3, 4, pspec.t_steps + 2, n_sites))]
+    batched = discrete_action(histories, pspec, quartic_lagr, cfg)
+    assert batched.shape == (3, 4)
+    singles = [[discrete_action(h, pspec, quartic_lagr, cfg) for h in row] for row in histories]
+    assert np.array_equal(batched, np.array(singles))
 
 
 @pytest.mark.parametrize("kernel", ["fresnel_exact", "lagrangian_riemann"])

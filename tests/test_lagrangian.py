@@ -95,6 +95,16 @@ def test_parse_degree_guard(monkeypatch):
     assert spec.potential[8] == 1.0
 
 
+def test_parse_exponent_leading_zeros():
+    """Leading zeros drop, also past int()'s 4,300-digit limit; the rest is checked as z^7 is."""
+    padded = "0.5*zt^2 - z^" + "0" * 5000
+    assert parse_lagrangian(padded + "2") == parse_lagrangian("0.5*zt^2 - z^2")
+    assert parse_lagrangian(padded) == parse_lagrangian("0.5*zt^2 - 1")
+    for digits in ["7", "1" + "0" * 300]:
+        with pytest.raises(DegreeTooHigh):
+            parse_lagrangian(padded + digits)
+
+
 def test_parse_huge_exponent_rejected_before_expanding():
     # expanding z^99999999 term by term would not finish
     with pytest.raises(DegreeTooHigh):

@@ -20,16 +20,32 @@ from fieldlab.lattice import (
     inner,
     link_difference,
     load_state,
-    mode_frequencies,
     norm,
     normalize,
     save_state,
-    site_covariance,
     site_moments,
     spacelike,
     state_to_csv,
 )
 from fieldlab.operators import compile_hamiltonian
+
+from conftest import mode_frequencies
+
+
+def site_covariance(state):
+    """<z_j z_k> - <z_j><z_k> matrix over sites."""
+    first, second_diag = site_moments(state)
+    prob = np.abs(state.psi) ** 2
+    total = prob.sum()
+    zg = state.cfg.z_values()
+    n = state.cfg.n_sites
+    second = np.diag(second_diag)
+    for j in range(n):
+        for k in range(j + 1, n):
+            axes = tuple(m for m in range(n) if m not in (j, k))
+            marg = prob.sum(axis=axes) if axes else prob
+            second[j, k] = second[k, j] = (marg * np.outer(zg, zg)).sum() / total
+    return second - np.outer(first, first)
 
 
 def test_config_validation():

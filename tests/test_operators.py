@@ -149,8 +149,8 @@ def test_hermiticity_sloped(free_lagr, rng, derivative):
                              + 1j * rng.standard_normal(cfg.shape))
         psi = WaveFunctional(cfg, rng.standard_normal(cfg.shape)
                              + 1j * rng.standard_normal(cfg.shape))
-        lhs = inner(phi, op(psi))
-        rhs = np.conj(inner(psi, op(phi)))
+        lhs = inner(phi, WaveFunctional(cfg, op.apply(psi.psi)))
+        rhs = np.conj(inner(psi, WaveFunctional(cfg, op.apply(phi.psi))))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -267,10 +267,10 @@ def test_field_diagonal_matches_dense(case):
     text, n, derivative, slopes, sites, _ = DENSE_CASES[case]
     cfg = LatticeConfig(n, 1.0, 8 if n == 3 else 16, 6.0, derivative=derivative)
     op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, slopes, sites)
-    diagonal = op.field_diagonal()
+    diagonal = op.field_diagonal
     assert diagonal.shape == cfg.shape and diagonal.dtype == np.float64
     assert np.max(np.abs(diagonal.ravel() - np.diag(op.dense_matrix()))) < 1e-12
-    assert op.field_diagonal() is diagonal
+    assert op.field_diagonal is diagonal
 
 
 @pytest.mark.parametrize("text,slopes,sites,derivative", [
