@@ -333,28 +333,22 @@ class HamiltonianDensity:
     gradient_coeff: float
     potential: tuple[float, ...]
 
-    def effective_quad(self, v) -> float:
-        """A(v) = c2 + g*v^2; must stay positive for the transform to hold."""
-        a_eff = self.kinetic_coeff + self.gradient_coeff * float(v) ** 2
-        if self.kinetic_coeff > 0.0 and a_eff <= 0.0:
-            raise DegenerateKinetic(f"effective kinetic coefficient {a_eff} at slope {v}")
-        return a_eff
-
-    @property
-    def has_momentum(self) -> bool:
-        return self.kinetic_coeff > 0.0
-
     def coefficients(self, v) -> dict[tuple[int, int], float]:
         """The nonzero coefficients of H - V(z) at slope v, keyed by (p power, zs power).
 
         H - V = (p - B)^2 / (4A) - g*zs^2 expanded, with A = c2 + g*v^2 and
-        B = c1 - 2*g*v*zs; a diagonal density keeps only -g*zs^2.
+        B = c1 - 2*g*v*zs; a diagonal density keeps only -g*zs^2.  A must stay
+        positive for the transform to hold.
         """
-        g = self.gradient_coeff
-        if not self.has_momentum:
+        c2, c1, g = self.kinetic_coeff, self.kinetic_linear, self.gradient_coeff
+        if c2 <= 0.0:
             return {(0, 2): -g} if g else {}
-        a_eff = self.effective_quad(v)
-        c1 = self.kinetic_linear
+        # checked as v * v: v ** 2 raises a bare OverflowError where the square overflows
+        if not math.isfinite(float(v) * float(v)):
+            raise NonFiniteCoefficient(f"slope {v} has no finite square")
+        a_eff = c2 + g * float(v) ** 2
+        if a_eff <= 0.0:
+            raise DegenerateKinetic(f"effective kinetic coefficient {a_eff} at slope {v}")
         terms = {
             (2, 0): 1.0 / (4.0 * a_eff),
             (1, 0): -c1 / (2.0 * a_eff),
@@ -365,73 +359,45 @@ class HamiltonianDensity:
         }
         return {key: coeff for key, coeff in terms.items() if coeff}
 
-    def _of_zs(self, v, p_power: int, zs):
-        """The coefficient of p^p_power at slope v: sum_k c[p_power, k] * zs^k."""
-        zs = np.asarray(zs)
-        out = 0.0
-        for (ip, k), coeff in self.coefficients(v).items():
-            if ip == p_power:
-                out = out + coeff * zs ** k
-        return out
-
-    def p_quad_coeff(self, v) -> float:
-        return self.coefficients(v).get((2, 0), 0.0)
-
-    def p_lin_coeff(self, v, zs):
-        """Coefficient of p: -B/(2A) with B = c1 - 2*g*v*zs."""
-        return self._of_zs(v, 1, zs)
-
-    def scalar_part(self, v, z, zs):
-        """Momentum-free part: B^2/(4A) - g*zs^2 + V(z)."""
-        return self._of_zs(v, 0, zs) + _polyval(z, self.potential)
-
-    def zdot(self, zs, p, v):
-        """Velocity solving p = dF/d(zt) at slope v: dH/dp."""
-        if not self.has_momentum:
-            raise DegenerateKinetic("density has no momentum dependence")
-        return 2.0 * self.p_quad_coeff(v) * np.asarray(p) + self.p_lin_coeff(v, zs)
-
     def evaluate(self, z, zs, p, v):
+        """H(z, zs, p; v), summed as (p-free part + V(z)) + p^2 part + p part.
+
+        Each power of p sums its zs terms in table order, so at p = 0 the
+        result is the p-free part plus V(z) up to signed zeros.
+        """
+        zs = np.asarray(zs)
+        of_p = [0.0, 0.0, 0.0]
+        for (ip, k), coeff in self.coefficients(v).items():
+            of_p[ip] = of_p[ip] + coeff * zs ** k
         p = np.asarray(p)
-        return (self.scalar_part(v, z, zs) + self.p_quad_coeff(v) * p ** 2
-                + self.p_lin_coeff(v, zs) * p)
+        return of_p[0] + _polyval(z, self.potential) + of_p[2] * p ** 2 + of_p[1] * p
 
     def to_lagrangian(self) -> LagrangianSpec:
         """Inverse transform at v = 0, read off the coefficients there.
 
         At v = 0, H - V = p^2/(4 c2) - c1 p/(2 c2) + c1^2/(4 c2) - g zs^2.
         """
-        if not self.has_momentum:
-            raise DegenerateKinetic("diagonal density has no Legendre inverse")
         h = self.coefficients(0.0)
+        if (2, 0) not in h:
+            raise DegenerateKinetic("diagonal density has no Legendre inverse")
         c2 = 0.25 / h[2, 0]
         pot = list(self.potential)
         while pot and pot[-1] == 0.0:
             pot.pop()
         return LagrangianSpec(c2, -2.0 * c2 * h.get((1, 0), 0.0), -h.get((0, 2), 0.0), tuple(pot))
 
-    def monomials(self, v=0.0) -> dict[tuple[int, int, int], float]:
-        """Coefficients keyed by (p power, zx power, z power) at fixed slope."""
-        out = {(ip, ix, 0): coeff for (ip, ix), coeff in self.coefficients(v).items()}
-        for k, coeff in enumerate(self.potential):
-            if coeff:
-                out[0, 0, k] = out.get((0, 0, k), 0.0) + coeff
-        return out
-
     def emit(self, v=0.0) -> str:
         """Normal-form text in (p, zx, z), e.g. ``0.5*p^2 + 0.5*zx^2 + 0.5*z^2``."""
-        def mono_text(key):
-            ip, ix, iz = key
-            parts = []
-            if ip:
-                parts.append("p" if ip == 1 else f"p^{ip}")
-            if ix:
-                parts.append("zx" if ix == 1 else f"zx^{ix}")
-            if iz:
-                parts.append("z" if iz == 1 else f"z^{iz}")
-            return "*".join(parts)
+        monomials = {(ip, ix, 0): coeff for (ip, ix), coeff in self.coefficients(v).items()}
+        for k, coeff in enumerate(self.potential):
+            if coeff:
+                monomials[0, 0, k] = monomials.get((0, 0, k), 0.0) + coeff
 
-        items = sorted(self.monomials(v).items(), key=lambda kv: (-kv[0][0], -kv[0][1], kv[0][2]))
+        def mono_text(key):
+            return "*".join(name if power == 1 else f"{name}^{power}"
+                            for name, power in zip(("p", "zx", "z"), key) if power)
+
+        items = sorted(monomials.items(), key=lambda kv: (-kv[0][0], -kv[0][1], kv[0][2]))
         return _join_terms([(coeff, mono_text(key)) for key, coeff in items])
 
 

@@ -276,7 +276,7 @@ def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
     a, shape = cfg.spacing, cfg.axis_shape(j, (j + 1) % cfg.n_sites)
     zj, zs = cfg.site_fields(j)
     h = density.coefficients(v_site)
-    scalar = np.broadcast_to(a * density.scalar_part(v_site, zj, zs), shape)
+    scalar = np.broadcast_to(a * density.evaluate(zj, zs, 0.0, v_site), shape)
     # zs is identically zero on one site, so a cross term needs two distinct axes
     cross = np.broadcast_to(a * h.get((1, 1), 0.0) * zs, shape)
     return _SiteTerm(j, scalar, a * h.get((2, 0), 0.0), a * h.get((1, 0), 0.0),

@@ -20,11 +20,6 @@ def mode_frequencies(cfg, mass):
     return np.sqrt(mass ** 2 + (4.0 / cfg.spacing ** 2) * np.sin(np.pi * k / cfg.n_sites) ** 2)
 
 
-def random_state(cfg, rng):
-    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
-    return psi
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

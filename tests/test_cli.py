@@ -70,6 +70,20 @@ def test_legendre_malformed_text(tmp_path, capsys):
     assert "lagrangian.text" in err and "position" in err
 
 
+@pytest.mark.parametrize("text,slope", [
+    ("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2", -1e200),
+    ("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2", 1e155),
+    ("0.5*zt^2 + 0.5*zx^2 - 0.5*z^2", -1e200),
+])
+def test_legendre_slope_with_no_finite_square(tmp_path, capsys, text, slope):
+    """A slope whose square overflows is a typed config error, not Python's overflow text."""
+    cfg = {"lagrangian": {"text": text}, "legendre": {"slope": slope}}
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: legendre.slope: ")
+    assert "Numerical result out of range" not in err
+
+
 # --- evolve --------------------------------------------------------------------
 
 def evolve_config(steps, method="strang", initial=None):

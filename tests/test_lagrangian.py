@@ -323,7 +323,9 @@ def test_defining_identity_property(c2, c1, g_frac, coeffs, z, zs, p, v):
     # g >= -c2 keeps the transform valid on the whole |v| < 1 range
     spec = LagrangianSpec(c2, c1, g_frac * c2, tuple(coeffs))
     density = legendre_transform(spec)
-    zdot = float(density.zdot(zs, p, v))
+    h = density.coefficients(v)
+    # the velocity solving p = dF/d(zt) is dH/dp, read off the table
+    zdot = 2.0 * h[2, 0] * p + h.get((1, 0), 0.0) + h.get((1, 1), 0.0) * zs
     direct = p * zdot - float(spec.evaluate(z, zdot, zs - zdot * v))
     assert abs(float(density.evaluate(z, zs, p, v)) - direct) < 1e-10
 
@@ -350,19 +352,19 @@ def test_degenerate_kinetic():
         legendre_transform(LagrangianSpec(0.0, 0.0, 0.0, ()))
     density = legendre_transform(parse_lagrangian("0.5*zt^2 - 0.5*zx^2"))
     with pytest.raises(DegenerateKinetic):
-        density.effective_quad(1.0)
+        density.coefficients(1.0)
     with pytest.raises(DegenerateKinetic):
         density.evaluate(0.0, 0.0, 1.0, 1.2)
 
 
 def test_flat_reduction_of_slope_form(quartic_lagr):
     density = legendre_transform(quartic_lagr)
-    flat = density.monomials(0.0)
-    assert flat[(2, 0, 0)] == pytest.approx(0.5)
-    assert flat[(0, 2, 0)] == pytest.approx(0.5)
-    assert flat[(0, 0, 2)] == pytest.approx(0.5)
-    assert flat[(0, 0, 4)] == pytest.approx(0.1)
-    assert (1, 1, 0) not in flat
+    flat = density.coefficients(0.0)
+    assert flat[(2, 0)] == pytest.approx(0.5)
+    assert flat[(0, 2)] == pytest.approx(0.5)
+    assert density.potential[2] == pytest.approx(0.5)
+    assert density.potential[4] == pytest.approx(0.1)
+    assert (1, 1) not in flat
 
 
 def test_emit_at_slope():
@@ -374,8 +376,20 @@ def test_emit_at_slope():
 
 
 def test_diagonal_density():
-    density = diagonal_density(0.0, (0.0, 0.0, 0.5))
-    assert not density.has_momentum
-    assert float(density.evaluate(2.0, 1.0, 123.0, 0.7)) == pytest.approx(2.0)
-    with pytest.raises(DegenerateKinetic):
-        density.zdot(0.0, 1.0, 0.0)
+    for g in (0.0, 0.3):
+        density = diagonal_density(g, (0.0, 0.0, 0.5))
+        assert density.coefficients(0.7) == ({(0, 2): -g} if g else {})
+        value = float(density.evaluate(2.0, 1.0, 123.0, 0.7))
+        assert value == pytest.approx(2.0 - g)
+        assert value == float(density.evaluate(2.0, 1.0, 0.0, 0.7))
+        with pytest.raises(DegenerateKinetic):
+            density.to_lagrangian()
+
+
+@pytest.mark.parametrize("g", [-0.5, 0.0, 0.5])
+def test_slope_with_no_finite_square(g):
+    """A slope whose square overflows is refused before the table holds inf or NaN."""
+    density = legendre_transform(LagrangianSpec(0.5, 0.1, g, (0.0, 0.0, 0.5)))
+    for v in (1e200, -1e155, float("inf")):
+        with pytest.raises(NonFiniteCoefficient, match="slope"):
+            density.coefficients(v)

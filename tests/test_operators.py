@@ -11,6 +11,19 @@ from fieldlab.lattice import LatticeConfig, WaveFunctional, inner
 from fieldlab.operators import DENSE_GUARD, compile_hamiltonian
 
 
+def density_parts(density, v, zj, zs):
+    """[p-free part, p coefficient, p^2 coefficient] of the density at slope v.
+
+    Read off the coefficient table, each power of p summed over zs; V(zj) is
+    summed here term by term and added to the p-free part.
+    """
+    parts = [0.0, 0.0, 0.0]
+    for (ip, k), coeff in density.coefficients(v).items():
+        parts[ip] = parts[ip] + coeff * zs ** k
+    parts[0] = parts[0] + sum(c * zj ** k for k, c in enumerate(density.potential))
+    return parts
+
+
 def dense_oracle_fd(density, cfg):
     """Kron-assembled dense flat operator from stencil and diagonal pieces.
 
@@ -37,17 +50,15 @@ def dense_oracle_fd(density, cfg):
     total = np.zeros((dim, dim), dtype=complex)
     p2 = -(h ** 2 / a ** 2) * d2          # p_j^2 matrix on one axis
     p1 = -1j * (h / a) * d1               # p_j matrix on one axis
-    quad = a * density.p_quad_coeff(0.0)
-    lin = a * float(density.p_lin_coeff(0.0, 0.0))
+    _, lin, quad = (a * part for part in density_parts(density, 0.0, 0.0, 0.0))
     for j in range(n):
-        if density.has_momentum:
-            total += quad * site_operator(p2, j) + lin * site_operator(p1, j)
+        total += quad * site_operator(p2, j) + lin * site_operator(p1, j)
     for flat, idx in enumerate(itertools.product(range(q), repeat=n)):
         value = 0.0
         for j in range(n):
             zj = zg[idx[j]]
             zs = (zg[idx[(j + 1) % n]] - zj) / a if n > 1 else 0.0
-            value += a * float(density.scalar_part(0.0, zj, zs))
+            value += a * float(density_parts(density, 0.0, zj, zs)[0])
         total[flat, flat] += value
     return total
 
@@ -75,18 +86,16 @@ def dense_oracle_spectral(density, cfg):
 
     dim = q ** n
     total = np.zeros((dim, dim), dtype=complex)
-    quad = a * density.p_quad_coeff(0.0)
-    lin = a * float(density.p_lin_coeff(0.0, 0.0))
+    _, lin, quad = (a * part for part in density_parts(density, 0.0, 0.0, 0.0))
     for j in range(n):
-        if density.has_momentum:
-            total += quad * site_operator(-(h ** 2 / a ** 2) * d2, j)
-            total += lin * site_operator(-1j * (h / a) * d1, j)
+        total += quad * site_operator(-(h ** 2 / a ** 2) * d2, j)
+        total += lin * site_operator(-1j * (h / a) * d1, j)
     for flat, idx in enumerate(itertools.product(range(q), repeat=n)):
         value = 0.0
         for j in range(n):
             zj = zg[idx[j]]
             zs = (zg[idx[(j + 1) % n]] - zj) / a if n > 1 else 0.0
-            value += a * float(density.scalar_part(0.0, zj, zs))
+            value += a * float(density_parts(density, 0.0, zj, zs)[0])
         total[flat, flat] += value
     return total
 
@@ -204,7 +213,7 @@ def test_cross_term_matches_dense_symmetrization(free_lagr):
     dim = q ** 2
     oracle = np.zeros((dim, dim), dtype=complex)
     for j in range(2):
-        quad = a * density.p_quad_coeff(v)
+        quad = a * density_parts(density, v, 0.0, 0.0)[2]
         mats = [eye, eye]
         mats[j] = p2
         oracle += quad * np.kron(mats[0], mats[1])
@@ -216,8 +225,9 @@ def test_cross_term_matches_dense_symmetrization(free_lagr):
             idx = (m0, m1)
             zj = zg[idx[j]]
             zs = (zg[idx[(j + 1) % 2]] - zj) / a
-            f_diag[flat] = a * float(density.p_lin_coeff(v, zs))
-            d_diag[flat] = a * float(density.scalar_part(v, zj, zs))
+            scalar, lin, _ = density_parts(density, v, zj, zs)
+            f_diag[flat] = a * float(lin)
+            d_diag[flat] = a * float(scalar)
         f_mat = np.diag(f_diag)
         oracle += 0.5 * (f_mat @ pj + pj @ f_mat) + np.diag(d_diag)
     assert np.max(np.abs(compiled - oracle)) < 1e-11
@@ -323,9 +333,10 @@ def fft_reference_apply(density, cfg, link_slopes, psi):
         shape_next[(j + 1) % n] = -1
         zj = zg.reshape(shape_j)
         zs = (zg.reshape(shape_next) - zj) / a
-        c = np.broadcast_to(a * density.p_lin_coeff(v, zs), cfg.shape)
-        out += a * density.scalar_part(v, zj, zs) * psi
-        out += a * density.p_quad_coeff(v) * along((h / a) ** 2 * k ** 2, psi, j)
+        scalar, lin, quad = density_parts(density, v, zj, zs)
+        c = np.broadcast_to(a * lin, cfg.shape)
+        out += a * scalar * psi
+        out += a * quad * along((h / a) ** 2 * k ** 2, psi, j)
         out += 0.5 * (c * along(h / a * k1, psi, j) + along(h / a * k1, c * psi, j))
     return out
 
