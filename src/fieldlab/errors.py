@@ -41,10 +41,6 @@ class DegenerateKinetic(NumericalFailure):
     """Effective kinetic coefficient vanished; the momentum solve is singular."""
 
 
-class UnsupportedOrdering(FieldLabError):
-    """A momentum factor shares a site with its coefficient and no symmetrization rule applies."""
-
-
 class NonPositiveCovariance(FieldLabError):
     """Gaussian covariance is not positive-definite."""
 

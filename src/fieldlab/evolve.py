@@ -1,10 +1,14 @@
 """Flat-surface time integration of wavefunctionals.
 
 Three integrators with a ground-truth hierarchy: a dense eigendecomposition
-exponential (exact, small dimensions), Strang splitting with the momentum
-step applied in the per-site Fourier representation (exact for the spectral
-derivative, so splitting is the only error), and a matrix-free
+exponential (exact, small dimensions), Strang splitting, and a matrix-free
 Crank--Nicolson step for operators with cross terms.
+
+Strang's momentum step applies each site term's kinetic propagator, the
+Q x Q matrix of its Fourier multiplier's phase, along that term's axis.  It
+is exact for the grid's derivative (spectral or fd), so splitting is the
+only error.  At N=3, Q=32 a step takes about half the time of the whole-grid
+``fftn``/``ifftn`` pair; at N=2, Q=128 it takes about 1.4 times as long.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
 from .lattice import LatticeConfig, WaveFunctional, norm as state_norm, site_moments
-from .operators import DENSE_GUARD, LatticeHamiltonian
+from .operators import (DENSE_GUARD, LatticeHamiltonian, _along, fourier_matrix,
+                        momentum_multiplier)
 
 MAX_STEPS = 100_000  # time steps in one run; committed configs and benchmarks take at most 1000
 CN_MAXITER = 500  # GMRES restart cycles in one Crank-Nicolson step
@@ -135,7 +140,7 @@ class ExactPropagator:
 
 def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
                   params: EvolveParams) -> WaveFunctional:
-    """Half diagonal phase, full momentum step in Fourier space, half phase."""
+    """Half diagonal phase, each site term's kinetic propagator along its axis, half phase."""
     if not hamiltonian.separable:
         raise NonSeparableHamiltonian("Strang splitting needs a kinetic + diagonal operator")
     cfg = hamiltonian.cfg
@@ -143,15 +148,16 @@ def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
         return state.copy()
     h = cfg.hbar
     half_phase = np.exp(-0.5j * params.dt * hamiltonian.diag / h)
-    kin_phase = np.exp(-1j * params.dt * hamiltonian.kinetic_multiplier() / h)
-    psi = state.psi.copy()
+    blocks = [(term.site, fourier_matrix(np.exp(
+        -1j * params.dt * momentum_multiplier(cfg, term.quad, term.lin_const) / h)))
+        for term in hamiltonian.terms if term.quad or term.lin_const]
+    psi = state.psi[None].copy()
     for _ in range(params.steps):
         psi *= half_phase
-        np.fft.fftn(psi, out=psi)
-        psi *= kin_phase
-        np.fft.ifftn(psi, out=psi)
+        for axis, block in blocks:
+            psi = _along(block, psi, axis)
         psi *= half_phase
-    return WaveFunctional(cfg, psi)
+    return WaveFunctional(cfg, psi[0])
 
 
 GMRES_RESTART = 20  # Arnoldi steps per GMRES cycle

@@ -25,7 +25,7 @@ from .errors import DimensionTooLarge, EnumerationTooLarge, ShapeMismatch
 from .evolve import MAX_STEPS, ExactPropagator
 from .lagrangian import LagrangianSpec, legendre_transform
 from .lattice import LatticeConfig, WaveFunctional, link_difference, norm
-from .operators import compile_hamiltonian, fourier_matrix, momentum_multiplier
+from .operators import _along, compile_hamiltonian, fourier_matrix, momentum_multiplier
 from .surface import fit_order
 
 ENUMERATION_GUARD = 2 ** 22
@@ -123,10 +123,10 @@ class TransferOperator:
         self.diag_phase = _diagonal_action_phase(pspec, lagr, cfg)
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        out = self.diag_phase * psi
+        out = (self.diag_phase * psi)[None]
         for j in range(self.cfg.n_sites):
-            out = np.moveaxis(np.tensordot(self.kinetic, out, axes=([1], [j])), 0, j)
-        return out
+            out = _along(self.kinetic, out, j)
+        return out[0]
 
     def evolve(self, state: WaveFunctional) -> WaveFunctional:
         psi = state.psi

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionTooLarge, UnsupportedOrdering
+from .errors import DimensionTooLarge
 from .lagrangian import HamiltonianDensity
 from .lattice import LatticeConfig, WaveFunctional, spacelike
 
@@ -67,17 +67,19 @@ def _hermitian_parts(multiplier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (block.real + block.real.T), 0.5 * (block.imag - block.imag.T)
 
 
-def _along(block: np.ndarray, pair: np.ndarray, axis: int) -> np.ndarray:
-    """``block`` applied along state ``axis`` of a real (2,) + state-shape array.
+def _along(block: np.ndarray, batch: np.ndarray, axis: int) -> np.ndarray:
+    """``block`` applied along state ``axis`` of a (B,) + state-shape array.
 
-    One matmul over the (2 Q**axis, Q, rest) view; on the last axis a
-    single GEMM over the (-1, Q) rows.
+    The leading axis is a batch: ``apply`` passes the real (2,) pair of a
+    state's real and imaginary parts, and a complex state goes in as
+    ``psi[None]``.  One matmul over the (B Q**axis, Q, rest) view; on the
+    last axis a single GEMM over the (-1, Q) rows.
     """
     q = block.shape[0]
-    rest = pair[0].size // q ** (axis + 1)
+    rest = batch[0].size // q ** (axis + 1)
     if rest == 1:
-        return (pair.reshape(-1, q) @ block.T).reshape(pair.shape)
-    return np.matmul(block, pair.reshape(-1, q, rest)).reshape(pair.shape)
+        return (batch.reshape(-1, q) @ block.T).reshape(batch.shape)
+    return np.matmul(block, batch.reshape(-1, q, rest)).reshape(batch.shape)
 
 
 def _add_turned(out: np.ndarray, b: np.ndarray) -> None:
@@ -205,17 +207,6 @@ class LatticeHamiltonian:
         # term puts f * mean(k1) there, and the mean of k1 is zero
         return self.diag + sum(float(np.mean(mult)) for mult in map(self._momentum, self.terms)
                                if mult is not None)
-
-    def kinetic_multiplier(self) -> np.ndarray:
-        """Fourier multiplier of the momentum part; requires separability."""
-        mult = np.zeros(self.cfg.shape)
-        for term in self.terms:
-            if term.cross is not None:
-                raise UnsupportedOrdering("cross terms have no global Fourier multiplier")
-            term_mult = self._momentum(term)
-            if term_mult is not None:
-                mult = mult + term_mult.reshape(self.cfg.axis_shape(term.site))
-        return mult
 
     def dense_matrix(self) -> np.ndarray:
         """The operator as an exactly Hermitian (dim, dim) array, assembled from its structure.

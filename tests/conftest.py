@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fieldlab.lagrangian import parse_lagrangian
+from fieldlab.operators import momentum_multiplier
 
 
 @pytest.fixture
@@ -18,6 +19,20 @@ def mode_frequencies(cfg, mass):
     """The free lattice dispersion omega_k = sqrt(mass^2 + (4/a^2) sin^2(pi k / N)), k < N."""
     k = np.arange(cfg.n_sites)
     return np.sqrt(mass ** 2 + (4.0 / cfg.spacing ** 2) * np.sin(np.pi * k / cfg.n_sites) ** 2)
+
+
+def kinetic_phase(op, dt):
+    """exp(-i dt T / h) on the full Fourier grid, T the separable operator's momentum part.
+
+    Rebuilt term by term from ``momentum_multiplier``: the phase an FFT
+    oracle multiplies by between ``fftn`` and ``ifftn``.
+    """
+    cfg = op.cfg
+    mult = np.zeros(cfg.shape)
+    for term in op.terms:
+        mult = mult + momentum_multiplier(cfg, term.quad, term.lin_const).reshape(
+            cfg.axis_shape(term.site))
+    return np.exp(-1j * dt * mult / cfg.hbar)
 
 
 @pytest.fixture

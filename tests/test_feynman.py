@@ -29,6 +29,8 @@ from fieldlab.lattice import (
 )
 from fieldlab.operators import compile_hamiltonian
 
+from conftest import kinetic_phase
+
 
 def slow_action_oracle(history, dt, a, lagr):
     """Deliberately naive double-loop re-evaluation of the discrete action."""
@@ -215,7 +217,7 @@ def test_fresnel_step_is_one_trotter_step(free_lagr, rng):
     cfg = LatticeConfig(2, 1.0, 16, 8.0)
     op = compile_hamiltonian(legendre_transform(free_lagr), cfg)
     dt, h = 0.17, cfg.hbar
-    kin_phase = np.exp(-1j * dt * op.kinetic_multiplier() / h)
+    kin_phase = kinetic_phase(op, dt)
     diag_phase = np.exp(-1j * dt * op.diag / h)
     psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
     manual = np.fft.ifftn(kin_phase * np.fft.fftn(diag_phase * psi))
@@ -231,12 +233,27 @@ def test_fresnel_step_with_linear_kinetic_is_one_trotter_step(rng):
     cfg = LatticeConfig(2, 0.5, 16, 8.0, hbar=0.7)
     op = compile_hamiltonian(legendre_transform(lagr), cfg)
     dt, h = 0.13, cfg.hbar
-    kin_phase = np.exp(-1j * dt * op.kinetic_multiplier() / h)
+    kin_phase = kinetic_phase(op, dt)
     diag_phase = np.exp(-1j * dt * op.diag / h)
     psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
     manual = np.fft.ifftn(kin_phase * np.fft.fftn(diag_phase * psi))
     transfer = TransferOperator(PathIntegralSpec(0, dt, "fresnel_exact"), lagr, cfg).step(psi)
     assert np.max(np.abs(manual - transfer)) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("n, q", [(1, 16), (2, 16), (3, 8)])
+def test_transfer_step_matches_tensordot_oracle(kernel, n, q, rng):
+    """The step applies the kinetic kernel along each site axis bit for bit as a
+    tensordot over that axis, moved back into place, would."""
+    lagr = parse_lagrangian("0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
+    cfg = LatticeConfig(n, 0.5, q, 6.0, hbar=0.7)
+    transfer = TransferOperator(PathIntegralSpec(0, 0.13, kernel), lagr, cfg)
+    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    oracle = transfer.diag_phase * psi
+    for j in range(n):
+        oracle = np.moveaxis(np.tensordot(transfer.kinetic, oracle, axes=([1], [j])), 0, j)
+    assert np.array_equal(transfer.step(psi), oracle)
 
 
 def test_kernel_consistency_under_grid_refinement(free_lagr):

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fieldlab.errors import NotSpacelike, UnsupportedOrdering
+from fieldlab.errors import NonSeparableHamiltonian, NotSpacelike
+from fieldlab.evolve import EvolveParams, evolve_strang
 from fieldlab.lagrangian import diagonal_density, legendre_transform, parse_lagrangian
 from fieldlab.lattice import LatticeConfig, WaveFunctional, inner
 from fieldlab.operators import DENSE_GUARD, compile_hamiltonian
@@ -181,15 +182,17 @@ def test_not_spacelike_guard(free_lagr):
 
 
 def test_unsupported_ordering_guard(free_lagr):
-    """A sloped operator has cross terms, so it has no global Fourier multiplier."""
+    """A sloped operator has cross terms, so it does not split into per-site kinetic
+    propagators and Strang splitting refuses it."""
     cfg = LatticeConfig(2, 1.0, 8, 6.0)
     density = legendre_transform(free_lagr)
     sloped = compile_hamiltonian(density, cfg, 0.5)
     assert not sloped.separable
-    with pytest.raises(UnsupportedOrdering):
-        sloped.kinetic_multiplier()
-    # a flat operator is separable and has one
-    assert compile_hamiltonian(density, cfg).kinetic_multiplier().shape == cfg.shape
+    state = WaveFunctional(cfg, np.ones(cfg.shape, dtype=complex))
+    with pytest.raises(NonSeparableHamiltonian):
+        evolve_strang(sloped, state, EvolveParams(0.1, 1))
+    # a flat operator is separable
+    assert compile_hamiltonian(density, cfg).separable
 
 
 def test_cross_term_matches_dense_symmetrization(free_lagr):
