@@ -272,10 +272,10 @@ class _ActionGrid:
         return z
 
     def interpolant(self) -> np.ndarray:
-        frac = np.arange(self.R + 1)[:, None] / self.R
-        z0 = np.asarray(self.bd.z0)[None, :]
-        z1 = np.asarray(self.bd.z1)[None, :]
-        return z0 + frac * (z1 - z0)
+        """The straight line between the boundaries; its end rows are z0 and z1 exactly."""
+        z = self.boundary_fill()
+        z[1:-1] = z[0] + np.arange(1, self.R)[:, None] / self.R * (z[-1] - z[0])
+        return z
 
 
 @dataclass

@@ -44,6 +44,7 @@ from .feynman import (
     PathIntegralSpec,
     TransferOperator,
     brute_force_amplitudes,
+    check_enumerable,
     feynman_vs_schrodinger,
     history_count,
 )
@@ -417,13 +418,15 @@ def cmd_feynman(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
     pspec = _build_at("feynman.dt", PathIntegralSpec, opts["t_steps"], opts["dt"], opts["kernel"])
     initial = _build_initial(opts["initial"], "feynman.initial", cfg, base_dir)
 
+    identity_mode = opts["identity_check"]
+    if identity_mode == "force":
+        check_enumerable(pspec, cfg)  # an oversized history sum is refused before any work
     report = feynman_vs_schrodinger(initial, pspec, lagr, opts["levels"])
     transfer_state = TransferOperator(pspec, lagr, cfg).evolve(initial)
 
     identity = {"checked": False}
-    identity_mode = opts["identity_check"]
-    histories = history_count(pspec, cfg)
-    if identity_mode == "force" or (identity_mode == "auto" and histories <= 2 ** 14):
+    if identity_mode == "force" or (identity_mode == "auto"
+                                    and history_count(pspec, cfg) <= 2 ** 14):
         amps = brute_force_amplitudes(initial, pspec, lagr)
         err = float(np.max(np.abs(amps - transfer_state.psi)))
         identity = {"checked": True, "max_abs_err": err, "passes_1e12": err < 1e-12}

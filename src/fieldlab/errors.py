@@ -70,7 +70,7 @@ class SolverDivergence(NumericalFailure):
 
 
 class NotSpacelike(NumericalFailure):
-    """Surface link slope reached or exceeded the characteristic speed."""
+    """A surface slope, of a link or a site, reached or exceeded the characteristic speed."""
 
 
 class ScheduleMismatch(FieldLabError):

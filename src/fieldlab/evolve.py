@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
 from .lattice import LatticeConfig, WaveFunctional, norm as state_norm, site_moments
-from .operators import (DENSE_GUARD, LatticeHamiltonian, _along, fourier_matrix,
-                        momentum_multiplier)
+from .operators import DENSE_GUARD, LatticeHamiltonian, _along, fourier_matrix
 
 MAX_STEPS = 100_000  # time steps in one run; committed configs and benchmarks take at most 1000
 CN_MAXITER = 500  # GMRES restart cycles in one Crank-Nicolson step
@@ -148,9 +147,8 @@ def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
         return state.copy()
     h = cfg.hbar
     half_phase = np.exp(-0.5j * params.dt * hamiltonian.diag / h)
-    blocks = [(term.site, fourier_matrix(np.exp(
-        -1j * params.dt * momentum_multiplier(cfg, term.quad, term.lin_const) / h)))
-        for term in hamiltonian.terms if term.quad or term.lin_const]
+    blocks = [(term.site, fourier_matrix(np.exp(-1j * params.dt * term.mult / h)))
+              for term in hamiltonian.terms if term.mult is not None]
     psi = state.psi[None].copy()
     for _ in range(params.steps):
         psi *= half_phase
@@ -192,10 +190,10 @@ def _gmres(matvec, b: np.ndarray, precond: np.ndarray, atol: float, maxiter: int
     basis = np.empty((m + 1, b.size), dtype=np.complex128)
     for _ in range(maxiter):
         beta = _norm(r)
+        if not np.isfinite(beta):  # first: an overflowed right-hand side also makes atol inf
+            raise SolverDivergence(f"gmres residual is {beta}")
         if beta <= atol:
             return x
-        if not np.isfinite(beta):
-            raise SolverDivergence(f"gmres residual is {beta}")
         hess = np.zeros((m, m), dtype=np.complex128)  # R of the rotated Hessenberg matrix
         rotations = []
         g = np.zeros(m + 1, dtype=np.complex128)

@@ -140,12 +140,19 @@ def history_count(pspec: PathIntegralSpec, cfg: LatticeConfig) -> int:
     return cfg.q_points ** (cfg.n_sites * (pspec.t_steps + 1))
 
 
-def _check_enumerable(pspec: PathIntegralSpec, cfg: LatticeConfig) -> int:
-    """The history count, or EnumerationTooLarge above ENUMERATION_GUARD."""
-    count = history_count(pspec, cfg)
-    if count > ENUMERATION_GUARD:
+def check_enumerable(pspec: PathIntegralSpec, cfg: LatticeConfig) -> int:
+    """The history count, or EnumerationTooLarge above ENUMERATION_GUARD.
+
+    A grid has at least two points, so a count over as many free site values
+    as the guard has bits is past it; such a count, which at a ``t_steps``
+    near 2**62 has about 10**19 digits, is refused without being formed.
+    """
+    slices = cfg.n_sites * (pspec.t_steps + 1)
+    count = history_count(pspec, cfg) if slices < ENUMERATION_GUARD.bit_length() else None
+    if count is None or count > ENUMERATION_GUARD:
+        shown = f"{cfg.q_points}^{slices}" if count is None else count
         raise EnumerationTooLarge(
-            f"{count} histories exceed the enumeration guard {ENUMERATION_GUARD}")
+            f"{shown} histories exceed the enumeration guard {ENUMERATION_GUARD}")
     return count
 
 
@@ -160,7 +167,7 @@ def _history_sum(state: WaveFunctional, pspec: PathIntegralSpec, lagr: Lagrangia
     same sum whichever other finals are asked for.
     """
     cfg = state.cfg
-    count = _check_enumerable(pspec, cfg)
+    count = check_enumerable(pspec, cfg)
     n, q = cfg.n_sites, cfg.q_points
     n_free = pspec.t_steps + 1
     places = q ** np.arange(n * n_free - 1, -1, -1)

@@ -100,13 +100,22 @@ def _site_diagonal(mat: np.ndarray, n: int, q: int, site: int) -> np.ndarray:
 
 @dataclass
 class _SiteTerm:
-    """One site's share a * H_j; its arrays broadcast on the site and neighbour axes."""
+    """One site's share a * H_j; its arrays broadcast on the site and neighbour axes.
+
+    Its momentum block is K + i K_imag, with K_imag kept only when the term
+    has a constant p_site part; its cross term (f P + P f) / 2 is i (f R + R f).
+    K, K_imag and R are real Q x Q arrays acting along the site's axis.
+    """
 
     site: int
     scalar: np.ndarray               # the momentum-free part, diagonal in the field basis
     quad: float = 0.0                # coefficient of p_site^2
     lin_const: float = 0.0           # field-independent coefficient of p_site
-    cross: np.ndarray | None = None  # field-dependent coefficient of p_site
+    cross: np.ndarray | None = None  # field-dependent coefficient of p_site, f
+    mult: np.ndarray | None = None   # 1-D multiplier of quad * p_site^2 + lin_const * p_site
+    k: np.ndarray | None = None
+    k_imag: np.ndarray | None = None
+    r: np.ndarray | None = None
 
 
 @dataclass
@@ -142,55 +151,23 @@ class LatticeHamiltonian:
         """True when the operator splits into a k-diagonal plus a z-diagonal part."""
         return all(t.cross is None for t in self.terms)
 
-    def _momentum(self, term: _SiteTerm) -> np.ndarray | None:
-        """A term's 1-D multiplier of its p_site^2 and constant p_site parts, or None."""
-        if not (term.quad or term.lin_const):
-            return None
-        return momentum_multiplier(self.cfg, term.quad, term.lin_const)
-
-    @cached_property
-    def _table(self) -> list[tuple]:
-        """Per term: (axis, K or None, K_imag or None, R or None, cross f or None).
-
-        The term's momentum block is K + i K_imag, with K_imag kept only when
-        the term has a first-derivative part; its P/2 block is i R.  ``apply``
-        multiplies by these real Q x Q arrays along their axis, and
-        ``dense_matrix`` and ``site_blocks`` add the same arrays as Kronecker
-        sums.  f is shaped to broadcast against the state.
-        """
-        cfg = self.cfg
-        table = []
-        for term in self.terms:
-            k = k_imag = r = f = None
-            mult = self._momentum(term)
-            if mult is not None:
-                k, k_imag = _hermitian_parts(mult)
-                k_imag = k_imag if term.lin_const else None
-            if term.cross is not None:
-                half_p = 0.5 * (cfg.hbar / cfg.spacing) * momentum_grids(cfg)[1]
-                r = _hermitian_parts(half_p)[1]
-                f = term.cross
-            if k is not None or f is not None:
-                table.append((term.site, k, k_imag, r, f))
-        return table
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi in real arithmetic: each term's Q x Q blocks act along its axis as GEMMs.
 
         The state's real and imaginary parts go in as one real (2,) + shape
         array, so a real block costs one real GEMM per part.  An imaginary
-        block i B adds i (B x) through ``_add_turned``; the cross term
-        (f P + P f) / 2 is i (f R + R f).
+        block i B adds i (B x) through ``_add_turned``.
         """
         pair = np.stack((psi.real, psi.imag))
         out = pair * self.diag
-        for axis, k, k_imag, r, f in self._table:
-            if k is not None:
-                out += _along(k, pair, axis)
-            if k_imag is not None:
-                _add_turned(out, _along(k_imag, pair, axis))
-            if r is not None:
-                _add_turned(out, f * _along(r, pair, axis) + _along(r, f * pair, axis))
+        for t in self.terms:
+            if t.k is not None:
+                out += _along(t.k, pair, t.site)
+            if t.k_imag is not None:
+                _add_turned(out, _along(t.k_imag, pair, t.site))
+            if t.r is not None:
+                f = t.cross
+                _add_turned(out, f * _along(t.r, pair, t.site) + _along(t.r, f * pair, t.site))
         result = np.empty(psi.shape, dtype=np.complex128)
         result.real, result.imag = out
         return result
@@ -205,8 +182,7 @@ class LatticeHamiltonian:
         """The operator's diagonal in the field basis, computed once per operator."""
         # a one-axis Fourier multiplier puts its mean on the diagonal; a cross
         # term puts f * mean(k1) there, and the mean of k1 is zero
-        return self.diag + sum(float(np.mean(mult)) for mult in map(self._momentum, self.terms)
-                               if mult is not None)
+        return self.diag + sum(float(np.mean(t.mult)) for t in self.terms if t.mult is not None)
 
     def dense_matrix(self) -> np.ndarray:
         """The operator as an exactly Hermitian (dim, dim) array, assembled from its structure.
@@ -238,28 +214,23 @@ class LatticeHamiltonian:
         diagonal goes in through axis 0.  The array is float64 when no term has
         a first-derivative part, complex128 otherwise.
         """
-        real = all(k_imag is None and r is None for _, _, k_imag, r, _ in self._table)
+        real = all(t.k_imag is None and t.r is None for t in self.terms)
         out = np.zeros(shape, dtype=np.float64 if real else np.complex128)
 
         def laid_out(values, block):  # full-grid values as (L, R, Q), matching block
             return np.broadcast_to(values, self.cfg.shape).reshape(
                 block.shape[0], self.cfg.q_points, block.shape[1]).transpose(0, 2, 1)
 
-        for axis, k, k_imag, r, f in self._table:
-            block = blocks_at(out, axis)
-            if k is not None:
-                block += k if k_imag is None else k + 1j * k_imag
-            if f is not None:
-                f = laid_out(f, block)
-                block += (f[..., :, None] + f[..., None, :]) * (1j * r)
+        for t in self.terms:
+            block = blocks_at(out, t.site)
+            if t.k is not None:
+                block += t.k if t.k_imag is None else t.k + 1j * t.k_imag
+            if t.r is not None:
+                f = laid_out(t.cross, block)
+                block += (f[..., :, None] + f[..., None, :]) * (1j * t.r)
         block = blocks_at(out, 0)
         np.einsum("...ii->...i", block)[...] += laid_out(self.diag, block)
         return out
-
-
-def site_slopes_from_links(v_links: np.ndarray) -> np.ndarray:
-    """Per-site slope = mean of the two adjacent link slopes."""
-    return 0.5 * (np.roll(v_links, 1) + v_links)
 
 
 def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
@@ -270,26 +241,31 @@ def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
     scalar = np.broadcast_to(a * density.evaluate(zj, zs, 0.0, v_site), shape)
     # zs is identically zero on one site, so a cross term needs two distinct axes
     cross = np.broadcast_to(a * h.get((1, 1), 0.0) * zs, shape)
-    return _SiteTerm(j, scalar, a * h.get((2, 0), 0.0), a * h.get((1, 0), 0.0),
+    term = _SiteTerm(j, scalar, a * h.get((2, 0), 0.0), a * h.get((1, 0), 0.0),
                      cross if np.any(cross) else None)
+    if term.quad or term.lin_const:
+        term.mult = momentum_multiplier(cfg, term.quad, term.lin_const)
+        term.k, k_imag = _hermitian_parts(term.mult)
+        term.k_imag = k_imag if term.lin_const else None
+    if term.cross is not None:
+        half_p = 0.5 * (cfg.hbar / cfg.spacing) * momentum_grids(cfg)[1]
+        term.r = _hermitian_parts(half_p)[1]
+    return term
 
 
 def compile_hamiltonian(density: HamiltonianDensity, cfg: LatticeConfig,
-                        v_links: np.ndarray | float | None = None,
+                        v_sites: np.ndarray | float | None = None,
                         sites: list[int] | None = None) -> LatticeHamiltonian:
     """Assemble a * sum_j H(z_j, zs_j, p_j; v_j) as a matrix-free operator.
 
-    ``v_links[j]`` is the slope of the link from site j to j+1 (scalar or
-    None mean a uniform/flat surface); the density at site j uses the mean of
-    its two adjacent link slopes.  ``sites`` restricts the sum to a subset,
-    which is how the single-site local densities of surface deformations are
-    built.
+    ``v_sites[j]`` is the surface slope at site j, the value
+    ``SpacelikeSurface.site_slope(j)`` gives; a scalar is the same slope at
+    every site and None a flat surface.  ``sites`` restricts the sum to a
+    subset, which is how the single-site local densities of surface
+    deformations are built.
     """
     n = cfg.n_sites
-    if v_links is None:
-        v_arr = np.zeros(n)
-    else:
-        v_arr = np.broadcast_to(np.asarray(v_links, dtype=float), (n,)).astype(float)
-    v_sites = site_slopes_from_links(spacelike(v_arr))
-    return LatticeHamiltonian(cfg, [_build_site(density, cfg, j, float(v_sites[j]))
+    v = np.zeros(n) if v_sites is None else np.broadcast_to(np.asarray(v_sites, dtype=float), (n,))
+    spacelike(v, "site slopes")
+    return LatticeHamiltonian(cfg, [_build_site(density, cfg, j, float(v[j]))
                                     for j in (sites if sites is not None else range(n))])

@@ -3,12 +3,12 @@
 A surface is a per-site time graph t_j with periodic link slopes
 (t_{j+1} - t_j)/a bounded below the characteristic speed.  Elementary
 deformations advance one site's time; the generator is the single-site
-density operator a * H_j built with the mean of the adjacent link slopes.
-Exact path independence would need commuting densities at distinct sites,
-which fails at finite spacing, so same-endpoint schedules are compared under
-step refinement instead.  Times are exact decimals (0.1 is 1/10): a sweep
-step must divide its total time exactly, and schedules share an endpoint
-only when its times are equal.
+density operator a * H_j at the site slope ``SpacelikeSurface.site_slope``,
+the mean of the two adjacent link slopes.  Exact path independence would
+need commuting densities at distinct sites, which fails at finite spacing,
+so same-endpoint schedules are compared under step refinement instead.
+Times are exact decimals (0.1 is 1/10): a sweep step must divide its total
+time exactly, and schedules share an endpoint only when its times are equal.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class SurfaceEvolver:
         if v_site not in self._eig_cache:
             n_mini = min(self.cfg.n_sites, 2)
             mini = compile_hamiltonian(self.density, replace(self.cfg, n_sites=n_mini),
-                                       np.full(n_mini, v_site), sites=[0])
+                                       v_site, sites=[0])
             self._eig_cache[v_site] = np.linalg.eigh(mini.site_blocks())
         key = (v_site, dt)
         if key not in self._prop_cache:

@@ -67,6 +67,13 @@ def test_zero_boundary_gives_zero(quartic_lagr):
     assert sol.residual < 1e-10
 
 
+def test_newton_start_keeps_the_boundary_rows_exact(quartic_lagr):
+    """The straight-line start ends on z1 itself: 0.1 + 1.0 * (-0.3 - 0.1) is not -0.3."""
+    bd = BoundaryData((0.0,), (1.0,), (0.1,), (-0.3,))
+    sol = solve_extremal(bd, quartic_lagr, 1e-2)
+    assert np.array_equal(sol.z[0], bd.z0) and np.array_equal(sol.z[-1], bd.z1)
+
+
 TWO_STEP_BOUNDARY = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.12, -0.1), (-0.1, 0.09))
 
 

@@ -152,6 +152,16 @@ def test_evolve_exact_zero_steps_skips_the_dense_guard(tmp_path):
     assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 3
 
 
+def test_evolve_crank_nicolson_overflowing_step_is_numerical_failure(tmp_path, capsys):
+    """A dt of 1e200 overflows the Cayley system's norms: exit 3, not an unchanged trajectory."""
+    cfg = evolve_config(3, "crank_nicolson")
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*z^2", "params": {}}
+    cfg["evolve"]["dt"] = 1e200
+    with np.errstate(over="ignore"):
+        assert run(tmp_path, cfg) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_evolve_unknown_method(tmp_path, capsys):
     assert run(tmp_path, evolve_config(5, "leapfrog")) == 2
     assert "evolve.method" in capsys.readouterr().err
@@ -409,6 +419,22 @@ def test_feynman_oversized_enumeration(tmp_path, capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_steps,shown", [(3, "281474976710656"), (2 ** 62, "64^")],
+                         ids=["n2-q64-t3", "past-the-step-guard"])
+def test_feynman_forced_identity_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                         t_steps, shown):
+    """An oversized forced history sum exits 4 before the reference evolution starts."""
+    def no_work(*args):
+        raise AssertionError("the ladder ran before the enumeration guard")
+
+    monkeypatch.setattr(fieldlab.cli, "feynman_vs_schrodinger", no_work)
+    cfg = feynman_config(t_steps=t_steps, identity="force", q=64)
+    cfg["lattice"]["n_sites"] = 2
+    assert run(tmp_path, cfg) == 4
+    assert capsys.readouterr().err.startswith(f"resource guard: {shown}")
+    assert not (tmp_path / "out" / "meta.json").exists()
+
+
 # --- classical -------------------------------------------------------------------
 
 def classical_config(boundary, checks=("hj_residuals",), dt_c=1e-2):
@@ -441,6 +467,14 @@ def test_classical_extremal_csv_plain_floats(tmp_path):
     assert lines[2] == "0.0,0.0,0.3"
     for line in lines[2:]:
         assert [repr(float(v)) for v in line.split(",")] == line.split(",")
+
+
+def test_classical_quartic_extremal_ends_on_the_boundary_value(tmp_path):
+    cfg = classical_config({"t0": [0.0], "t1": [1.0], "z0": [0.1], "z1": [-0.3]}, checks=())
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", "params": {}}
+    assert run(tmp_path, cfg) == 0
+    lines = (tmp_path / "out" / "extremal.csv").read_text().splitlines()
+    assert lines[2] == "0.0,0.0,0.1" and lines[-1] == "1.0,0.0,-0.3"
 
 
 def test_classical_oscillator_closed_form(tmp_path):

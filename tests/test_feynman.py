@@ -11,10 +11,10 @@ from fieldlab.feynman import (
     KERNELS,
     PathIntegralSpec,
     TransferOperator,
-    _check_enumerable,
     _diagonal_action_phase,
     brute_force_amplitudes,
     brute_force_feynman,
+    check_enumerable,
     discrete_action,
     feynman_vs_schrodinger,
     one_site_kinetic_matrix,
@@ -51,7 +51,7 @@ def slow_action_oracle(history, dt, a, lagr):
 def reference_history_sum(state, pspec, lagr):
     """The history sum one history at a time in Python: the reference for the block sum."""
     cfg = state.cfg
-    _check_enumerable(pspec, cfg)
+    check_enumerable(pspec, cfg)
     n, q = cfg.n_sites, cfg.q_points
     zg = cfg.z_values()
     n_free = pspec.t_steps + 1

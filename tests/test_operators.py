@@ -240,7 +240,7 @@ QUARTIC = "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4"
 LINEAR_ZT = "0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2"
 FREE = "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2"
 
-# (text, n_sites, derivative, link slopes, sites, real structure)
+# (text, n_sites, derivative, site slopes, sites, real structure)
 DENSE_CASES = {
     "flat_real": (QUARTIC, 2, "spectral", None, None, True),
     "linear_zt": (LINEAR_ZT, 2, "spectral", None, None, False),
@@ -308,20 +308,19 @@ def test_fused_cross_term_apply_matches_dense(text, slopes, sites, derivative, r
     assert np.array_equal(op.apply(x), hx)
 
 
-def fft_reference_apply(density, cfg, link_slopes, psi):
+def fft_reference_apply(density, cfg, site_slopes, psi):
     """H psi from per-axis np.fft multipliers, rebuilt from the density.
 
     Site j carries a * [p_quad P_j^2 + (c_j P_j + P_j c_j) / 2 + scalar part],
     with c_j the field-dependent p coefficient, P_j = (h/a) k1 and P_j^2 =
-    (h/a)^2 k^2 as Fourier multipliers on axis j, and the slope at a site
-    the mean of its two links.
+    (h/a)^2 k^2 as Fourier multipliers on axis j, and v_j = site_slopes[j].
     """
     n, a, h = cfg.n_sites, cfg.spacing, cfg.hbar
     k = 2 * np.pi * np.fft.fftfreq(cfg.q_points, d=cfg.dz)
     k1 = k.copy()
     k1[cfg.q_points // 2] = 0.0
     zg = cfg.z_values()
-    links = np.zeros(n) if link_slopes is None else np.asarray(link_slopes, dtype=float)
+    slopes = np.zeros(n) if site_slopes is None else np.asarray(site_slopes, dtype=float)
 
     def along(mult, x, j):
         shape = [1] * n
@@ -330,7 +329,7 @@ def fft_reference_apply(density, cfg, link_slopes, psi):
 
     out = np.zeros(cfg.shape, dtype=complex)
     for j in range(n):
-        v = 0.5 * (links[j - 1] + links[j])
+        v = slopes[j]
         shape_j, shape_next = [1] * n, [1] * n
         shape_j[j] = -1
         shape_next[(j + 1) % n] = -1

@@ -37,6 +37,11 @@ def free_setup(n=3, q=16, lq=8.0):
     return cfg, density, state
 
 
+def site_slopes(surf):
+    """The surface's slope at each site, as ``compile_hamiltonian`` takes it."""
+    return [surf.site_slope(k) for k in range(surf.n_sites)]
+
+
 def test_surface_validation():
     SpacelikeSurface((0.0, 0.5, 0.1))
     with pytest.raises(NotSpacelike):
@@ -54,14 +59,14 @@ def test_flat_reduction(rng):
     psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
     total = np.zeros_like(psi)
     for j in range(cfg.n_sites):
-        total += compile_hamiltonian(density, cfg, surf.link_slopes(), sites=[j]).apply(psi)
+        total += compile_hamiltonian(density, cfg, site_slopes(surf), sites=[j]).apply(psi)
     assert np.max(np.abs(total - flat_op.apply(psi))) < 1e-12
 
 
 def test_local_density_hermitian(rng):
     cfg, density, _ = free_setup(n=2)
     surf = SpacelikeSurface((0.0, 0.5), 1.0)
-    op = compile_hamiltonian(density, cfg, surf.link_slopes(), sites=[0])
+    op = compile_hamiltonian(density, cfg, site_slopes(surf), sites=[0])
     weight = cfg.dz ** cfg.n_sites
     for _ in range(10):
         phi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
@@ -251,7 +256,7 @@ def test_crank_nicolson_deform_step_matches_full_lattice_solve(n, derivative, ti
     evolver = SurfaceEvolver(density, cfg, "crank_nicolson")
     for site in range(n):
         step = evolver.deform_step(state, surf, site, 0.05)
-        op = compile_hamiltonian(density, cfg, surf.link_slopes(), sites=[site])
+        op = compile_hamiltonian(density, cfg, site_slopes(surf), sites=[site])
         full = crank_nicolson_step(op, state.psi, 0.05, tol=1e-13)
         assert np.max(np.abs(step.psi - full)) <= 1e-12
 
@@ -262,7 +267,7 @@ def test_exact_deform_step_matches_expm_of_local_density(n, derivative, times, t
     evolver = SurfaceEvolver(density, cfg, "exact")
     for site in range(n):
         step = evolver.deform_step(state, surf, site, 0.05)
-        mat = compile_hamiltonian(density, cfg, surf.link_slopes(), sites=[site]).dense_matrix()
+        mat = compile_hamiltonian(density, cfg, site_slopes(surf), sites=[site]).dense_matrix()
         full = (expm(-0.05j * mat / cfg.hbar) @ state.psi.ravel()).reshape(cfg.shape)
         assert np.max(np.abs(step.psi - full)) <= 1e-12
 
