@@ -265,15 +265,10 @@ class _ActionGrid:
         out[2 * b] -= self._w_pot_flat[inner] * self.lagr.potential_second_derivative(z_flat[inner])
         return out
 
-    def boundary_fill(self) -> np.ndarray:
-        z = np.zeros((self.R + 1, self.n))
-        z[0] = self.bd.z0
-        z[-1] = self.bd.z1
-        return z
-
     def interpolant(self) -> np.ndarray:
         """The straight line between the boundaries; its end rows are z0 and z1 exactly."""
-        z = self.boundary_fill()
+        z = np.empty((self.R + 1, self.n))
+        z[0], z[-1] = self.bd.z0, self.bd.z1
         z[1:-1] = z[0] + np.arange(1, self.R)[:, None] / self.R * (z[-1] - z[0])
         return z
 
@@ -408,59 +403,54 @@ def _newton_tol(grid: _ActionGrid, z_flat: np.ndarray) -> float:
 def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> ExtremalSolution:
     """Stationary point of the discrete action between the two surfaces.
 
-    Quadratic potentials reduce to one banded LU solve with one refinement
-    pass; higher-degree potentials run a damped Newton iteration from
-    the straight-line interpolant, of at most NEWTON_MAXITER steps, until
-    the residual reaches ``_newton_tol``.  Near-singular two-time problems (the
-    resonances of the oscillator family) raise SingularBVP instead of
-    returning garbage.
+    A damped Newton iteration from the straight-line interpolant, of at most
+    NEWTON_MAXITER steps, until the residual reaches ``_newton_tol``.  The
+    Hessian is factored at the start and, for a potential of degree above 2,
+    again after each accepted step, so its last factorization is the
+    condition check at the extremal; a potential of degree at most 2 has a
+    constant Hessian, which the first factorization serves throughout.
+    Near-singular two-time problems (the resonances of the oscillator
+    family) raise SingularBVP instead of returning garbage.
     """
     n_rows = grid_rows(bd, dt_c)
     grid = _ActionGrid(bd, lagr, n_rows)
     inner = grid.interior
     work = np.empty((3 * grid.b + 1, inner.stop - inner.start), order="F")
-    quadratic = len(lagr.potential) <= 3
+    refactor = len(lagr.potential) > 3         # degree above 2: the Hessian moves with z
 
-    def factor(z_flat):
-        return _factor(grid.interior_system(z_flat, work), grid.b)
-
-    z_flat = grid.flatten(grid.boundary_fill() if quadratic else grid.interpolant())
-    if quadratic:
-        solve = factor(z_flat)
-        for _ in range(2):                     # the solve, then one refinement pass
-            z_flat[inner] -= solve(grid.gradient(z_flat)[inner])
-    else:
-        grad = grid.gradient(z_flat)[inner]
-        best = np.max(np.abs(grad))
-        # converged after a step when the residual is down to NEWTON_TOL, or to the roundoff
-        # floor where that lies above it (the floor is only computed in that case)
-        converged = lambda: best <= NEWTON_TOL or best <= _newton_tol(grid, z_flat)
-        for _ in range(NEWTON_MAXITER):
-            if converged():
+    z_flat = grid.flatten(grid.interpolant())
+    solve = _factor(grid.interior_system(z_flat, work), grid.b)
+    grad = grid.gradient(z_flat)[inner]
+    best = np.max(np.abs(grad))
+    # converged after a step when the residual is down to NEWTON_TOL, or to the roundoff
+    # floor where that lies above it (the floor is only computed in that case)
+    converged = lambda: best <= NEWTON_TOL or best <= _newton_tol(grid, z_flat)
+    for _ in range(NEWTON_MAXITER):
+        if converged():
+            break
+        step = solve(-grad)
+        scale = 1.0
+        for _ in range(12):
+            trial = z_flat.copy()
+            trial[inner] += scale * step
+            trial_grad = grid.gradient(trial)[inner]
+            trial_norm = np.max(np.abs(trial_grad))
+            if trial_norm < best:
+                z_flat, grad, best = trial, trial_grad, trial_norm
                 break
-            step = factor(z_flat)(-grad)
-            scale = 1.0
-            for _ in range(12):
-                trial = z_flat.copy()
-                trial[inner] += scale * step
-                trial_grad = grid.gradient(trial)[inner]
-                trial_norm = np.max(np.abs(trial_grad))
-                if trial_norm < best:
-                    z_flat, grad, best = trial, trial_grad, trial_norm
-                    break
-                scale *= 0.5
-            else:
-                raise NewtonDivergence(f"line search stalled at residual {best:.3e}")
+            scale *= 0.5
         else:
-            if not converged():    # the cap counts steps: the last one gets its check too
-                raise NewtonDivergence(f"no convergence after {NEWTON_MAXITER} iterations "
-                                       f"(residual {best:.3e})")
-        factor(z_flat)
+            raise NewtonDivergence(f"line search stalled at residual {best:.3e}")
+        if refactor:
+            solve = _factor(grid.interior_system(z_flat, work), grid.b)
+    else:
+        if not converged():    # the cap counts steps: the last one gets its check too
+            raise NewtonDivergence(f"no convergence after {NEWTON_MAXITER} iterations "
+                                   f"(residual {best:.3e})")
 
-    residual = float(np.max(np.abs(grid.gradient(z_flat)[inner])))
     z_final = grid.unflatten(z_flat)
     return ExtremalSolution(bd, z_final, grid.row_times, grid.delta,
-                            grid.action(z_final), residual, dt_c)
+                            grid.action(z_final), float(best), dt_c)
 
 
 @dataclass

@@ -47,6 +47,7 @@ from .feynman import (
     check_enumerable,
     feynman_vs_schrodinger,
     history_count,
+    ladder_specs,
 )
 from .lagrangian import legendre_transform, parse_lagrangian
 from .lattice import (
@@ -421,6 +422,10 @@ def cmd_feynman(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
     identity_mode = opts["identity_check"]
     if identity_mode == "force":
         check_enumerable(pspec, cfg)  # an oversized history sum is refused before any work
+    try:
+        ladder_specs(pspec, opts["levels"])  # so is a level step that underflows to 0
+    except ValueError as exc:
+        raise ConfigError("feynman.dt", str(exc)) from exc
     report = feynman_vs_schrodinger(initial, pspec, lagr, opts["levels"])
     transfer_state = TransferOperator(pspec, lagr, cfg).evolve(initial)
 

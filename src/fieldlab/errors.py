@@ -94,7 +94,7 @@ class NewtonDivergence(NumericalFailure):
 
 
 class NonFiniteResult(NumericalFailure):
-    """A result about to be written holds NaN or infinity."""
+    """A computed quantity, or a result about to be written, holds NaN or infinity."""
 
 
 class ConfigError(FieldLabError):

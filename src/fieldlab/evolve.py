@@ -251,7 +251,8 @@ def crank_nicolson_step(hamiltonian: LatticeHamiltonian, psi: np.ndarray,
 
     jacobi = (1.0 / (1.0 + 1j * alpha * hamiltonian.field_diagonal)).ravel()
     h_psi = hamiltonian.apply(psi)
-    rhs_norm = np.linalg.norm(psi - 1j * alpha * h_psi)
+    with np.errstate(over="ignore"):    # an overflowed norm is inf, which _gmres refuses
+        rhs_norm = np.linalg.norm(psi - 1j * alpha * h_psi)
     change = _gmres(matvec, (-2j * alpha * h_psi).ravel(), jacobi, tol * rhs_norm, CN_MAXITER)
     return psi + change.reshape(cfg.shape)
 

@@ -236,6 +236,29 @@ def brute_force_feynman(state: WaveFunctional, z_final, pspec: PathIntegralSpec,
     return complex(_history_sum(state, pspec, lagr, np.array([idx]))[0])
 
 
+def ladder_specs(pspec: PathIntegralSpec, levels: int) -> list[PathIntegralSpec]:
+    """The spec of each level of the dt ladder: the total time held, the step count doubled.
+
+    Raises DimensionTooLarge when the finest level, (t_steps + 1) * 2**(levels - 1)
+    kernel steps, would take more than MAX_STEPS, and ValueError naming the
+    first level whose spec is refused (a Riemann step that underflows to 0).
+    """
+    if pspec.t_steps + 1 > MAX_STEPS >> max(levels - 1, 0):
+        raise DimensionTooLarge(f"{levels} levels of {pspec.t_steps + 1} kernel steps "
+                                f"exceed the {MAX_STEPS} step guard at the finest level")
+    total_time = pspec.total_time
+    specs = []
+    for level in range(levels):
+        steps = (pspec.t_steps + 1) * 2 ** level
+        dt = total_time / steps
+        try:
+            specs.append(PathIntegralSpec(steps - 1, dt, pspec.kernel))
+        except ValueError as exc:
+            raise ValueError(f"ladder level {level} (dt = {total_time!r} / {steps} = {dt!r}): "
+                             f"{exc}") from None
+    return specs
+
+
 def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,
                            lagr: LagrangianSpec, levels: int) -> dict:
     """Transfer-operator evolution against the exact exponential, dt refined.
@@ -243,12 +266,10 @@ def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,
     Total time is held fixed while dt halves per level; the report carries L2
     distances, the fitted order in dt, and a flag for each level whose
     distance grew as dt halved (a ladder that diverges, not a failure).
-    Raises DimensionTooLarge when the finest level, (t_steps + 1) * 2**(levels - 1)
-    kernel steps, would take more than MAX_STEPS.
+    Every level's spec is built, and refused as ``ladder_specs`` refuses it,
+    before the exact propagator.
     """
-    if pspec.t_steps + 1 > MAX_STEPS >> max(levels - 1, 0):
-        raise DimensionTooLarge(f"{levels} levels of {pspec.t_steps + 1} kernel steps "
-                                f"exceed the {MAX_STEPS} step guard at the finest level")
+    specs = ladder_specs(pspec, levels)
     cfg = state.cfg
     total_time = pspec.total_time
     if total_time == 0.0:
@@ -263,13 +284,10 @@ def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,
     density = legendre_transform(lagr)
     exact = ExactPropagator(compile_hamiltonian(density, cfg)).propagate(state, total_time)
     dt_values, distances = [], []
-    for level in range(levels):
-        steps = (pspec.t_steps + 1) * 2 ** level
-        dt = total_time / steps
-        level_spec = PathIntegralSpec(steps - 1, dt, pspec.kernel)
+    for level_spec in specs:
         evolved = TransferOperator(level_spec, lagr, cfg).evolve(state)
         diff = WaveFunctional(cfg, evolved.psi - exact.psi)
-        dt_values.append(dt)
+        dt_values.append(level_spec.dt)
         distances.append(norm(diff))
     flags = [f"level {i}: distance grew from {distances[i - 1]:.3e} to {distances[i]:.3e} "
              f"as dt halved to {dt_values[i]}"

@@ -8,6 +8,7 @@ C/2 and a single-oscillator ground state has C = h/omega.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from .errors import (
     ConfigMismatch,
     GridUnresolved,
     MasslessZeroMode,
+    NonFiniteResult,
     NonPositiveCovariance,
     NotSpacelike,
 )
@@ -117,7 +119,13 @@ def _check_cfg(a: WaveFunctional, b: WaveFunctional):
 def inner(a: WaveFunctional, b: WaveFunctional) -> complex:
     """Sesquilinear <a|b> with the dz^N measure (conjugates the first slot)."""
     _check_cfg(a, b)
-    return complex(a.cfg.dz ** a.cfg.n_sites * np.vdot(a.psi, b.psi))
+    cfg = a.cfg
+    try:
+        measure = cfg.dz ** cfg.n_sites
+    except OverflowError:
+        raise NonFiniteResult(f"the grid measure dz^N = ({cfg.dz:g})^{cfg.n_sites} overflows; "
+                              f"dz = lattice.q_extent / lattice.q_points") from None
+    return complex(measure * np.vdot(a.psi, b.psi))
 
 
 def norm(a: WaveFunctional) -> float:
@@ -166,6 +174,10 @@ def free_ground_state_covariance(cfg: LatticeConfig, mass: float) -> GaussianSta
     if mass < 0:
         raise ValueError("mass must be nonnegative")
     n, a = cfg.n_sites, cfg.spacing
+    # checked as products: x ** 2 raises a bare OverflowError where the square overflows
+    for name, x in (("mass", mass), ("lattice.spacing", a)):
+        if not math.isfinite(x * x):
+            raise NonFiniteResult(f"{name}^2 = ({x:g})^2 overflows")
     # periodic links; with one site the site is its own neighbour and the links vanish
     shift = np.roll(np.eye(n), 1, axis=1)
     coupling = mass ** 2 * np.eye(n) + (2.0 * np.eye(n) - shift - shift.T) / a ** 2

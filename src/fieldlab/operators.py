@@ -14,12 +14,13 @@ needs an ordering rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionTooLarge
+from .errors import DimensionTooLarge, NonFiniteResult
 from .lagrangian import HamiltonianDensity
 from .lattice import LatticeConfig, WaveFunctional, spacelike
 
@@ -41,6 +42,10 @@ def momentum_grids(cfg: LatticeConfig):
         if q % 2 == 0:
             k1[q // 2] = 0.0
     else:
+        # checked as dz * dz: dz ** 2 raises a bare OverflowError where the square overflows
+        if not math.isfinite(dz * dz):
+            raise NonFiniteResult(f"the fd stencil's dz^2 = ({dz:g})^2 overflows; "
+                                  f"dz = lattice.q_extent / lattice.q_points")
         m = np.arange(q)
         k2 = (2.0 - 2.0 * np.cos(2.0 * np.pi * m / q)) / dz ** 2
         k1 = np.sin(2.0 * np.pi * m / q) / dz
@@ -51,6 +56,9 @@ def momentum_multiplier(cfg: LatticeConfig, quad: float, lin: float) -> np.ndarr
     """1-D Fourier multiplier of quad * p^2 + lin * p on one site's field grid."""
     k2, k1 = momentum_grids(cfg)
     h_over_a = cfg.hbar / cfg.spacing
+    if not math.isfinite(h_over_a * h_over_a):
+        raise NonFiniteResult(f"(lattice.hbar / lattice.spacing)^2 = "
+                              f"({cfg.hbar:g} / {cfg.spacing:g})^2 overflows")
     return quad * (h_over_a ** 2) * k2 + lin * h_over_a * k1
 
 

@@ -239,6 +239,23 @@ def test_reparameterization_exact_symmetries():
     assert report["time_shift_diff"] < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_oscillator_near_resonance_solves_or_raises(k):
+    """At T = pi + 10^-k the Hessian's condition grows like 10^k: up to k = 5 the one Newton
+    loop, refining with its first factorization, reaches its tolerance; at k = 6 the
+    condition estimate passes COND_LIMIT."""
+    lagr = parse_lagrangian("0.5*zt^2 - 0.5*z^2")
+    bd = BoundaryData((0.0,), (np.pi + 10.0 ** -k,), (0.3,), (-0.4,))
+    if k >= 6:
+        with pytest.raises(SingularBVP, match="condition estimate"):
+            solve_extremal(bd, lagr, 1e-3)
+        return
+    sol = solve_extremal(bd, lagr, 1e-3)
+    grid = _ActionGrid(bd, lagr, sol.n_rows)
+    assert sol.residual <= _newton_tol(grid, grid.flatten(sol.z))
+    assert np.isfinite(sol.action)
+
+
 def test_reparameterization_refinement_ratio(free_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.4))
     report = reparameterization_check(solve_extremal(bd, free_lagr, 4e-3), free_lagr)
@@ -256,6 +273,32 @@ def test_quartic_newton_converges(quartic_lagr):
     sol_free = solve_extremal(bd, free, 2e-3)
     assert abs(sol.action - sol_free.action) < 0.1
     assert sol.action != sol_free.action
+
+
+def test_quartic_factorizations_are_newton_steps_plus_one(quartic_lagr, monkeypatch):
+    """One factorization at the start and one after each accepted step, the last of them
+    the condition check at the extremal.  The step count is the smallest cap that converges."""
+    bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.5, -0.4), (0.2, 0.6))
+    handle = _flapack()
+    calls = []
+    real = handle.dgbtrf
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(handle, "dgbtrf", counting)
+    solve_extremal(bd, quartic_lagr, 2e-3)
+    factorizations = len(calls)
+    for steps in range(1, fieldlab.classical.NEWTON_MAXITER + 1):
+        monkeypatch.setattr(fieldlab.classical, "NEWTON_MAXITER", steps)
+        try:
+            solve_extremal(bd, quartic_lagr, 2e-3)
+            break
+        except NewtonDivergence:
+            pass
+    assert steps >= 2
+    assert factorizations == steps + 1
 
 
 def test_interior_row_guard(free_lagr):
@@ -349,6 +392,15 @@ BOUNDARIES = {
     (3, "curved"): BoundaryData((0.0, 0.1, 0.05), (1.0, 1.2, 1.1), (0.3, -0.2, 0.1),
                                 (0.1, 0.4, -0.3)),
 }
+
+
+@pytest.mark.parametrize("key", list(BOUNDARIES), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_free_field_residual_meets_the_newton_tolerance(free_lagr, key):
+    """A quadratic solve stops on the same rule as a quartic one."""
+    bd = BOUNDARIES[key]
+    sol = solve_extremal(bd, free_lagr, 1e-2)
+    grid = _ActionGrid(bd, free_lagr, sol.n_rows)
+    assert sol.residual <= _newton_tol(grid, grid.flatten(sol.z))
 
 
 @pytest.mark.parametrize("lagr_name", ["free_lagr", "quartic_lagr"])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,44 @@ def test_evolve_crank_nicolson_overflowing_step_is_numerical_failure(tmp_path, c
     with np.errstate(over="ignore"):
         assert run(tmp_path, cfg) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_evolve_crank_nicolson_overflow_prints_only_its_message(tmp_path, capsys):
+    """The overflowing right-hand-side norm is taken quietly: with warnings as errors the
+    run still exits 3, and stderr holds the typed message alone."""
+    cfg = evolve_config(3, "crank_nicolson")
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*z^2", "params": {}}
+    cfg["evolve"]["dt"] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, cfg) == 3
+    assert capsys.readouterr().err.splitlines() == ["numerical failure: gmres residual is inf"]
+
+
+@pytest.mark.parametrize("lattice,initial,code,needle", [
+    ({"hbar": 1e300}, None, 3,
+     "numerical failure: (lattice.hbar / lattice.spacing)^2 = (1e+300 / 1)^2 overflows"),
+    ({"derivative": "fd", "q_extent": 1e300}, {"kind": "gaussian", "centers": [0.0],
+                                              "widths": [1e299]}, 3,
+     "numerical failure: the fd stencil's dz^2 = (6.25e+298)^2 overflows"),
+    ({}, {"kind": "ground_state", "mass": 1e200}, 2,
+     "config error: evolve.initial.mass: mass^2 = (1e+200)^2 overflows"),
+    ({"n_sites": 2, "q_extent": 1e300}, {"kind": "gaussian", "centers": [0.0, 0.0],
+                                         "widths": [1e300, 1e300]}, 2,
+     "config error: evolve.initial.widths: the grid measure dz^N = (6.25e+298)^2 overflows"),
+], ids=["momentum-multiplier", "fd-momentum-grid", "ground-state-mass", "inner-measure"])
+def test_overflowing_squares_and_powers_name_their_quantity(tmp_path, capsys, lattice, initial,
+                                                            code, needle):
+    """A float power that overflows is a typed error naming what overflowed, with the exit
+    code the run had before, not Python's bare '(34, Numerical result out of range)'."""
+    cfg = evolve_config(2, initial=initial)
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*z^2", "params": {}}
+    cfg["lattice"] = {"n_sites": 1, "q_points": 16, "q_extent": 8.0, **lattice}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the huge widths' own RuntimeWarnings and UserWarnings
+        assert run(tmp_path, cfg) == code
+    err = capsys.readouterr().err
+    assert needle in err and "out of range" not in err
 
 
 def test_evolve_unknown_method(tmp_path, capsys):
@@ -633,7 +672,8 @@ def test_malformed_configs_rejected(tmp_path, capsys, block, needle):
 
 @pytest.mark.parametrize("build,block,key,value,needle", [
     (lambda: evolve_config(5), "lattice", "q_extent", 1e-300, "holds NaN or infinity"),
-    (lambda: evolve_config(5), "lattice", "spacing", 1e-300, "out of range"),
+    (lambda: evolve_config(5), "lattice", "spacing", 1e-300,
+     "(lattice.hbar / lattice.spacing)^2 = (1 / 1e-300)^2 overflows"),
     (lambda: feynman_config(), "lattice", "q_extent", 1e-300, "did not converge"),
     (lambda: surface_config(*SWEEPS), "lagrangian", "params", {"m": 1e154},
      "integrability.json.discrepancies[0] holds NaN or infinity"),
@@ -654,6 +694,24 @@ def test_feynman_subnormal_dt_fits_no_zero_step(tmp_path):
     assert run(tmp_path, feynman_config(dt=5e-324)) == 0
     report = json.loads((tmp_path / "out" / "comparison.json").read_text())
     assert report["dt_values"][1] == 0.0 and report["fitted_order"] == 0.0
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e-323])
+def test_feynman_riemann_ladder_step_underflow_is_config_error(tmp_path, capsys, monkeypatch, dt):
+    """A Riemann level step that underflows to 0 is refused at feynman.dt, naming the level,
+    before the exact propagator is built."""
+    def no_work(*args):
+        raise AssertionError("the exact propagator was built before the ladder was checked")
+
+    monkeypatch.setattr(fieldlab.feynman, "ExactPropagator", no_work)
+    cfg = feynman_config(dt=dt, kernel="lagrangian_riemann", q=16)
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*z^2", "params": {}}
+    del cfg["feynman"]["levels"]  # the default 3 levels
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: feynman.dt: ladder level ") and "needs dt > 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "meta.json").exists()
 
 
 def test_overflowing_lagrangian_parameter_rejected(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Grid, state storage, Gaussian initial data, and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fieldlab.errors import (
     ConfigMismatch,
     GridUnresolved,
     MasslessZeroMode,
+    NonFiniteResult,
     NonPositiveCovariance,
     NotSpacelike,
 )
@@ -165,6 +168,15 @@ def test_massless_zero_mode():
 def test_ground_state_refuses_an_undamped_or_infinite_mode(n_sites, spacing, mass, needle):
     with pytest.raises(MasslessZeroMode, match=needle):
         free_ground_state_covariance(LatticeConfig(n_sites, spacing, 16, 8.0), mass)
+
+
+@pytest.mark.parametrize("spacing,mass,needle", [
+    (1.0, 1e200, "mass^2 = (1e+200)^2"),
+    (1e200, 1.0, "lattice.spacing^2 = (1e+200)^2"),
+])
+def test_ground_state_refuses_an_overflowing_square(spacing, mass, needle):
+    with pytest.raises(NonFiniteResult, match=re.escape(needle)):
+        free_ground_state_covariance(LatticeConfig(2, spacing, 16, 8.0), mass)
 
 
 def test_inner_product_properties(rng):
