@@ -12,7 +12,10 @@ step equal one Trotter step of the kinetic/diagonal split exactly), and
 ``lagrangian_riemann`` is the literal Riemann-sum reading with the Gaussian
 kinetic phase taken from the discrete action itself, normalized per site and
 step by sqrt(2 c2 a / (2 pi i h dt)).  The two agree as the field grid is
-refined.
+refined.  Both take their diagonal phase from the compiled operator, whose
+flat field diagonal is the Lagrangian's non-kinetic part; the Riemann
+history sum evaluates the discrete action instead, so its identity also
+checks the compiled diagonal against the Lagrangian.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import DimensionTooLarge, EnumerationTooLarge, ShapeMismatch
 from .evolve import MAX_STEPS, ExactPropagator
 from .lagrangian import LagrangianSpec, legendre_transform
 from .lattice import LatticeConfig, WaveFunctional, link_difference, norm
-from .operators import _along, compile_hamiltonian, fourier_matrix, momentum_multiplier
+from .operators import _along, compile_hamiltonian, fourier_matrix
 from .surface import fit_order
 
 ENUMERATION_GUARD = 2 ** 22
@@ -84,43 +87,33 @@ def _riemann_measure(pspec: PathIntegralSpec, lagr: LagrangianSpec,
         * np.exp(-0.25j * np.pi)
 
 
-def one_site_kinetic_matrix(pspec: PathIntegralSpec, lagr: LagrangianSpec,
-                            cfg: LatticeConfig) -> np.ndarray:
-    """(Q, Q) one-step kinetic kernel including the quadrature weight."""
-    a, h, dt = cfg.spacing, cfg.hbar, pspec.dt
-    if pspec.kernel == "fresnel_exact":
-        # one flat site term's momentum multiplier, plus the constant term of a * (H - V)
-        coeffs = legendre_transform(lagr).coefficients(0.0)
-        mult = (momentum_multiplier(cfg, a * coeffs.get((2, 0), 0.0), a * coeffs.get((1, 0), 0.0))
-                + a * coeffs.get((0, 0), 0.0))
-        return fourier_matrix(np.exp(-1j * dt * mult / h))
-    # the discrete action's kinetic part, a dt (c2 (delta/dt)^2 + c1 delta/dt)
-    c2, c1 = lagr.kinetic_coeff, lagr.kinetic_linear
-    zg = cfg.z_values()
-    delta = zg[:, None] - zg[None, :]
-    return (_riemann_measure(pspec, lagr, cfg)
-            * np.exp(1j * a * (c2 * delta ** 2 / dt + c1 * delta) / h))
-
-
-def _diagonal_action_phase(pspec: PathIntegralSpec, lagr: LagrangianSpec,
-                           cfg: LatticeConfig) -> np.ndarray:
-    """exp(i dt a sum_j (g zs_j^2 - V(z_j)) / h) over the grid."""
-    total = np.zeros(cfg.shape)
-    for j in range(cfg.n_sites):
-        zj, zs = cfg.site_fields(j)
-        total = total + lagr.gradient_coeff * zs ** 2 - lagr.potential_value(zj)
-    return np.exp(1j * pspec.dt * cfg.spacing * total / cfg.hbar)
-
-
 class TransferOperator:
-    """One time-step map: diagonal action phase then the kinetic kernel per site."""
+    """One time-step map: diagonal action phase then the (Q, Q) kinetic kernel per site.
+
+    Its tables come from the compiled flat operator: the diagonal phase
+    exp(-i dt diag / h) for both kernels, and the ``fresnel_exact`` kernel
+    from a site term's multiplier, so that kernel's step is one Trotter step
+    of the compiled operator.  The ``lagrangian_riemann`` kernel is the
+    discrete action's kinetic part, quadrature weight included.
+    """
 
     def __init__(self, pspec: PathIntegralSpec, lagr: LagrangianSpec, cfg: LatticeConfig):
         self.pspec = pspec
         self.lagr = lagr
         self.cfg = cfg
-        self.kinetic = one_site_kinetic_matrix(pspec, lagr, cfg)
-        self.diag_phase = _diagonal_action_phase(pspec, lagr, cfg)
+        op = compile_hamiltonian(legendre_transform(lagr), cfg)
+        a, h, dt = cfg.spacing, cfg.hbar, pspec.dt
+        if pspec.kernel == "fresnel_exact":
+            # every flat site term has the same multiplier, a (p - c1)^2 / (4 c2)
+            self.kinetic = fourier_matrix(np.exp(-1j * dt * op.terms[0].mult / h))
+        else:
+            # a dt (c2 (delta/dt)^2 + c1 delta/dt)
+            c2, c1 = lagr.kinetic_coeff, lagr.kinetic_linear
+            zg = cfg.z_values()
+            delta = zg[:, None] - zg[None, :]
+            self.kinetic = (_riemann_measure(pspec, lagr, cfg)
+                            * np.exp(1j * a * (c2 * delta ** 2 / dt + c1 * delta) / h))
+        self.diag_phase = np.exp(-1j * dt * op.diag / h)
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         out = (self.diag_phase * psi)[None]
@@ -128,6 +121,8 @@ class TransferOperator:
             out = _along(self.kinetic, out, j)
         return out[0]
 
+    # a step that overflows leaves inf or NaN, which the caller's finiteness check names
+    @np.errstate(over="ignore", invalid="ignore")
     def evolve(self, state: WaveFunctional) -> WaveFunctional:
         psi = state.psi
         for _ in range(self.pspec.t_steps + 1):
@@ -156,15 +151,17 @@ def check_enumerable(pspec: PathIntegralSpec, cfg: LatticeConfig) -> int:
     return count
 
 
-def _history_sum(state: WaveFunctional, pspec: PathIntegralSpec, lagr: LagrangianSpec,
-                 finals: np.ndarray) -> np.ndarray:
-    """Literal history sum at each row of ``finals``, an (F, n_sites) array of grid indices.
+# an overflowing weight leaves inf or NaN, which the caller's finiteness check names
+@np.errstate(over="ignore", invalid="ignore")
+def brute_force_amplitudes(state: WaveFunctional, pspec: PathIntegralSpec,
+                           lagr: LagrangianSpec) -> np.ndarray:
+    """Literal history sum for every final configuration (the exact oracle).
 
+    Free slices are the initial slice (weighted by psi0, summed over) and the
+    t_steps intermediates; the final slice indexes the output array.
     Histories are enumerated in blocks of consecutive indices, each a digit
     string (slice-major, then site) over the Q grid points.  Every history's
-    weight is formed whole, then summed over the block for each final.  The
-    block size depends only on the lattice, so a final's amplitude is the
-    same sum whichever other finals are asked for.
+    weight is formed whole, then summed over the block for each final.
     """
     cfg = state.cfg
     count = check_enumerable(pspec, cfg)
@@ -173,6 +170,7 @@ def _history_sum(state: WaveFunctional, pspec: PathIntegralSpec, lagr: Lagrangia
     places = q ** np.arange(n * n_free - 1, -1, -1)
     block = max(1, BLOCK_TERMS // cfg.dim)
     site_places = q ** np.arange(n - 1, -1, -1)  # a slice's digits to its grid index
+    finals = np.indices(cfg.shape).reshape(n, -1).T
     psi0 = state.psi.ravel()
     riemann = pspec.kernel == "lagrangian_riemann"
     if riemann:
@@ -180,8 +178,8 @@ def _history_sum(state: WaveFunctional, pspec: PathIntegralSpec, lagr: Lagrangia
         zg = cfg.z_values()
         z_final = zg[finals][:, None, None, :]
     else:
-        kin = one_site_kinetic_matrix(pspec, lagr, cfg)
-        diag_phase = _diagonal_action_phase(pspec, lagr, cfg).ravel()
+        transfer = TransferOperator(pspec, lagr, cfg)
+        kin, diag_phase = transfer.kinetic, transfer.diag_phase.ravel()
 
     out = np.zeros(len(finals), dtype=np.complex128)
     for start in range(0, count, block):
@@ -204,36 +202,7 @@ def _history_sum(state: WaveFunctional, pspec: PathIntegralSpec, lagr: Lagrangia
             for j in range(1, n):
                 terms *= kin[finals[:, j:j + 1], idx[:, -1, j]]
         out += terms.sum(axis=1)
-    return out
-
-
-def brute_force_amplitudes(state: WaveFunctional, pspec: PathIntegralSpec,
-                           lagr: LagrangianSpec) -> np.ndarray:
-    """Literal history sum for every final configuration (the exact oracle).
-
-    Free slices are the initial slice (weighted by psi0, summed over) and the
-    t_steps intermediates; the final slice indexes the output array.
-    """
-    cfg = state.cfg
-    finals = np.indices(cfg.shape).reshape(cfg.n_sites, -1).T
-    return _history_sum(state, pspec, lagr, finals).reshape(cfg.shape)
-
-
-def brute_force_feynman(state: WaveFunctional, z_final, pspec: PathIntegralSpec,
-                        lagr: LagrangianSpec) -> complex:
-    """Amplitude at one final configuration (values must lie on the grid)."""
-    cfg = state.cfg
-    zg = cfg.z_values()
-    z_final = np.asarray(z_final, dtype=float)
-    if z_final.shape != (cfg.n_sites,):
-        raise ShapeMismatch(f"z_final shape {z_final.shape}, expected ({cfg.n_sites},)")
-    idx = []
-    for value in z_final:
-        m = int(np.argmin(np.abs(zg - value)))
-        if abs(zg[m] - value) > 1e-9:
-            raise ValueError(f"final value {value} is not a grid point")
-        idx.append(m)
-    return complex(_history_sum(state, pspec, lagr, np.array([idx]))[0])
+    return out.reshape(cfg.shape)
 
 
 def ladder_specs(pspec: PathIntegralSpec, levels: int) -> list[PathIntegralSpec]:

@@ -110,17 +110,21 @@ def _site_diagonal(mat: np.ndarray, n: int, q: int, site: int) -> np.ndarray:
 class _SiteTerm:
     """One site's share a * H_j; its arrays broadcast on the site and neighbour axes.
 
-    Its momentum block is K + i K_imag, with K_imag kept only when the term
-    has a constant p_site part; its cross term (f P + P f) / 2 is i (f R + R f).
-    K, K_imag and R are real Q x Q arrays acting along the site's axis.
+    Its multiplier is the whole kinetic square a (p_site - c1)^2 / (4A), the
+    table's constant c1^2 / (4A) included, so on a flat surface ``scalar`` is
+    a (V(z) - g zs^2), the Lagrangian's non-kinetic part with its sign
+    turned.  Its momentum block is K + i K_imag, with K_imag kept only when
+    the term has a constant p_site part; its cross term (f P + P f) / 2 is
+    i (f R + R f).  K, K_imag and R are real Q x Q arrays acting along the
+    site's axis.
     """
 
     site: int
-    scalar: np.ndarray               # the momentum-free part, diagonal in the field basis
+    scalar: np.ndarray               # the momentum-free part less c1^2 / (4A), field-diagonal
     quad: float = 0.0                # coefficient of p_site^2
     lin_const: float = 0.0           # field-independent coefficient of p_site
     cross: np.ndarray | None = None  # field-dependent coefficient of p_site, f
-    mult: np.ndarray | None = None   # 1-D multiplier of quad * p_site^2 + lin_const * p_site
+    mult: np.ndarray | None = None   # 1-D multiplier of the kinetic square a (p_site - c1)^2 / (4A)
     k: np.ndarray | None = None
     k_imag: np.ndarray | None = None
     r: np.ndarray | None = None
@@ -246,13 +250,14 @@ def _build_site(density: HamiltonianDensity, cfg: LatticeConfig, j: int,
     a, shape = cfg.spacing, cfg.axis_shape(j, (j + 1) % cfg.n_sites)
     zj, zs = cfg.site_fields(j)
     h = density.coefficients(v_site)
-    scalar = np.broadcast_to(a * density.evaluate(zj, zs, 0.0, v_site), shape)
+    square = a * h.get((0, 0), 0.0)  # the kinetic square's constant goes in the multiplier
+    scalar = np.broadcast_to(a * density.evaluate(zj, zs, 0.0, v_site) - square, shape)
     # zs is identically zero on one site, so a cross term needs two distinct axes
     cross = np.broadcast_to(a * h.get((1, 1), 0.0) * zs, shape)
     term = _SiteTerm(j, scalar, a * h.get((2, 0), 0.0), a * h.get((1, 0), 0.0),
                      cross if np.any(cross) else None)
     if term.quad or term.lin_const:
-        term.mult = momentum_multiplier(cfg, term.quad, term.lin_const)
+        term.mult = momentum_multiplier(cfg, term.quad, term.lin_const) + square
         term.k, k_imag = _hermitian_parts(term.mult)
         term.k_imag = k_imag if term.lin_const else None
     if term.cross is not None:

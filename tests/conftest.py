@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fieldlab.lagrangian import parse_lagrangian
-from fieldlab.operators import momentum_multiplier
 
 
 @pytest.fixture
@@ -24,14 +23,14 @@ def mode_frequencies(cfg, mass):
 def kinetic_phase(op, dt):
     """exp(-i dt T / h) on the full Fourier grid, T the separable operator's momentum part.
 
-    Rebuilt term by term from ``momentum_multiplier``: the phase an FFT
-    oracle multiplies by between ``fftn`` and ``ifftn``.
+    Summed term by term from each term's 1-D multiplier, the kinetic square
+    with its constant: the phase an FFT oracle multiplies by between ``fftn``
+    and ``ifftn``.
     """
     cfg = op.cfg
     mult = np.zeros(cfg.shape)
     for term in op.terms:
-        mult = mult + momentum_multiplier(cfg, term.quad, term.lin_const).reshape(
-            cfg.axis_shape(term.site))
+        mult = mult + term.mult.reshape(cfg.axis_shape(term.site))
     return np.exp(-1j * dt * mult / cfg.hbar)
 
 

@@ -714,6 +714,26 @@ def test_feynman_riemann_ladder_step_underflow_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "out" / "meta.json").exists()
 
 
+@pytest.mark.parametrize("lattice,feynman", [
+    ({}, {"dt": 1e-300}),
+    ({"hbar": 1e-300}, {}),
+    ({}, {"dt": 1e-300, "t_steps": 1, "identity_check": "force"}),
+], ids=["dt", "hbar", "dt-history-sum"])
+def test_feynman_riemann_overflow_prints_only_its_message(tmp_path, capsys, lattice, feynman):
+    """A Riemann ladder whose steps overflow exits 3 with warnings as errors, and stderr
+    holds the typed message alone."""
+    cfg = feynman_config(t_steps=3, kernel="lagrangian_riemann", identity="skip", q=16)
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*z^2", "params": {}}
+    cfg["lattice"].update(q_extent=8.0, **lattice)
+    cfg["feynman"].update(levels=3, **feynman)
+    cfg["feynman"]["initial"] = {"kind": "gaussian", "centers": [0.0], "widths": [1.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, cfg) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+
 def test_overflowing_lagrangian_parameter_rejected(tmp_path, capsys):
     """m = -1e300 makes the z^2 coefficient -0.5*m^2 infinite: a config error before any work."""
     cfg = surface_config(*SWEEPS)

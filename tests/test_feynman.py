@@ -11,13 +11,10 @@ from fieldlab.feynman import (
     KERNELS,
     PathIntegralSpec,
     TransferOperator,
-    _diagonal_action_phase,
     brute_force_amplitudes,
-    brute_force_feynman,
     check_enumerable,
     discrete_action,
     feynman_vs_schrodinger,
-    one_site_kinetic_matrix,
 )
 from fieldlab.lagrangian import legendre_transform, parse_lagrangian
 from fieldlab.lattice import (
@@ -63,8 +60,8 @@ def reference_history_sum(state, pspec, lagr):
             * np.exp(-0.25j * np.pi)
         measure = nu_dz ** (n * n_free)
     else:
-        kin = one_site_kinetic_matrix(pspec, lagr, cfg)
-        diag_phase = _diagonal_action_phase(pspec, lagr, cfg)
+        transfer = TransferOperator(pspec, lagr, cfg)
+        kin, diag_phase = transfer.kinetic, transfer.diag_phase
 
     site_range = range(q)
     for final_idx in itertools.product(site_range, repeat=n):
@@ -152,10 +149,6 @@ def test_factorization_identity_n1(free_lagr, kernel):
     brute = brute_force_amplitudes(state, pspec, free_lagr)
     transfer = TransferOperator(pspec, free_lagr, cfg).evolve(state)
     assert np.max(np.abs(brute - transfer.psi)) < 1e-12
-    # per-endpoint entry points agree with the array version
-    zg = cfg.z_values()
-    amp = brute_force_feynman(state, (zg[3],), pspec, free_lagr)
-    assert amp == brute[3]
 
 
 def test_factorization_identity_n2(quartic_lagr):
@@ -188,7 +181,7 @@ def test_delta_initial_reads_kernel_entry():
     state = WaveFunctional(cfg, psi)
     pspec = PathIntegralSpec(0, 0.3, "lagrangian_riemann")
     brute = brute_force_amplitudes(state, pspec, lagr)
-    kernel = one_site_kinetic_matrix(pspec, lagr, cfg)
+    kernel = TransferOperator(pspec, lagr, cfg).kinetic
     assert np.max(np.abs(brute - kernel[:, 2])) < 1e-14
 
 
@@ -228,7 +221,7 @@ def test_fresnel_step_is_one_trotter_step(free_lagr, rng):
 
 def test_fresnel_step_with_linear_kinetic_is_one_trotter_step(rng):
     """The same split with a linear zt term, a != 1 and h != 1: the kernel carries the
-    constant c1^2/(4 c2) of H that the compiled operator keeps in its diagonal."""
+    constant c1^2/(4 c2) of H that the compiled operator keeps in its multiplier."""
     lagr = parse_lagrangian("0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
     cfg = LatticeConfig(2, 0.5, 16, 8.0, hbar=0.7)
     op = compile_hamiltonian(legendre_transform(lagr), cfg)
@@ -270,8 +263,8 @@ def test_kernel_consistency_under_grid_refinement(free_lagr):
     for q, lq in ((32, 8.0), (64, 10.0), (128, 12.0)):
         cfg = LatticeConfig(1, 1.0, q, lq)
         psi = init_wavefunctional(free_ground_state_covariance(cfg, 1.0), cfg).psi
-        k_r = one_site_kinetic_matrix(pspec, free_lagr, cfg)
-        k_f = one_site_kinetic_matrix(fres, free_lagr, cfg)
+        k_r = TransferOperator(pspec, free_lagr, cfg).kinetic
+        k_f = TransferOperator(fres, free_lagr, cfg).kinetic
         distances.append(np.sqrt(cfg.dz) * np.linalg.norm((k_r - k_f) @ psi))
     assert distances[1] < distances[0]
     assert distances[2] < distances[1]
@@ -343,33 +336,6 @@ def test_block_history_sum_matches_reference(kernel, n_sites, q, t_steps, rng):
     reference = reference_history_sum(state, pspec, lagr)
     block = brute_force_amplitudes(state, pspec, lagr)
     assert np.max(np.abs(block - reference)) <= 1e-13 * np.max(np.abs(reference))
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("n_sites,q", [(2, 4), (1, 64)])
-def test_single_final_sums_like_all_finals(quartic_lagr, kernel, n_sites, q, rng):
-    """brute_force_feynman enumerates one final, yet forms the same sum as the full array.
-
-    At Q = 64 the full array sums 4096 histories in 16 blocks.
-    """
-    cfg = LatticeConfig(n_sites, 1.0, q, 5.0)
-    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
-    state = WaveFunctional(cfg, psi)
-    pspec = PathIntegralSpec(1, 0.2, kernel)
-    brute = brute_force_amplitudes(state, pspec, quartic_lagr)
-    zg = cfg.z_values()
-    for final in itertools.product(range(cfg.q_points), repeat=cfg.n_sites):
-        assert brute_force_feynman(state, zg[list(final)], pspec, quartic_lagr) == brute[final]
-
-
-def test_single_final_refuses_bad_finals(free_lagr):
-    cfg = LatticeConfig(2, 1.0, 4, 5.0)
-    state = WaveFunctional(cfg, np.ones(cfg.shape))
-    pspec = PathIntegralSpec(0, 0.2)
-    with pytest.raises(ShapeMismatch):
-        brute_force_feynman(state, (0.0,), pspec, free_lagr)
-    with pytest.raises(ValueError, match="not a grid point"):
-        brute_force_feynman(state, (cfg.z_values()[1], 0.1), pspec, free_lagr)
 
 
 @pytest.mark.parametrize("kernel,t_steps", [("fresnel_exact", 2), ("lagrangian_riemann", 1)])

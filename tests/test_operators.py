@@ -9,7 +9,7 @@ from fieldlab.errors import NonSeparableHamiltonian, NotSpacelike
 from fieldlab.evolve import EvolveParams, evolve_strang
 from fieldlab.lagrangian import diagonal_density, legendre_transform, parse_lagrangian
 from fieldlab.lattice import LatticeConfig, WaveFunctional, inner
-from fieldlab.operators import DENSE_GUARD, compile_hamiltonian
+from fieldlab.operators import DENSE_GUARD, compile_hamiltonian, momentum_multiplier
 
 
 def density_parts(density, v, zj, zs):
@@ -124,6 +124,27 @@ def test_dense_oracle_spectral(free_lagr):
     compiled = compile_hamiltonian(density, cfg).dense_matrix()
     oracle = dense_oracle_spectral(density, cfg)
     assert np.max(np.abs(compiled - oracle)) < 1e-11
+
+
+@pytest.mark.parametrize("derivative", ["spectral", "fd"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_flat_split_puts_the_kinetic_constant_in_the_multiplier(derivative, n):
+    """With a drift, the constant c1^2/(4 c2) of the kinetic square rides in each term's
+    multiplier, so the flat diagonal is the Lagrangian's non-kinetic part alone."""
+    lagr = parse_lagrangian("0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
+    cfg = LatticeConfig(n, 0.5, 8, 6.0, hbar=0.7, derivative=derivative)
+    op = compile_hamiltonian(legendre_transform(lagr), cfg)
+    a, g = cfg.spacing, lagr.gradient_coeff
+    expected = np.zeros(cfg.shape)
+    for j in range(n):
+        zj, zs = cfg.site_fields(j)
+        expected = expected - a * (g * zs ** 2 - lagr.potential_value(zj))
+    assert np.max(np.abs(op.diag - expected)) <= 1e-14 * np.max(np.abs(expected))
+    constant = a * lagr.kinetic_linear ** 2 / (4.0 * lagr.kinetic_coeff)
+    for term in op.terms:
+        p_only = momentum_multiplier(cfg, term.quad, term.lin_const)
+        assert np.mean(term.mult) - np.mean(p_only) == pytest.approx(
+            constant, abs=1e-14 * np.mean(term.mult))
 
 
 def test_potential_only_is_diagonal(rng):
