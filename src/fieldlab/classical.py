@@ -21,7 +21,7 @@ import dataclasses
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
@@ -34,7 +34,10 @@ COND_LIMIT = 1e12
 NEWTON_TOL = 1e-10
 ROUNDOFF_MARGIN = 4.0  # Newton also stops within this many roundoff floors of the gradient
 NEWTON_MAXITER = 60
-MAX_GRID_POINTS = 250_000  # (R+1)*N; a 32-site quartic solve at the guard peaks near 0.3 GB
+# (R+1)*N.  A 32-site solve at the guard peaks near 0.3 GB; the boundary checks keep the
+# base grid while they solve on another, which for a free field (whose grid keeps its
+# factorization) takes the peak to 0.53 GB
+MAX_GRID_POINTS = 250_000
 
 _FLAPACK = None  # scipy's compiled LAPACK extension, loaded by _flapack() when first needed
 
@@ -130,7 +133,7 @@ class _ActionGrid:
     """
 
     def __init__(self, bd: BoundaryData, lagr: LagrangianSpec, n_rows: int):
-        self.bd = bd
+        self.surfaces = (bd.t0, bd.t1, bd.spacing)
         self.lagr = lagr
         self.R = n_rows
         self.n = bd.n_sites
@@ -153,6 +156,16 @@ class _ActionGrid:
         self.interior = slice(self.n, self.n_points - self.n)
         self._w_pot_flat = self.flatten(self.w_pot)
         self._assemble_quadratic()
+        self._solve = None      # the factorization of a constant Hessian, once made
+
+    def serves(self, bd: BoundaryData, lagr: LagrangianSpec, n_rows: int) -> bool:
+        """Whether ``_ActionGrid(bd, lagr, n_rows)`` would build this grid.
+
+        Nothing here depends on the boundary values z0 and z1, so boundaries
+        with the same surfaces, Lagrangian and row count share a grid.
+        """
+        return ((bd.t0, bd.t1, bd.spacing) == self.surfaces and lagr is self.lagr
+                and n_rows == self.R)
 
     def flatten(self, z: np.ndarray) -> np.ndarray:
         return z[:, self.order].ravel()
@@ -265,10 +278,25 @@ class _ActionGrid:
         out[2 * b] -= self._w_pot_flat[inner] * self.lagr.potential_second_derivative(z_flat[inner])
         return out
 
-    def interpolant(self) -> np.ndarray:
-        """The straight line between the boundaries; its end rows are z0 and z1 exactly."""
+    def factor(self, z_flat: np.ndarray, work: np.ndarray):
+        """``solve(rhs)`` with the interior Hessian at ``z_flat``, factored by ``_factor``.
+
+        The factorization overwrites ``work``, an ``interior_system`` array.
+        A potential of degree at most 2 has a constant Hessian: its first
+        factorization, with its condition check, stays with the grid and
+        serves every later call, which leaves their ``work`` unused.
+        """
+        if self._solve is not None:
+            return self._solve
+        solve = _factor(self.interior_system(z_flat, work), self.b)
+        if len(self.lagr.potential) <= 3:
+            self._solve = solve
+        return solve
+
+    def interpolant(self, z0, z1) -> np.ndarray:
+        """The straight line between the boundary values; its end rows are z0 and z1 exactly."""
         z = np.empty((self.R + 1, self.n))
-        z[0], z[-1] = self.bd.z0, self.bd.z1
+        z[0], z[-1] = z0, z1
         z[1:-1] = z[0] + np.arange(1, self.R)[:, None] / self.R * (z[-1] - z[0])
         return z
 
@@ -279,15 +307,24 @@ class ExtremalSolution:
 
     bd: BoundaryData
     z: np.ndarray               # (R+1, N) including boundary rows
-    row_times: np.ndarray       # (R+1, N)
-    deltas: np.ndarray          # per-site row step
     action: float
     residual: float
     dt_c: float                 # the row step the grid was built from
+    grid: _ActionGrid = field(repr=False, compare=False)  # the grid it was solved on
 
     @property
     def n_rows(self) -> int:
         return self.z.shape[0] - 1
+
+    @property
+    def row_times(self) -> np.ndarray:
+        """(R+1, N) times of the grid rows."""
+        return self.grid.row_times
+
+    @property
+    def deltas(self) -> np.ndarray:
+        """Per-site row step."""
+        return self.grid.delta
 
 
 def _inverse_norm_estimate(solve, m: int) -> float:
@@ -346,11 +383,17 @@ def _flapack():
 
 
 def _factor(system: np.ndarray, b: int):
-    """LU-factor a banded system in dgbtrf's layout (overwritten) after checking its condition.
+    """LU-factor a banded Hessian in dgbtrf's layout (overwritten) after checking its condition.
 
-    Returns ``solve(rhs, trans=0)``.  Raises SingularBVP when a pivot is
-    exactly zero or the 1-norm condition estimate ||A||_1 * est(||A^-1||_1)
-    is not finite or exceeds COND_LIMIT.
+    Returns ``solve(rhs)``.  Raises SingularBVP when a pivot is exactly zero
+    or the 1-norm condition estimate ||A||_1 * est(||A^-1||_1) is not finite
+    or exceeds COND_LIMIT.  The estimator asks for solves with A^T as well;
+    they are answered with A, because the action Hessian is symmetric: bit
+    for bit between flat surfaces, to a few roundoffs between curved ones,
+    where the link terms are summed in another order, so the estimate moves
+    only by roundoff.  A dgbtrs solve with trans=1 took 0.32 ms against
+    0.17 ms for trans=0 on a 3-site grid (m = 2997, b = 5; one BLAS thread,
+    best of 7).
     """
     # dgbtrf and dgbtrs are looked up on the handle at each call, so a wrapper
     # installed on the handle sees every call
@@ -364,13 +407,13 @@ def _factor(system: np.ndarray, b: int):
     if info > 0:
         raise SingularBVP(f"boundary problem factorization failed: pivot {info} is zero")
 
-    def solve(rhs, trans=0):
-        return lapack.dgbtrs(lu, b, b, rhs, ipiv, trans=trans)[0]
+    def solve(rhs):
+        return lapack.dgbtrs(lu, b, b, rhs, ipiv)[0]
 
     # not lapack.dgbcon: it gives the same estimate, but on a 3-site extremal
     # grid (m = 2997, b = 5; one BLAS thread, best of 7) it took 5.0 ms against
     # 0.58 ms for the dgbtrs solves below, and on a band of b = 10 it was 15x slower
-    est = a_norm * _inverse_norm_estimate(solve, system.shape[1])
+    est = a_norm * _inverse_norm_estimate(lambda rhs, trans: solve(rhs), system.shape[1])
     if not est <= COND_LIMIT:
         raise SingularBVP(f"condition estimate {est:.3e} exceeds {COND_LIMIT:.0e}")
     return solve
@@ -403,23 +446,43 @@ def _newton_tol(grid: _ActionGrid, z_flat: np.ndarray) -> float:
 def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> ExtremalSolution:
     """Stationary point of the discrete action between the two surfaces.
 
+    Builds the grid of ``bd``'s surfaces at step ``dt_c`` and solves on it
+    with ``_newton``; the solution keeps the grid, so that ``hj_residuals``
+    and ``reparameterization_check`` re-solve on it the boundaries that
+    share its surfaces.
+    """
+    return _newton(_ActionGrid(bd, lagr, grid_rows(bd, dt_c)), bd, dt_c)
+
+
+def _resolve(base: ExtremalSolution, bd: BoundaryData, lagr: LagrangianSpec,
+             dt_c: float) -> ExtremalSolution:
+    """``solve_extremal(bd, lagr, dt_c)``, on ``base``'s grid when that is the grid it builds.
+
+    The grid is the same when only the boundary values differ, or when a
+    relabeling maps the surfaces onto themselves; otherwise a new one is built.
+    """
+    n_rows = grid_rows(bd, dt_c)
+    grid = base.grid if base.grid.serves(bd, lagr, n_rows) else _ActionGrid(bd, lagr, n_rows)
+    return _newton(grid, bd, dt_c)
+
+
+def _newton(grid: _ActionGrid, bd: BoundaryData, dt_c: float) -> ExtremalSolution:
+    """The extremal on ``grid`` whose boundary rows are ``bd.z0`` and ``bd.z1``.
+
     A damped Newton iteration from the straight-line interpolant, of at most
     NEWTON_MAXITER steps, until the residual reaches ``_newton_tol``.  The
     Hessian is factored at the start and, for a potential of degree above 2,
     again after each accepted step, so its last factorization is the
     condition check at the extremal; a potential of degree at most 2 has a
-    constant Hessian, which the first factorization serves throughout.
+    constant Hessian, which the grid's first factorization serves
+    throughout, in this solve and every later one on the grid.
     Near-singular two-time problems (the resonances of the oscillator
     family) raise SingularBVP instead of returning garbage.
     """
-    n_rows = grid_rows(bd, dt_c)
-    grid = _ActionGrid(bd, lagr, n_rows)
     inner = grid.interior
     work = np.empty((3 * grid.b + 1, inner.stop - inner.start), order="F")
-    refactor = len(lagr.potential) > 3         # degree above 2: the Hessian moves with z
-
-    z_flat = grid.flatten(grid.interpolant())
-    solve = _factor(grid.interior_system(z_flat, work), grid.b)
+    z_flat = grid.flatten(grid.interpolant(bd.z0, bd.z1))
+    solve = grid.factor(z_flat, work)
     grad = grid.gradient(z_flat)[inner]
     best = np.max(np.abs(grad))
     # converged after a step when the residual is down to NEWTON_TOL, or to the roundoff
@@ -441,16 +504,14 @@ def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> Extre
             scale *= 0.5
         else:
             raise NewtonDivergence(f"line search stalled at residual {best:.3e}")
-        if refactor:
-            solve = _factor(grid.interior_system(z_flat, work), grid.b)
+        solve = grid.factor(z_flat, work)
     else:
         if not converged():    # the cap counts steps: the last one gets its check too
             raise NewtonDivergence(f"no convergence after {NEWTON_MAXITER} iterations "
                                    f"(residual {best:.3e})")
 
     z_final = grid.unflatten(z_flat)
-    return ExtremalSolution(bd, z_final, grid.row_times, grid.delta,
-                            grid.action(z_final), float(best), dt_c)
+    return ExtremalSolution(bd, z_final, grid.action(z_final), float(best), dt_c, grid)
 
 
 @dataclass
@@ -550,7 +611,9 @@ def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float
     (central differences, re-solving the varied problems at ``base.dt_c``), the
     Hamilton-Jacobi residual dS/dt/a + H(z, zs, dS/dz/a; v) with the fitted
     derivatives, and the tangential identity on both surfaces.  Initial-
-    surface variations carry the opposite orientation sign.
+    surface variations carry the opposite orientation sign.  The z1 and z0
+    variations keep the surfaces, so they re-solve on ``base``'s grid; each
+    t1 variation builds its own.
     """
     bd, dt_c = base.bd, base.dt_c
     variations = hj_variations(bd, fd_epsilon)
@@ -570,8 +633,8 @@ def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float
 
     def central_difference(name, j):
         up, down = variations[name, j]
-        s_up = solve_extremal(up, lagr, dt_c).action
-        s_down = solve_extremal(down, lagr, dt_c).action
+        s_up = _resolve(base, up, lagr, dt_c).action
+        s_down = _resolve(base, down, lagr, dt_c).action
         return (s_up - s_down) / (2.0 * eps)
 
     for j in range(n):
@@ -612,13 +675,15 @@ def reparameterization_check(base: ExtremalSolution, lagr: LagrangianSpec) -> di
     Cyclic and reflected site orders are exact symmetries of the periodic
     lattice (reflection needs the zx-even densities this grammar produces);
     the refinement ratio quantifies the O(dt^2) discretization movement.
+    A relabeling that maps the surfaces onto themselves (flat ones, say)
+    re-solves on ``base``'s grid; the other solves build their own.
     """
     bd, dt_c, s_base = base.bd, base.dt_c, base.action
-    s_cyclic = solve_extremal(bd.relabeled(1), lagr, dt_c).action
-    s_parity = solve_extremal(bd.reflected(), lagr, dt_c).action
-    s_shift = solve_extremal(bd.shifted(0.37), lagr, dt_c).action
-    s_half = solve_extremal(bd, lagr, dt_c / 2.0).action
-    s_quarter = solve_extremal(bd, lagr, dt_c / 4.0).action
+    s_cyclic = _resolve(base, bd.relabeled(1), lagr, dt_c).action
+    s_parity = _resolve(base, bd.reflected(), lagr, dt_c).action
+    s_shift = _resolve(base, bd.shifted(0.37), lagr, dt_c).action
+    s_half = _resolve(base, bd, lagr, dt_c / 2.0).action
+    s_quarter = _resolve(base, bd, lagr, dt_c / 4.0).action
     diff_1 = s_base - s_half
     diff_2 = s_half - s_quarter
     ratio = diff_1 / diff_2 if diff_2 != 0.0 else None  # undefined, reported as null

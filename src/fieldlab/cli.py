@@ -20,14 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classical import (
-    BoundaryData,
-    grid_rows,
-    hj_residuals,
-    hj_variations,
-    reparameterization_check,
-    solve_extremal,
-)
 from .errors import (
     ConfigError,
     DimensionTooLarge,
@@ -38,17 +30,6 @@ from .errors import (
     NumericalFailure,
     ResourceGuard,
 )
-from .evolve import EvolveParams, ExactPropagator, evolve_crank_nicolson, evolve_strang, observables
-from .feynman import (
-    KERNELS,
-    PathIntegralSpec,
-    TransferOperator,
-    brute_force_amplitudes,
-    check_enumerable,
-    feynman_vs_schrodinger,
-    history_count,
-    ladder_specs,
-)
 from .lagrangian import legendre_transform, parse_lagrangian
 from .lattice import (
     GaussianStateSpec,
@@ -58,14 +39,6 @@ from .lattice import (
     load_state,
     save_state,
     state_to_csv,
-)
-from .operators import compile_hamiltonian
-from .surface import (
-    MAX_LADDER_MOVES,
-    DeformationSchedule,
-    SpacelikeSurface,
-    integrability_test,
-    shared_endpoints,
 )
 
 COMMANDS = ("legendre", "evolve", "surface", "feynman", "classical")
@@ -182,7 +155,7 @@ SCHEMA = {
         "schedule_b": (dict, REQUIRED),
     },
     "feynman": {
-        "kernel": (str, "fresnel_exact", _one_of(*KERNELS)),
+        "kernel": (str, "fresnel_exact", _one_of("fresnel_exact", "lagrangian_riemann")),
         "dt": (float, REQUIRED, _NONNEGATIVE),
         "t_steps": (int, REQUIRED, _NONNEGATIVE),
         "levels": (int, 3, _AT_LEAST_1),
@@ -318,7 +291,8 @@ def _build_initial(block: dict, path: str, cfg: LatticeConfig, base_dir: Path):
 
 
 # --- commands: each gets the parsed Lagrangian, the root's `lattice` block (None when
-# absent) and its own block as read through SCHEMA
+# absent) and its own block as read through SCHEMA, and imports the modules it runs,
+# so a run loads no other command's modules
 
 def cmd_legendre(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     density = legendre_transform(lagr)
@@ -329,6 +303,10 @@ def cmd_legendre(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: 
 
 
 def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
+    from .evolve import (EvolveParams, ExactPropagator, evolve_crank_nicolson, evolve_strang,
+                         observables)
+    from .operators import compile_hamiltonian
+
     cfg = _build_lattice(lattice)
     method, steps, dt, log_every = opts["method"], opts["steps"], opts["dt"], opts["log_every"]
     params = EvolveParams(dt, steps, cn_tol=opts["cn_tol"])  # the step guard, before any work
@@ -363,8 +341,10 @@ def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Pa
     save_state(state, outdir / "final_state.bin")
 
 
-def _build_schedule_factory(block: dict, path: str, start: SpacelikeSurface,
-                            total_time: float):
+def _build_schedule_factory(block: dict, path: str, start, total_time: float):
+    """``dt -> DeformationSchedule`` for the block at ``path``, starting on surface ``start``."""
+    from .surface import DeformationSchedule
+
     kind = _read(block, path, SCHEMA["schedule"])["kind"]
     opts = _read(block, path, SCHEMA[f"schedule.{kind}"])
     if kind == "sweep":
@@ -377,6 +357,8 @@ def _build_schedule_factory(block: dict, path: str, start: SpacelikeSurface,
 
 
 def cmd_surface(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
+    from .surface import MAX_LADDER_MOVES, SpacelikeSurface, integrability_test, shared_endpoints
+
     cfg = _build_lattice(lattice)
     total_time, dt_values, start_times = opts["total_time"], opts["dt_values"], opts["start_times"]
     if start_times is None:
@@ -415,6 +397,9 @@ def cmd_surface(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
 
 
 def cmd_feynman(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
+    from .feynman import (PathIntegralSpec, TransferOperator, brute_force_amplitudes,
+                          check_enumerable, feynman_vs_schrodinger, history_count, ladder_specs)
+
     cfg = _build_lattice(lattice)
     pspec = _build_at("feynman.dt", PathIntegralSpec, opts["t_steps"], opts["dt"], opts["kernel"])
     initial = _build_initial(opts["initial"], "feynman.initial", cfg, base_dir)
@@ -445,6 +430,9 @@ def cmd_feynman(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
 
 
 def cmd_classical(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
+    from .classical import (BoundaryData, grid_rows, hj_residuals, hj_variations,
+                            reparameterization_check, solve_extremal)
+
     boundary = _read(opts["boundary"], "classical.boundary", SCHEMA["classical.boundary"])
     dt_c, fd_epsilon, checks = opts["dt_c"], opts["fd_epsilon"], opts["checks"]
     bd = _build_at("classical.boundary", BoundaryData, **boundary)

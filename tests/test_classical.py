@@ -119,7 +119,7 @@ def test_newton_tol_is_absolute_on_small_boundaries():
     bd = BoundaryData((0.0,) * 3, (1.0,) * 3, (-0.15, -0.08, -0.12), (0.14, 0.09, 0.15))
     sol = solve_extremal(bd, lagr, 1e-3)
     grid = _ActionGrid(bd, lagr, sol.n_rows)
-    for z_flat in (grid.flatten(grid.interpolant()), grid.flatten(sol.z)):
+    for z_flat in (grid.flatten(grid.interpolant(bd.z0, bd.z1)), grid.flatten(sol.z)):
         assert 0.0 < grid.gradient_floor(z_flat) < 1e-2 * NEWTON_TOL
         assert _newton_tol(grid, z_flat) == NEWTON_TOL
     assert sol.residual <= NEWTON_TOL
@@ -376,7 +376,7 @@ def dense_from_band(band):
 def interior_system(bd, lagr, dt_c):
     """The grid, a non-trivial field on it and its interior system in dgbtrf's layout."""
     grid = _ActionGrid(bd, lagr, grid_rows(bd, dt_c))
-    z_flat = grid.flatten(grid.interpolant())
+    z_flat = grid.flatten(grid.interpolant(bd.z0, bd.z1))
     z_flat[grid.interior] += 0.05 * np.sin(np.arange(z_flat[grid.interior].size))
     size = grid.interior.stop - grid.interior.start
     system = grid.interior_system(z_flat, np.empty((3 * grid.b + 1, size), order="F"))
@@ -475,3 +475,87 @@ def test_nan_hessian_raises_singular_bvp(free_lagr):
     system[2 * grid.b, 3] = np.nan
     with pytest.raises(SingularBVP):
         _factor(system, grid.b)
+
+
+# --- one grid per set of surfaces -------------------------------------------------
+
+THREE_SITE = {
+    "flat": BoundaryData((0.0,) * 3, (1.0,) * 3, (-0.12, 0.1, -0.14), (0.11, -0.09, 0.15)),
+    "curved": BoundaryData((0.0, 0.06, -0.04), (1.05, 0.96, 1.1), (-0.12, 0.1, -0.14),
+                           (0.11, -0.09, 0.15)),
+}
+
+
+def report_bits(report):
+    return {key: None if value is None else np.asarray(value, dtype=float).tobytes()
+            for key, value in report.items()}
+
+
+@pytest.mark.parametrize("lagr_name", ["free_lagr", "quartic_lagr"])
+@pytest.mark.parametrize("shape", list(THREE_SITE))
+def test_checks_on_the_base_grid_match_fresh_solves(request, monkeypatch, lagr_name, shape):
+    """Both checks give bit for bit what a fresh solve_extremal per varied boundary gives."""
+    lagr = request.getfixturevalue(lagr_name)
+    base = solve_extremal(THREE_SITE[shape], lagr, 1e-2)
+    shared = [report_bits(hj_residuals(base, lagr, 1e-4)),
+              report_bits(reparameterization_check(base, lagr))]
+    monkeypatch.setattr(fieldlab.classical, "_resolve",
+                        lambda base, bd, lagr, dt_c: solve_extremal(bd, lagr, dt_c))
+    fresh = [report_bits(hj_residuals(base, lagr, 1e-4)),
+             report_bits(reparameterization_check(base, lagr))]
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("lagr_name", ["free_lagr", "quartic_lagr"])
+def test_flat_checks_build_ten_grids(request, monkeypatch, lagr_name):
+    """Of the 24 solves of a flat 3-site run with both checks, 15 share the base grid: the
+    z1 and z0 variations and both relabelings.  The t1 variations, the time shift and the
+    two refinements build one grid each, 10 in all, and the free Lagrangian factors each once."""
+    lagr = request.getfixturevalue(lagr_name)
+    builds, factorizations = [], []
+    init = _ActionGrid.__init__
+    handle = _flapack()
+    dgbtrf = handle.dgbtrf
+
+    def counting_init(self, *args):
+        builds.append(None)
+        init(self, *args)
+
+    def counting_dgbtrf(*args, **kwargs):
+        factorizations.append(None)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(_ActionGrid, "__init__", counting_init)
+    monkeypatch.setattr(handle, "dgbtrf", counting_dgbtrf)
+    base = solve_extremal(THREE_SITE["flat"], lagr, 1e-2)
+    hj_residuals(base, lagr, 1e-4)
+    reparameterization_check(base, lagr)
+    assert len(builds) == 10
+    if lagr_name == "free_lagr":
+        assert len(factorizations) == 10
+
+
+FIVE_SITE = {
+    "flat": BoundaryData((0.0,) * 5, (1.0,) * 5, (0.3, -0.2, 0.1, 0.05, -0.1),
+                         (0.1, 0.4, -0.3, 0.2, 0.0)),
+    "curved": BoundaryData((0.0, 0.1, 0.05, -0.08, 0.02), (1.0, 1.2, 1.1, 0.95, 1.05),
+                           (0.3, -0.2, 0.1, 0.05, -0.1), (0.1, 0.4, -0.3, 0.2, 0.0)),
+}
+
+
+@pytest.mark.parametrize("extra", ["", " + 0.3*zt", " - 0.1*z^4", " + 0.3*zt - 0.1*z^4"])
+@pytest.mark.parametrize("bd,flat", [(BOUNDARIES[3, "flat"], True),
+                                     (BOUNDARIES[3, "curved"], False),
+                                     (FIVE_SITE["flat"], True), (FIVE_SITE["curved"], False)],
+                         ids=["3-flat", "3-curved", "5-flat", "5-curved"])
+def test_interior_system_is_symmetric(bd, flat, extra):
+    """_factor answers the condition estimator's solves with A^T with A: the Hessian is
+    symmetric bit for bit between flat surfaces, and to roundoff between curved ones."""
+    lagr = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2" + extra)
+    grid, _, system = interior_system(bd, lagr, 0.05)
+    dense = dense_from_band(system[grid.b:])
+    asymmetry = np.abs(dense - dense.T).sum(axis=0).max()
+    if flat:
+        assert asymmetry == 0.0
+    else:
+        assert asymmetry <= 4.0 * np.finfo(float).eps * np.abs(dense).sum(axis=0).max()

@@ -14,9 +14,11 @@ import pytest
 
 import fieldlab.classical
 import fieldlab.cli
+import fieldlab.evolve
 import fieldlab.feynman
 import fieldlab.surface
 from fieldlab.cli import SCHEMA, main
+from fieldlab.errors import ConfigError
 from fieldlab.lattice import LatticeConfig, WaveFunctional, load_state, save_state, spacelike
 
 FREE_TEXT = "0.5*zt^2 - 0.5*zx^2 - 0.5*m^2*z^2"
@@ -133,8 +135,8 @@ def test_evolve_exact_method_matches_strang(tmp_path):
 def test_evolve_exact_propagates_once_per_logged_row(tmp_path, monkeypatch, steps, log_every):
     """Each logged row after t = 0 takes one propagation, the final state included."""
     calls = []
-    propagate = fieldlab.cli.ExactPropagator.propagate
-    monkeypatch.setattr(fieldlab.cli.ExactPropagator, "propagate",
+    propagate = fieldlab.evolve.ExactPropagator.propagate
+    monkeypatch.setattr(fieldlab.evolve.ExactPropagator, "propagate",
                         lambda self, state, t: calls.append(t) or propagate(self, state, t))
     cfg = evolve_config(steps, "exact")
     cfg["evolve"]["log_every"] = log_every
@@ -333,7 +335,7 @@ def test_surface_repeated_guard_size_step_hits_ladder_guard(tmp_path, capsys, mo
 def test_surface_ladder_guard_counts_both_schedules_of_every_level(tmp_path, monkeypatch,
                                                                    guard, code):
     """Sweeps of 6 and 12 moves, two schedules each: 36 moves in all."""
-    monkeypatch.setattr(fieldlab.cli, "MAX_LADDER_MOVES", guard)
+    monkeypatch.setattr(fieldlab.surface, "MAX_LADDER_MOVES", guard)
     assert run(tmp_path, surface_config(*SWEEPS, dt_values=[0.05, 0.025])) == code
 
 
@@ -466,7 +468,7 @@ def test_feynman_forced_identity_refused_before_any_work(tmp_path, capsys, monke
     def no_work(*args):
         raise AssertionError("the ladder ran before the enumeration guard")
 
-    monkeypatch.setattr(fieldlab.cli, "feynman_vs_schrodinger", no_work)
+    monkeypatch.setattr(fieldlab.feynman, "feynman_vs_schrodinger", no_work)
     cfg = feynman_config(t_steps=t_steps, identity="force", q=64)
     cfg["lattice"]["n_sites"] = 2
     assert run(tmp_path, cfg) == 4
@@ -851,6 +853,16 @@ def test_readme_lists_every_schema_key():
     missing = [f"{block}.{key}" for block, table in SCHEMA.items() for key in table
                if f"`{key}`" not in section and f'"{key}"' not in section]
     assert missing == []
+
+
+def test_schema_kernels_are_the_feynman_kernels():
+    """The schema spells the kernel names out, so checking them imports no feynman module."""
+    _, default, rule = SCHEMA["feynman"]["kernel"]
+    assert default in fieldlab.feynman.KERNELS
+    for kernel in fieldlab.feynman.KERNELS:
+        rule(kernel, "feynman.kernel")
+    with pytest.raises(ConfigError, match=f"one of {', '.join(fieldlab.feynman.KERNELS)}, got"):
+        rule("riemann", "feynman.kernel")
 
 
 def test_missing_config_file(tmp_path, capsys):

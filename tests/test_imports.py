@@ -1,8 +1,9 @@
-"""No command imports the scipy package.
+"""No command imports the scipy package, and a run imports no other command's modules.
 
 ``classical`` loads scipy's compiled LAPACK extension at its first
 factorization, straight from its file, so no ``scipy`` module is left in
-``sys.modules``; every other command needs nothing from scipy.
+``sys.modules``; every other command needs nothing from scipy.  ``cli``
+imports each command's modules inside the command.
 """
 
 import json
@@ -21,18 +22,21 @@ SRC = Path(fieldlab.__file__).resolve().parent.parent
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def scipy_modules_after(code: str, *args: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter; return the scipy modules it left loaded.
-
-    scipy's ``_flapack`` extension counts too, under any package name.
-    """
+def modules_after(code: str, *args: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; return the modules it left loaded."""
     probe = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-             "                        or m.split('.')[-1] == '_flapack')))")
+             "print(json.dumps(sorted(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def scipy_modules_after(code: str, *args: str) -> list[str]:
+    """The scipy modules ``code`` left loaded; scipy's ``_flapack`` extension counts too,
+    under any package name."""
+    return [m for m in modules_after(code, *args)
+            if m.split(".")[0] == "scipy" or m.split(".")[-1] == "_flapack"]
 
 
 RUN = ("from fieldlab.cli import main\n"
@@ -42,6 +46,21 @@ RUN = ("from fieldlab.cli import main\n"
 @pytest.mark.parametrize("statement", ["import fieldlab", "import fieldlab.cli"])
 def test_import_loads_no_scipy(statement):
     assert scipy_modules_after(statement) == []
+
+
+COMMAND_MODULES = {f"fieldlab.{name}"
+                   for name in ("classical", "evolve", "feynman", "operators", "surface")}
+
+
+@pytest.mark.parametrize("config,own", [(None, set()), ("legendre_free", set()),
+                                        ("classical_oscillator", {"fieldlab.classical"})],
+                         ids=["import", "legendre", "classical"])
+def test_run_loads_no_other_command_modules(tmp_path, config, own):
+    if config is None:
+        loaded = modules_after("import fieldlab.cli")
+    else:
+        loaded = modules_after(RUN, str(CONFIGS / f"{config}.json"), str(tmp_path / "out"))
+    assert set(loaded) & COMMAND_MODULES == own
 
 
 def classical_checks_config(tmp_path) -> Path:

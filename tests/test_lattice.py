@@ -30,7 +30,7 @@ from fieldlab.lattice import (
     spacelike,
     state_to_csv,
 )
-from fieldlab.operators import compile_hamiltonian
+from fieldlab.operators import DENSE_GUARD, compile_hamiltonian
 
 from conftest import mode_frequencies
 
@@ -152,6 +152,25 @@ def test_ground_state_energy_matches_dense(free_lagr):
     op = compile_hamiltonian(legendre_transform(free_lagr), cfg)
     e_min = np.linalg.eigvalsh(op.dense_matrix())[0]
     assert abs(op.expectation(state) - e_min) / abs(e_min) < 1e-6
+
+
+@pytest.mark.parametrize("n_sites,spacing,q_points,q_extent,hbar", [
+    (3, 1.0, 64, 16.0, 1.0),
+    (4, 1.0, 32, 12.0, 1.0),
+    (3, 0.8, 64, 16.0, 0.7),
+])
+def test_vacuum_energy_is_the_zero_point_sum_past_the_dense_guard(free_lagr, n_sites, spacing,
+                                                                  q_points, q_extent, hbar):
+    """Without normal ordering the free ground state's energy is (hbar/2) sum_k omega_k.
+
+    The operator's mean is taken matrix-free, on lattices too large for its dense matrix.
+    """
+    cfg = LatticeConfig(n_sites, spacing, q_points, q_extent, hbar)
+    assert cfg.dim > DENSE_GUARD
+    state = init_wavefunctional(free_ground_state_covariance(cfg, 1.0), cfg)
+    energy = compile_hamiltonian(legendre_transform(free_lagr), cfg).expectation(state)
+    zero_point = 0.5 * hbar * mode_frequencies(cfg, 1.0).sum()
+    assert abs(energy - zero_point) <= 1e-12 * zero_point
 
 
 def test_massless_zero_mode():
