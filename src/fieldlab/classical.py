@@ -4,10 +4,10 @@ The domain between the surfaces t0_j < t1_j is covered by a grid with a
 shared row count R: site j steps uniformly from t0_j to t1_j, so row 0 is
 the first surface and row R the second, and intermediate rows are slanted
 surfaces whose link slopes feed the slope-corrected spatial derivative
-zx = zs - zdot * v.  Time quadrature of the non-derivative terms uses the
-trapezoid rule so the action value converges at second order in the row
-step; the kinetic term uses forward differences, which keeps the stationary
-equations of Verlet type.
+zx = zs - zdot * v.  The action is the history sum's ``lattice.field_action``
+under the trapezoid rule (1/2, 1/2), so its value converges at second order
+in the row step; the kinetic term uses forward differences, which keeps the
+stationary equations of Verlet type.
 
 Boundary momenta and the energy / flux densities come from one-sided
 second-order differences at the boundary rows; with the sign conventions
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NewtonDivergence, SingularBVP
 from .lagrangian import LagrangianSpec, legendre_transform
-from .lattice import link_difference, spacelike
+from .lattice import field_action, link_difference, spacelike
 
 COND_LIMIT = 1e12
 NEWTON_TOL = 1e-10
@@ -231,17 +231,7 @@ class _ActionGrid:
     # -- evaluation ---------------------------------------------------------
 
     def action(self, z: np.ndarray) -> float:
-        lagr = self.lagr
-        q = (z[1:] - z[:-1]) / self.delta[None, :]
-        q_link = 0.5 * (q + np.roll(q, -1, axis=1))
-        zs = link_difference(z, self.a, axis=1)
-        x0 = zs[:-1] - q_link * self.v_rows[:-1]
-        x1 = zs[1:] - q_link * self.v_rows[1:]
-        site_cells = lagr.kinetic_coeff * q ** 2 + lagr.kinetic_linear * q
-        link_cells = 0.5 * lagr.gradient_coeff * (x0 ** 2 + x1 ** 2)
-        return float((self.w[None, :] * site_cells).sum()
-                     + (self.w_link[None, :] * link_cells).sum()
-                     - (self.w_pot * lagr.potential_value(z)).sum())
+        return float(field_action(z, self.lagr, self.a, self.delta, (0.5, 0.5), self.v_rows))
 
     def gradient(self, z_flat: np.ndarray) -> np.ndarray:
         pot = self._w_pot_flat * self.lagr.potential_derivative(z_flat)

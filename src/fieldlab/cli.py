@@ -78,13 +78,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_csv(path: Path, meta: dict, columns, rows) -> None:
     """A stamped CSV: the config hash and version line, the column names, float rows."""
-    table = np.array(list(rows), dtype=float)
+    table = np.asarray(rows, dtype=float)
     _require_finite(table, path.name)
     with open(path, "w") as fh:
         fh.write(f"# config_sha256={meta['config_sha256']} version={meta['version']}\n")
         fh.write(",".join(columns) + "\n")
-        for row in table:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in table.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 # --- config schema -----------------------------------------------------------
@@ -459,9 +459,9 @@ def cmd_classical(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir:
     payload["spec_hash"] = meta["config_sha256"]
     payload["meta"] = meta
     _write_json(outdir / "residuals.json", payload)
+    x = np.broadcast_to(np.arange(bd.n_sites) * bd.spacing, sol.z.shape)
     _write_csv(outdir / "extremal.csv", meta, ("t", "x", "z"),
-               ((sol.row_times[r, j], j * bd.spacing, sol.z[r, j])
-                for r in range(sol.z.shape[0]) for j in range(sol.z.shape[1])))
+               np.stack((sol.row_times, x, sol.z), axis=-1).reshape(-1, 3))
 
 
 # --- entry point -------------------------------------------------------------

@@ -4,11 +4,11 @@ Three integrators with a ground-truth hierarchy: a dense eigendecomposition
 exponential (exact, small dimensions), Strang splitting, and a matrix-free
 Crank--Nicolson step for operators with cross terms.
 
-Strang's momentum step applies each site term's kinetic propagator, the
-Q x Q matrix of its Fourier multiplier's phase, along that term's axis.  It
-is exact for the grid's derivative (spectral or fd), so splitting is the
-only error.  At N=3, Q=32 a step takes about half the time of the whole-grid
-``fftn``/``ifftn`` pair; at N=2, Q=128 it takes about 1.4 times as long.
+Strang splitting repeats the operator's Lie-Trotter step, the transfer step
+of ``feynman``, between half phases.  Its kinetic blocks are exact for the
+grid's derivative (spectral or fd), so splitting is the only error.  At N=3,
+Q=32 a step takes about half the time of the whole-grid ``fftn``/``ifftn``
+pair; at N=2, Q=128 it takes about 1.4 times as long.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
 from .lattice import LatticeConfig, WaveFunctional, norm as state_norm, site_moments
-from .operators import DENSE_GUARD, LatticeHamiltonian, _along, fourier_matrix
+from .operators import DENSE_GUARD, LatticeHamiltonian, _trotter_steps
 
 MAX_STEPS = 100_000  # time steps in one run; committed configs and benchmarks take at most 1000
 CN_MAXITER = 500  # GMRES restart cycles in one Crank-Nicolson step
@@ -139,23 +139,16 @@ class ExactPropagator:
 
 def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
                   params: EvolveParams) -> WaveFunctional:
-    """Half diagonal phase, each site term's kinetic propagator along its axis, half phase."""
+    """(h K h)^n = h (K P)^n h^-1: n Lie-Trotter steps K P of the operator between the
+    half phase h and its inverse, since the half phases of consecutive steps meet as P."""
     if not hamiltonian.separable:
         raise NonSeparableHamiltonian("Strang splitting needs a kinetic + diagonal operator")
-    cfg = hamiltonian.cfg
     if params.steps == 0:
-        return state.copy()
-    h = cfg.hbar
-    half_phase = np.exp(-0.5j * params.dt * hamiltonian.diag / h)
-    blocks = [(term.site, fourier_matrix(np.exp(-1j * params.dt * term.mult / h)))
-              for term in hamiltonian.terms if term.mult is not None]
-    psi = state.psi[None].copy()
-    for _ in range(params.steps):
-        psi *= half_phase
-        for axis, block in blocks:
-            psi = _along(block, psi, axis)
-        psi *= half_phase
-    return WaveFunctional(cfg, psi[0])
+        return state.copy()  # h h^-1 is 1 only up to roundoff
+    phase, blocks = hamiltonian.trotter_factors(params.dt)
+    half_phase = np.exp(-0.5j * params.dt * hamiltonian.diag / hamiltonian.cfg.hbar)
+    psi = _trotter_steps(phase, blocks, (half_phase.conj() * state.psi)[None], params.steps)
+    return WaveFunctional(hamiltonian.cfg, half_phase * psi[0])
 
 
 GMRES_RESTART = 20  # Arnoldi steps per GMRES cycle

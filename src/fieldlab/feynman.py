@@ -1,14 +1,14 @@
 """Constructive path integral: brute-force history sums and transfer operators.
 
 The amplitude at a final field configuration is the sum over all grid-valued
-field histories of measure * exp(i S / h) * psi0(initial slice), with the
-discrete action S built from forward differences.  The same sum factorizes
-into iterated one-step transfer operators; that identity is exact for any
-kernel and is the module's central test.
+field histories of measure * exp(i S / h) * psi0(initial slice), with S the
+classical extremals' ``lattice.field_action`` under the Riemann rule (1, 0).
+The same sum factorizes into iterated one-step transfer operators; that
+identity is exact for any kernel and is the module's central test.
 
-Two kinetic kernels are provided: ``fresnel_exact`` is the one-step
-propagator of the compiled lattice kinetic operator (making the transfer
-step equal one Trotter step of the kinetic/diagonal split exactly), and
+Two kinetic kernels are provided: ``fresnel_exact`` is the compiled
+operator's Lie-Trotter kinetic block (the transfer step is then the
+operator's Lie-Trotter step, the one Strang splitting repeats), and
 ``lagrangian_riemann`` is the literal Riemann-sum reading with the Gaussian
 kinetic phase taken from the discrete action itself, normalized per site and
 step by sqrt(2 c2 a / (2 pi i h dt)).  The two agree as the field grid is
@@ -27,9 +27,8 @@ import numpy as np
 from .errors import DimensionTooLarge, EnumerationTooLarge, ShapeMismatch
 from .evolve import MAX_STEPS, ExactPropagator
 from .lagrangian import LagrangianSpec, legendre_transform
-from .lattice import LatticeConfig, WaveFunctional, link_difference, norm
-from .operators import _along, compile_hamiltonian, fourier_matrix
-from .surface import fit_order
+from .lattice import LatticeConfig, WaveFunctional, field_action, fit_order, norm
+from .operators import _trotter_steps, compile_hamiltonian
 
 ENUMERATION_GUARD = 2 ** 22
 BLOCK_TERMS = 2 ** 14  # history-final terms the history sum forms at once
@@ -62,7 +61,7 @@ class PathIntegralSpec:
 
 def discrete_action(histories: np.ndarray, pspec: PathIntegralSpec,
                     lagr: LagrangianSpec, cfg: LatticeConfig) -> np.ndarray:
-    """S = sum_t sum_j dt * a * F(z_j^t, forward dz/dt, forward dz/dx) of each history.
+    """S = sum_t sum_j dt a F(z_j^t, forward dz/dt, forward dz/dx), ``field_action``'s rule (1, 0).
 
     The last two axes of ``histories`` are its t_steps + 2 slices, both
     boundary slices included, and its sites; the leading axes, if any, index
@@ -72,11 +71,7 @@ def discrete_action(histories: np.ndarray, pspec: PathIntegralSpec,
     expected = (pspec.t_steps + 2, cfg.n_sites)
     if histories.shape[-2:] != expected:
         raise ShapeMismatch(f"history shape {histories.shape}, expected (..., {expected})")
-    earlier = histories[..., :-1, :]
-    zdot = (histories[..., 1:, :] - earlier) / pspec.dt
-    zx = link_difference(earlier, cfg.spacing, axis=-1)
-    f_vals = lagr.evaluate(earlier, zdot, zx)
-    return pspec.dt * cfg.spacing * f_vals.sum(axis=(-2, -1))
+    return field_action(histories, lagr, cfg.spacing, pspec.dt, (1.0, 0.0))
 
 
 def _riemann_measure(pspec: PathIntegralSpec, lagr: LagrangianSpec,
@@ -90,36 +85,30 @@ def _riemann_measure(pspec: PathIntegralSpec, lagr: LagrangianSpec,
 class TransferOperator:
     """One time-step map: diagonal action phase then the (Q, Q) kinetic kernel per site.
 
-    Its tables come from the compiled flat operator: the diagonal phase
-    exp(-i dt diag / h) for both kernels, and the ``fresnel_exact`` kernel
-    from a site term's multiplier, so that kernel's step is one Trotter step
-    of the compiled operator.  The ``lagrangian_riemann`` kernel is the
-    discrete action's kinetic part, quadrature weight included.
+    The diagonal phase and the ``fresnel_exact`` kernel are the compiled flat
+    operator's ``trotter_factors`` (its site terms share one kinetic block), so
+    that kernel's step is the operator's Lie-Trotter step.  The
+    ``lagrangian_riemann`` kernel is the discrete action's kinetic part,
+    quadrature weight included.
     """
 
     def __init__(self, pspec: PathIntegralSpec, lagr: LagrangianSpec, cfg: LatticeConfig):
         self.pspec = pspec
-        self.lagr = lagr
         self.cfg = cfg
         op = compile_hamiltonian(legendre_transform(lagr), cfg)
-        a, h, dt = cfg.spacing, cfg.hbar, pspec.dt
-        if pspec.kernel == "fresnel_exact":
-            # every flat site term has the same multiplier, a (p - c1)^2 / (4 c2)
-            self.kinetic = fourier_matrix(np.exp(-1j * dt * op.terms[0].mult / h))
-        else:
+        self.diag_phase, blocks = op.trotter_factors(pspec.dt)
+        self.kinetic = blocks[0][1]
+        if pspec.kernel == "lagrangian_riemann":
             # a dt (c2 (delta/dt)^2 + c1 delta/dt)
+            a, h, dt = cfg.spacing, cfg.hbar, pspec.dt
             c2, c1 = lagr.kinetic_coeff, lagr.kinetic_linear
-            zg = cfg.z_values()
-            delta = zg[:, None] - zg[None, :]
+            delta = np.subtract.outer(cfg.z_values(), cfg.z_values())
             self.kinetic = (_riemann_measure(pspec, lagr, cfg)
                             * np.exp(1j * a * (c2 * delta ** 2 / dt + c1 * delta) / h))
-        self.diag_phase = np.exp(-1j * dt * op.diag / h)
+        self.blocks = [(j, self.kinetic) for j in range(cfg.n_sites)]
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        out = (self.diag_phase * psi)[None]
-        for j in range(self.cfg.n_sites):
-            out = _along(self.kinetic, out, j)
-        return out[0]
+        return _trotter_steps(self.diag_phase, self.blocks, psi[None].copy(), 1)[0]
 
     # a step that overflows leaves inf or NaN, which the caller's finiteness check names
     @np.errstate(over="ignore", invalid="ignore")

@@ -205,10 +205,15 @@ class _Parser:
 
 
 def _polyval(z, coeffs):
-    """sum_k coeffs[k] * z^k, float zeros shaped like z for no coefficients."""
+    """sum_k coeffs[k] * z^k by Horner's rule in numpy's polyval order; zeros like z for none."""
+    z = np.asarray(z)
     if not coeffs:
-        return np.zeros_like(np.asarray(z, dtype=float))
-    return np.polynomial.polynomial.polyval(z, list(coeffs))
+        return np.zeros_like(z, dtype=float)
+    value = z * 0.0 + coeffs[-1]
+    for coeff in coeffs[-2::-1]:
+        value *= z
+        value += coeff
+    return value
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,43 @@ def link_difference(values, spacing: float, axis: int = -1) -> np.ndarray:
     return (np.roll(values, -1, axis) - values) / spacing
 
 
+def field_action(z, lagr, spacing: float, steps, rule: tuple[float, float], slopes=None):
+    """The discrete action of field rows ``z`` (..., R + 1, N); leading axes index histories.
+
+    Site j steps by ``steps[j]`` (or one step for all) per row; ``slopes[r]`` are row r's
+    link slopes, None for flat rows.  A cell carries c2 q^2 + c1 q, q its forward dz/dt, and
+    -V on a delta_j, and g zx^2 on a (delta_j + delta_{j+1}) / 2, zx = zs - v (q_j + q_{j+1}) / 2;
+    ``rule`` (w0, w1) weighs -V and g zx^2 at the cell's earlier and later row.
+    """
+    w0, w1 = rule
+    cell = spacing * np.asarray(steps, dtype=float)
+    link = lagr.gradient_coeff * 0.5 * (cell + np.roll(cell, -1))
+    q = (z[..., 1:, :] - z[..., :-1, :]) / steps
+    zs = link_difference(z, spacing)
+    cells = q ** 2  # in place: on a block of histories, a temporary costs about a pass
+    cells *= lagr.kinetic_coeff
+    cells += lagr.kinetic_linear * q
+    cells *= cell
+    rows = -cell * lagr.potential_value(z)  # V and zs once per row
+    if slopes is None:
+        rows += link * zs ** 2
+    else:
+        q_link = 0.5 * (q + np.roll(q, -1, axis=-1))
+        cells += link * (w0 * (zs[..., :-1, :] - q_link * slopes[:-1]) ** 2
+                         + w1 * (zs[..., 1:, :] - q_link * slopes[1:]) ** 2)
+    cells += w0 * rows[..., :-1, :] + w1 * rows[..., 1:, :]
+    return cells.sum(axis=(-2, -1))
+
+
+def fit_order(dt_values, errors) -> float:
+    """Least-squares slope of log error against log dt; 0.0 without two distinct usable dt."""
+    dt_values, errors = np.asarray(dt_values, dtype=float), np.asarray(errors, dtype=float)
+    mask = np.isfinite(errors) & (errors > 0) & (dt_values > 0)
+    if np.unique(dt_values[mask]).size < 2:
+        return 0.0
+    return float(np.polyfit(np.log(dt_values[mask]), np.log(errors[mask]), 1)[0])
+
+
 def spacelike(slopes: np.ndarray, what: str = "link slopes") -> np.ndarray:
     """``slopes`` unchanged when every |v| < 1; NotSpacelike otherwise."""
     if np.any(np.abs(slopes) >= 1.0):

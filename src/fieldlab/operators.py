@@ -9,7 +9,7 @@ the classical polynomial as written; the only factors that fail to commute
 are the slope-induced products of p_j with the link difference at site j,
 which are symmetrized as (A B + B A) / 2 to keep the operator Hermitian.
 The p^2 coefficient depends on the slope alone, so no other monomial ever
-needs an ordering rule.
+needs an ordering rule.  Strang and the transfer step share ``trotter_factors``.
 """
 
 from __future__ import annotations
@@ -90,6 +90,16 @@ def _along(block: np.ndarray, batch: np.ndarray, axis: int) -> np.ndarray:
     return np.matmul(block, batch.reshape(-1, q, rest)).reshape(batch.shape)
 
 
+def _trotter_steps(phase: np.ndarray, blocks, batch: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` Lie-Trotter steps of a (1,) + state-shape batch: ``phase`` in place, then each
+    block.  Looping here holds no other reference to a step's input, so numpy reuses its memory."""
+    for _ in range(steps):
+        np.multiply(phase, batch, out=batch)
+        for site, block in blocks:
+            batch = _along(block, batch, site)
+    return batch
+
+
 def _add_turned(out: np.ndarray, b: np.ndarray) -> None:
     """out += i b, for complex arrays held as real (2,) + shape (re, im) pairs."""
     out[0] -= b[1]
@@ -162,6 +172,13 @@ class LatticeHamiltonian:
     def separable(self) -> bool:
         """True when the operator splits into a k-diagonal plus a z-diagonal part."""
         return all(t.cross is None for t in self.terms)
+
+    def trotter_factors(self, dt: float):
+        """The Lie-Trotter factors of exp(-i dt H / h): the diagonal phase exp(-i dt diag / h)
+        and, per site term with a kinetic square, (site, its Q x Q block exp(-i dt mult / h))."""
+        return np.exp(-1j * dt * self.diag / self.cfg.hbar), [
+            (t.site, fourier_matrix(np.exp(-1j * dt * t.mult / self.cfg.hbar)))
+            for t in self.terms if t.mult is not None]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi in real arithmetic: each term's Q x Q blocks act along its axis as GEMMs.

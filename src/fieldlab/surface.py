@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, ScheduleMismatch
 from .lagrangian import HamiltonianDensity
-from .lattice import LatticeConfig, WaveFunctional, link_difference, norm, spacelike
+from .lattice import LatticeConfig, WaveFunctional, fit_order, link_difference, norm, spacelike
 from .operators import compile_hamiltonian
 
 MAX_MOVES = 10_000  # moves in one schedule; the largest committed ladder builds 48
@@ -186,17 +186,6 @@ class SurfaceEvolver:
         for surface, (site, dt) in zip(schedule.surfaces, schedule.moves):
             state = self.deform_step(state, surface, site, dt)
         return state
-
-
-def fit_order(dt_values, errors) -> float:
-    """Least-squares slope of log error against log dt; 0.0 without two distinct usable dt."""
-    dt_values = np.asarray(dt_values, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    mask = np.isfinite(errors) & (errors > 0) & (dt_values > 0)
-    if np.unique(dt_values[mask]).size < 2:
-        return 0.0
-    slope = np.polyfit(np.log(dt_values[mask]), np.log(errors[mask]), 1)[0]
-    return float(slope)
 
 
 def shared_endpoints(sched_a: DeformationSchedule, sched_b: DeformationSchedule,

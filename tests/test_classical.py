@@ -23,7 +23,8 @@ from fieldlab.classical import (
 )
 from fieldlab.errors import DimensionTooLarge, NewtonDivergence, NotSpacelike, SingularBVP
 from fieldlab.lagrangian import parse_lagrangian
-from fieldlab.lattice import LatticeConfig
+from fieldlab.feynman import PathIntegralSpec, discrete_action
+from fieldlab.lattice import LatticeConfig, link_difference
 
 from conftest import mode_frequencies
 
@@ -559,3 +560,24 @@ def test_interior_system_is_symmetric(bd, flat, extra):
         assert asymmetry == 0.0
     else:
         assert asymmetry <= 4.0 * np.finfo(float).eps * np.abs(dense).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("n_sites, spacing", [(1, 1.0), (3, 0.8)])
+def test_grid_action_is_the_history_action_under_the_trapezoid_rule(n_sites, spacing, rng):
+    """One action, two rules: on flat surfaces the trapezoid grid action less the Riemann
+    history action of the same rows is (a dt / 2) sum_j [(g zs^2 - V)(z_R) - (g zs^2 - V)(z_0)]."""
+    lagr = parse_lagrangian("0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
+    n_rows, total_time = 12, 0.9
+    bd = BoundaryData((0.0,) * n_sites, (total_time,) * n_sites,
+                      (0.0,) * n_sites, (0.0,) * n_sites, spacing)
+    z = rng.uniform(-1.5, 1.5, size=(n_rows + 1, n_sites))
+    grid_action = _ActionGrid(bd, lagr, n_rows).action(z)
+    dt = total_time / n_rows
+    history_action = discrete_action(z, PathIntegralSpec(n_rows - 1, dt), lagr,
+                                     LatticeConfig(n_sites, spacing, 8, 4.0))
+
+    def row_terms(row):
+        return lagr.gradient_coeff * link_difference(row, spacing) ** 2 - lagr.potential_value(row)
+
+    expected = 0.5 * spacing * dt * np.sum(row_terms(z[-1]) - row_terms(z[0]))
+    assert abs(grid_action - history_action - expected) <= 1e-13 * abs(grid_action)

@@ -15,20 +15,22 @@ from fieldlab.evolve import (
     evolve_strang,
     observables,
 )
+from fieldlab.feynman import PathIntegralSpec, TransferOperator
 from fieldlab.lagrangian import diagonal_density, legendre_transform, parse_lagrangian
 from fieldlab.lattice import (
     GaussianStateSpec,
     LatticeConfig,
     WaveFunctional,
     free_ground_state_covariance,
+    fit_order,
     init_wavefunctional,
     norm,
     normalize,
     site_moments,
 )
-from fieldlab.operators import compile_hamiltonian
+from fieldlab.operators import DENSE_GUARD, compile_hamiltonian
 
-from conftest import kinetic_phase
+from conftest import gaussian_reference, kinetic_phase
 
 
 def coherent_center(t, z0, omega=1.0):
@@ -459,3 +461,55 @@ def test_crank_nicolson_overflowing_right_hand_side_fails():
     state = init_wavefunctional(GaussianStateSpec((0.0,), widths=(1.0,)), cfg)
     with np.errstate(over="ignore"), pytest.raises(SolverDivergence, match="inf"):
         crank_nicolson_step(op, state.psi, 1e200, 1e-10)
+
+
+def test_strang_is_the_transfer_product_between_half_phases(quartic_lagr, rng):
+    """n Strang steps are h (K P)^n h^-1: n fresnel_exact transfer steps, each the compiled
+    operator's Lie-Trotter step, between the half phase h and its inverse conj(h)."""
+    cfg = LatticeConfig(2, 0.8, 16, 6.0, hbar=0.7)
+    op = compile_hamiltonian(legendre_transform(quartic_lagr), cfg)
+    dt, steps = 0.05, 7
+    half = np.exp(-0.5j * dt * op.diag / cfg.hbar)
+    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    transfer = TransferOperator(PathIntegralSpec(steps - 1, dt), quartic_lagr, cfg)
+    product = half * transfer.evolve(WaveFunctional(cfg, half.conj() * psi)).psi
+    strang = evolve_strang(op, WaveFunctional(cfg, psi), EvolveParams(dt, steps))
+    assert np.max(np.abs(strang.psi - product)) < 1e-13
+
+
+GAUSSIAN_CASES = {
+    # text, n_sites, q_points, q_extent, centers, covariance, site slopes, tolerance
+    "oscillator": ("0.5*zt^2 - 0.5*z^2", 1, 128, 16.0, [1.0], [[0.6]], None, 1e-8),
+    # the grid floor at Q=32: measured 4.0e-6
+    "sloped-linear": ("0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2 - 0.2*z", 2, 32, 10.0,
+                      [0.5, -0.3], [[0.9, 0.3], [0.3, 0.7]], [0.3, -0.2], 1e-5),
+}
+
+
+@pytest.mark.parametrize("case", GAUSSIAN_CASES, ids=list(GAUSSIAN_CASES))
+def test_gaussian_reference_matches_exact_propagator(case):
+    text, n, q, extent, centers, cov, slopes, tol = GAUSSIAN_CASES[case]
+    density = legendre_transform(parse_lagrangian(text))
+    cfg = LatticeConfig(n, 1.0, q, extent)
+    spec = GaussianStateSpec(tuple(centers), covariance=tuple(map(tuple, cov)))
+    state = init_wavefunctional(spec, cfg)
+    exact = ExactPropagator(compile_hamiltonian(density, cfg, slopes)).propagate(state, 0.7)
+    reference = gaussian_reference(density, cfg, centers, cov, 0.7, slopes)
+    assert norm(WaveFunctional(cfg, reference.psi - exact.psi)) < tol
+
+
+def test_strang_ladder_past_the_dense_guard_is_second_order():
+    """N=3, Q=64 has no dense ground truth; the Gaussian reference is exact there."""
+    density = legendre_transform(parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2"))
+    cfg = LatticeConfig(3, 1.0, 64, 16.0)
+    assert cfg.dim > DENSE_GUARD
+    centers, cov = [0.8, -0.4, 0.2], [[1.0, 0.3, 0.1], [0.3, 0.8, -0.2], [0.1, -0.2, 1.2]]
+    spec = GaussianStateSpec(tuple(centers), covariance=tuple(map(tuple, cov)))
+    state = init_wavefunctional(spec, cfg)
+    reference = gaussian_reference(density, cfg, centers, cov, 0.8)
+    op = compile_hamiltonian(density, cfg)
+    dt_values, errors = [0.1, 0.05, 0.025], []
+    for dt in dt_values:
+        out = evolve_strang(op, state, EvolveParams(dt, int(round(0.8 / dt))))
+        errors.append(norm(WaveFunctional(cfg, out.psi - reference.psi)))
+    assert abs(fit_order(dt_values, errors) - 2.0) <= 0.05

@@ -53,8 +53,10 @@ COMMAND_MODULES = {f"fieldlab.{name}"
 
 
 @pytest.mark.parametrize("config,own", [(None, set()), ("legendre_free", set()),
-                                        ("classical_oscillator", {"fieldlab.classical"})],
-                         ids=["import", "legendre", "classical"])
+                                        ("classical_oscillator", {"fieldlab.classical"}),
+                                        ("feynman_quartic", {"fieldlab.feynman", "fieldlab.evolve",
+                                                             "fieldlab.operators"})],
+                         ids=["import", "legendre", "classical", "feynman"])
 def test_run_loads_no_other_command_modules(tmp_path, config, own):
     if config is None:
         loaded = modules_after("import fieldlab.cli")
@@ -83,6 +85,17 @@ def test_sample_run_loads_no_scipy(tmp_path, name):
             else CONFIGS / f"{name}.json")
     assert scipy_modules_after(RUN, str(path), str(tmp_path / "out")) == []
     assert any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("name", ["legendre_free", "evolve_coherent", "feynman_quartic",
+                                  "surface_sweeps", "classical_oscillator"])
+def test_sample_run_loads_no_numpy_polynomial(tmp_path, name):
+    """Potentials are evaluated by Horner's rule and fits by ``np.polyfit``, so no run
+    imports the ``numpy.polynomial`` package; a feynman run imports no ``fractions``."""
+    loaded = modules_after(RUN, str(CONFIGS / f"{name}.json"), str(tmp_path / "out"))
+    assert not [m for m in loaded if m.startswith("numpy.polynomial")]
+    if name == "feynman_quartic":
+        assert "fractions" not in loaded
 
 
 def test_surface_crank_nicolson_loads_no_scipy(tmp_path):

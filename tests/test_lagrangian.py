@@ -393,3 +393,20 @@ def test_slope_with_no_finite_square(g):
     for v in (1e200, -1e155, float("inf")):
         with pytest.raises(NonFiniteCoefficient, match="slope"):
             density.coefficients(v)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0,), (0.3, -0.2, 0.5, 0.0, 0.1), (2.0, 0.4), (0.0, -0.0),
+                                    (-0.0,), (0.0, 0.0, 0.5, 0.0, 0.0, 0.0, -1e-3)])
+def test_polyval_is_numpy_polyval_bit_for_bit(coeffs, rng):
+    """Horner's rule in place keeps numpy's operation order: equal values, signed zeros,
+    non-finite results and result types, on arrays and on scalars."""
+    from numpy.polynomial.polynomial import polyval
+
+    inputs = [rng.uniform(-3.0, 3.0, size=(5, 7)), 0.3, -2.0, -0.0, np.float64(1.5),
+              np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e200, -1e-300])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in inputs:
+            ours, numpy_value = fieldlab.lagrangian._polyval(z, coeffs), polyval(z, list(coeffs))
+            assert type(ours) is type(numpy_value)
+            assert np.array_equal(ours, numpy_value, equal_nan=True)
+            assert np.array_equal(np.signbit(ours), np.signbit(numpy_value))
