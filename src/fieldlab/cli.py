@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +305,7 @@ def cmd_legendre(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: 
 
 def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     from .evolve import (EvolveParams, ExactPropagator, evolve_crank_nicolson, evolve_strang,
-                         observables)
+                         observables, strang_factors)
     from .operators import compile_hamiltonian
 
     cfg = _build_lattice(lattice)
@@ -326,6 +327,8 @@ def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Pa
     stepper = {"strang": evolve_strang, "crank_nicolson": evolve_crank_nicolson}.get(method)
     if stepper is None and steps > 0:  # zero steps build no propagator and meet no dense guard
         propagator = ExactPropagator(hamiltonian)
+    if method == "strang" and steps > 0:  # one set of factors serves every log chunk
+        stepper = partial(evolve_strang, factors=strang_factors(hamiltonian, dt))
     state, done = initial, 0
     log_row(0.0, state)
     while done < steps:

@@ -1,14 +1,18 @@
 """Flat-surface time integration of wavefunctionals.
 
 Three integrators with a ground-truth hierarchy: a dense eigendecomposition
-exponential (exact, small dimensions), Strang splitting, and a matrix-free
-Crank--Nicolson step for operators with cross terms.
+exponential (exact, small dimensions), Strang splitting, and matrix-free
+Crank--Nicolson steps for operators with cross terms.
 
 Strang splitting repeats the operator's Lie-Trotter step, the transfer step
 of ``feynman``, between half phases.  Its kinetic blocks are exact for the
 grid's derivative (spectral or fd), so splitting is the only error.  At N=3,
 Q=32 a step takes about half the time of the whole-grid ``fftn``/``ifftn``
 pair; at N=2, Q=128 it takes about 1.4 times as long.
+
+Crank--Nicolson steps all apply one Cayley operator, so one Lanczos run on H serves
+many (short-iterative Lanczos, Park & Light, J. Chem. Phys. 85, 5870 (1986)); ``cn_tol``
+bounds each step's true residual, relative to the state's norm.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from .lattice import LatticeConfig, WaveFunctional, norm as state_norm, site_mom
 from .operators import DENSE_GUARD, LatticeHamiltonian, _trotter_steps
 
 MAX_STEPS = 100_000  # time steps in one run; committed configs and benchmarks take at most 1000
-CN_MAXITER = 500  # GMRES restart cycles in one Crank-Nicolson step
+LANCZOS_MAXITER = 500  # products on H in one Crank-Nicolson Lanczos run
+LANCZOS_STORE = 12  # Lanczos vectors held at once; a longer run remakes the rest
+RUN_STEPS = 32  # Cayley steps one Lanczos run considers; its small-space work is k x steps
 
 
 @dataclass
@@ -137,29 +143,24 @@ class ExactPropagator:
         return min(float(eigvals[0]) for _, _, eigvals, _ in self.sectors)
 
 
-def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
-                  params: EvolveParams) -> WaveFunctional:
-    """(h K h)^n = h (K P)^n h^-1: n Lie-Trotter steps K P of the operator between the
-    half phase h and its inverse, since the half phases of consecutive steps meet as P."""
+def strang_factors(hamiltonian: LatticeHamiltonian, dt: float):
+    """(phase, blocks, h): ``trotter_factors(dt)`` and the half phase h of Strang steps."""
     if not hamiltonian.separable:
         raise NonSeparableHamiltonian("Strang splitting needs a kinetic + diagonal operator")
+    phase, blocks = hamiltonian.trotter_factors(dt)
+    return phase, blocks, np.exp(-0.5j * dt * hamiltonian.diag / hamiltonian.cfg.hbar)
+
+
+def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
+                  params: EvolveParams, factors=None) -> WaveFunctional:
+    """(h K h)^n = h (K P)^n h^-1: n Lie-Trotter steps K P of the operator between the
+    half phase h and its inverse, since the half phases of consecutive steps meet as P.
+    ``factors`` are ``strang_factors(hamiltonian, params.dt)``, built here if not given."""
+    phase, blocks, half_phase = factors or strang_factors(hamiltonian, params.dt)
     if params.steps == 0:
         return state.copy()  # h h^-1 is 1 only up to roundoff
-    phase, blocks = hamiltonian.trotter_factors(params.dt)
-    half_phase = np.exp(-0.5j * params.dt * hamiltonian.diag / hamiltonian.cfg.hbar)
     psi = _trotter_steps(phase, blocks, (half_phase.conj() * state.psi)[None], params.steps)
     return WaveFunctional(hamiltonian.cfg, half_phase * psi[0])
-
-
-GMRES_RESTART = 20  # Arnoldi steps per GMRES cycle
-
-
-def _givens(a: complex, b: float) -> tuple[float, complex]:
-    """(c, s), c real, with [[c, s], [-conj(s), c]] mapping (a, b) to (r, 0)."""
-    if a == 0:
-        return 0.0, 1.0
-    rho = np.hypot(abs(a), b)
-    return abs(a) / rho, (a / abs(a)) * b / rho
 
 
 def _norm(v: np.ndarray) -> float:
@@ -167,94 +168,88 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(v, v).real))
 
 
-def _gmres(matvec, b: np.ndarray, precond: np.ndarray, atol: float, maxiter: int) -> np.ndarray:
-    """x with ||b - A x|| <= atol, by restarted GMRES from x = 0 (Saad & Schultz 1986).
+def _lanczos_vector(hv: np.ndarray, v: np.ndarray, v_prev, i: int, a: list, b: list):
+    """v_(i+1) = (H v_i - a_i v_i - b_(i-1) v_(i-1)) / b_i, in place in ``hv`` = H v_i.  A second
+    pass reuses the a_i, b_i the first appended, so it remakes the same vectors bit for bit."""
+    w = hv
+    if i:
+        w -= b[i - 1] * v_prev
+    if i == len(a):
+        a.append(float(np.vdot(v, w).real))
+    w -= a[i] * v
+    if i == len(b):
+        b.append(_norm(w))
+    if b[i]:  # b_i = 0: v_0 .. v_i span an invariant subspace
+        w *= 1.0 / b[i]  # complex division takes about five times as long
+    return w
 
-    Right preconditioned by the diagonal ``precond``: Arnoldi runs on A M,
-    so its least-squares residual estimates the true one.  A cycle stops
-    after ``GMRES_RESTART`` steps, once the estimate is within ``atol``, or
-    on a happy breakdown (the Krylov space is invariant and the solution
-    exact); it then ends on the true residual.
+
+def _cayley_steps(hamiltonian: LatticeHamiltonian, psi: np.ndarray, alpha: float,
+                  tol: float, steps: int) -> tuple[np.ndarray, int]:
+    """(phi_s, s): the first s <= ``steps`` Cayley steps
+    (1 + i alpha H) phi_j = (1 - i alpha H) phi_(j-1) from phi_0 = ``psi``, by one Lanczos run.
+
+    k products on H from v_0 = psi / |psi| give V = [v_0 .. v_(k-1)], the tridiagonal
+    T and phi_j = |psi| V y_j, y_j = C(T)^j e_0, C(x) = exp(-2i atan(alpha x)).  As
+    H V = V T + b_(k-1) v_k e_(k-1)^T to roundoff even once the v lose orthogonality
+    (Paige 1976), step j's residual is |psi| alpha b_(k-1) |y_j[-1] + y_(j-1)[-1]|.
+    The run grows until all steps meet ``tol`` |psi| (or takes those before the first
+    that does not at ``LANCZOS_MAXITER``), remaking vectors past ``LANCZOS_STORE``,
+    and checks its last step on a real product.
     """
-    m = min(GMRES_RESTART, b.size)
-    eps = np.finfo(float).eps
-    x = np.zeros_like(b)
-    r = b
-    basis = np.empty((m + 1, b.size), dtype=np.complex128)
-    for _ in range(maxiter):
-        beta = _norm(r)
-        if not np.isfinite(beta):  # first: an overflowed right-hand side also makes atol inf
-            raise SolverDivergence(f"gmres residual is {beta}")
-        if beta <= atol:
-            return x
-        hess = np.zeros((m, m), dtype=np.complex128)  # R of the rotated Hessenberg matrix
-        rotations = []
-        g = np.zeros(m + 1, dtype=np.complex128)
-        g[0] = beta
-        np.multiply(r, 1.0 / beta, out=basis[0])
-        for k in range(m):
-            w = matvec(precond * basis[k])
-            w_norm = _norm(w)
-            for i in range(k + 1):  # modified Gram-Schmidt
-                hess[i, k] = np.vdot(basis[i], w)
-                w -= hess[i, k] * basis[i]
-            h_next = _norm(w)
-            if h_next <= eps * w_norm:
-                h_next = 0.0  # happy breakdown: the rotation below zeroes g[k + 1]
-            else:
-                np.multiply(w, 1.0 / h_next, out=basis[k + 1])
-            for i, (c, s) in enumerate(rotations):
-                hess[i:i + 2, k] = (c * hess[i, k] + s * hess[i + 1, k],
-                                    c * hess[i + 1, k] - np.conj(s) * hess[i, k])
-            c, s = _givens(hess[k, k], h_next)
-            rotations.append((c, s))
-            hess[k, k] = c * hess[k, k] + s * h_next
-            g[k:k + 2] = c * g[k], -np.conj(s) * g[k]
-            if abs(g[k + 1]) <= atol:
+    psi_norm = _norm(psi)
+    if not np.isfinite(psi_norm):
+        raise SolverDivergence(f"crank-nicolson state norm is {psi_norm}")
+    a, b = [], []
+    basis = np.empty((LANCZOS_STORE,) + psi.shape, dtype=np.complex128)
+    v_prev, v = None, np.multiply(psi, 1.0 / psi_norm, out=basis[0])
+    for i in range(LANCZOS_MAXITER):
+        w = _lanczos_vector(hamiltonian.apply(v), v, v_prev, i, a, b)
+        # |(1 - i alpha H) v_i|^2 >= rhs_square: no step is certified past its overflow or nan
+        rhs_square = 1.0 + (alpha * a[i]) * (alpha * a[i]) + (alpha * b[i]) * (alpha * b[i])
+        if not np.isfinite(rhs_square):
+            raise SolverDivergence(f"crank-nicolson right-hand side norm^2 is {rhs_square}")
+        if i < 32 or i % (i // 16) == 0 or i + 1 == LANCZOS_MAXITER:  # eigh costs O(k^3)
+            theta, vecs = np.linalg.eigh(np.diag(a) + np.diag(b[:-1], -1))  # reads the lower half
+            powers = np.exp(-2j * np.outer(np.arctan(alpha * theta), np.arange(steps + 1)))
+            last = (vecs[-1] * vecs[0]) @ powers  # y_j[-1] for j = 0 .. steps
+            met = alpha * b[i] * np.abs(last[1:] + last[:-1]) <= tol
+            taken = steps if met.all() else int(np.argmin(met))
+            if taken == steps:
                 break
-        y = np.linalg.solve(hess[:k + 1, :k + 1], g[:k + 1])
-        x += precond * (y @ basis[:k + 1])
-        r = b - matvec(x)
-    residual = _norm(r)
-    if residual <= atol:
-        return x
-    raise SolverDivergence(f"gmres residual {residual:.3g} above {atol:.3g} "
-                           f"after {maxiter} cycles")
+        if i + 1 < LANCZOS_STORE:  # copy w into the store and go on with the stored row
+            basis[i + 1], w = w, basis[i + 1]
+        v_prev, v = v, w
+    if taken == 0:
+        raise SolverDivergence(f"no crank-nicolson step met {tol:.3g} in {i + 1} products")
+    coords = psi_norm * vecs @ (vecs[0][:, None] * powers[:, [taken, taken - 1]])
+    new, old = np.zeros_like(psi), np.zeros_like(psi)  # phi_s, phi_(s-1)
+    for i, (c_new, c_old) in enumerate(coords):
+        v_prev, v = v, (basis[i] if i < LANCZOS_STORE else
+                        _lanczos_vector(hamiltonian.apply(v), v, v_prev, i - 1, a, b))
+        new += c_new * v
+        old += c_old * v
+    residual = _norm(new - old + 1j * alpha * hamiltonian.apply(new + old))
+    if not residual <= tol * psi_norm:
+        raise SolverDivergence(f"crank-nicolson residual {residual:.3g} above {tol * psi_norm:.3g}")
+    return new, taken
 
 
 def crank_nicolson_step(hamiltonian: LatticeHamiltonian, psi: np.ndarray,
                         dt: float, tol: float) -> np.ndarray:
-    """One Cayley step (1 + i dt H / 2h) psi' = (1 - i dt H / 2h) psi, matrix-free.
-
-    GMRES solves for the change psi' - psi, whose right-hand side -i dt H psi / h
-    costs no product beyond H psi, right preconditioned by the inverse of the
-    system's diagonal in the field basis (Jacobi), in at most ``CN_MAXITER``
-    cycles.  It stops when the true residual is within ``tol`` of the norm of
-    the full right-hand side.
-    """
-    cfg = hamiltonian.cfg
-    alpha = 0.5 * dt / cfg.hbar
-
-    def matvec(x):
-        arr = x.reshape(cfg.shape)
-        out = hamiltonian.apply(arr)
-        out *= 1j * alpha
-        out += arr
-        return out.ravel()
-
-    jacobi = (1.0 / (1.0 + 1j * alpha * hamiltonian.field_diagonal)).ravel()
-    h_psi = hamiltonian.apply(psi)
-    with np.errstate(over="ignore"):    # an overflowed norm is inf, which _gmres refuses
-        rhs_norm = np.linalg.norm(psi - 1j * alpha * h_psi)
-    change = _gmres(matvec, (-2j * alpha * h_psi).ravel(), jacobi, tol * rhs_norm, CN_MAXITER)
-    return psi + change.reshape(cfg.shape)
+    """One Cayley step (1 + i dt H / 2h) psi' = (1 - i dt H / 2h) psi, to ``tol`` |psi|."""
+    return _cayley_steps(hamiltonian, psi, 0.5 * dt / hamiltonian.cfg.hbar, tol, 1)[0]
 
 
 def evolve_crank_nicolson(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
                           params: EvolveParams) -> WaveFunctional:
-    psi = state.psi
-    for _ in range(params.steps):
-        psi = crank_nicolson_step(hamiltonian, psi, params.dt, params.cn_tol)
+    """``params.steps`` Cayley steps, up to ``RUN_STEPS`` of them per Lanczos run."""
+    alpha = 0.5 * params.dt / hamiltonian.cfg.hbar
+    psi, done = state.psi, 0
+    while done < params.steps:
+        psi, taken = _cayley_steps(hamiltonian, psi, alpha, params.cn_tol,
+                                   min(params.steps - done, RUN_STEPS))
+        done += taken
     return WaveFunctional(state.cfg, psi.copy())
 
 

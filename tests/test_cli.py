@@ -20,6 +20,7 @@ import fieldlab.surface
 from fieldlab.cli import SCHEMA, main
 from fieldlab.errors import ConfigError
 from fieldlab.lattice import LatticeConfig, WaveFunctional, load_state, save_state, spacelike
+from fieldlab.operators import LatticeHamiltonian
 
 FREE_TEXT = "0.5*zt^2 - 0.5*zx^2 - 0.5*m^2*z^2"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -166,15 +167,29 @@ def test_evolve_crank_nicolson_overflowing_step_is_numerical_failure(tmp_path, c
 
 
 def test_evolve_crank_nicolson_overflow_prints_only_its_message(tmp_path, capsys):
-    """The overflowing right-hand-side norm is taken quietly: with warnings as errors the
-    run still exits 3, and stderr holds the typed message alone."""
+    """The overflowing right-hand-side norm is found quietly: with warnings as errors the
+    run still exits 3, and stderr holds the typed message alone, on one line."""
     cfg = evolve_config(3, "crank_nicolson")
     cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*z^2", "params": {}}
     cfg["evolve"]["dt"] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(tmp_path, cfg) == 3
-    assert capsys.readouterr().err.splitlines() == ["numerical failure: gmres residual is inf"]
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: crank-nicolson right-hand side norm^2 is inf"]
+
+
+def test_evolve_strang_builds_its_factors_once(tmp_path, monkeypatch):
+    """Six steps logged every two take three Strang calls and one build of their factors."""
+    builds = []
+    trotter_factors = LatticeHamiltonian.trotter_factors
+    monkeypatch.setattr(LatticeHamiltonian, "trotter_factors",
+                        lambda self, dt: builds.append(dt) or trotter_factors(self, dt))
+    cfg = evolve_config(6)
+    cfg["evolve"]["log_every"] = 2
+    assert run(tmp_path, cfg) == 0
+    assert builds == [1e-2]
+    assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 6
 
 
 @pytest.mark.parametrize("lattice,initial,code,needle", [

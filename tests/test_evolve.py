@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from fieldlab import evolve
 from fieldlab.errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
@@ -232,10 +231,11 @@ def test_crank_nicolson_second_order():
 
 
 def test_crank_nicolson_divergence(monkeypatch):
+    """A Lanczos run capped short of what cn_tol 1e-14 needs certifies no step."""
     cfg, op, state = free_setup(q=16)
-    monkeypatch.setattr(evolve, "CN_MAXITER", 1)
+    monkeypatch.setattr(evolve, "LANCZOS_MAXITER", 3)
     params = EvolveParams(0.1, 1, cn_tol=1e-14)
-    with pytest.raises(SolverDivergence):
+    with pytest.raises(SolverDivergence, match="no crank-nicolson step"):
         evolve_crank_nicolson(op, state, params)
 
 
@@ -341,38 +341,34 @@ def test_strang_leaves_input_state_untouched():
     assert np.array_equal(state.psi, before)
 
 
-def test_crank_nicolson_jacobi_preconditioner_saves_matvecs():
-    """One preconditioned step meets cn_tol on the true residual in fewer matvecs."""
+def counting_apply(op):
+    """Record each ``op.apply`` input, copied: the vectors H acted on, in order."""
+    inputs = []
+    apply = op.apply
+
+    def counted(psi):
+        inputs.append(psi.copy())
+        return apply(psi)
+
+    op.apply = counted
+    return inputs
+
+
+def test_crank_nicolson_chunk_saves_matvecs():
+    """A 10-step chunk takes fewer products than the 10 x 9 of ten Jacobi-preconditioned
+    GMRES steps, and lands within its tolerance of ten one-step runs."""
     lagr = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
     cfg = LatticeConfig(3, 1.0, 16, 8.0)
     op = compile_hamiltonian(legendre_transform(lagr), cfg)
     state = init_wavefunctional(GaussianStateSpec((0.3, -0.2, 0.1), widths=(1.0,) * 3), cfg)
     dt, tol = 0.01, 1e-10
-    alpha = 0.5 * dt / cfg.hbar
-    calls = []
-    apply = op.apply
-
-    def counted(psi):
-        calls.append(1)
-        return apply(psi)
-
-    op.apply = counted
-
-    def system(x):
-        arr = x.reshape(cfg.shape)
-        return (arr + 1j * alpha * counted(arr)).ravel()
-
-    rhs = (state.psi - 1j * alpha * apply(state.psi)).ravel()
-    out = crank_nicolson_step(op, state.psi, dt, tol)
-    preconditioned = len(calls)
-    residual = np.linalg.norm(system(out.ravel()) - rhs) / np.linalg.norm(rhs)
-    assert residual <= tol
-
-    calls.clear()
-    plain = spla.LinearOperator((cfg.dim, cfg.dim), matvec=system, dtype=np.complex128)
-    _, info = spla.gmres(plain, rhs, x0=state.psi.ravel(), rtol=tol, atol=0.0, maxiter=500)
-    assert info == 0
-    assert preconditioned < len(calls)
+    stepped = state
+    for _ in range(10):
+        stepped = evolve_crank_nicolson(op, stepped, EvolveParams(dt, 1, cn_tol=tol))
+    inputs = counting_apply(op)
+    out = evolve_crank_nicolson(op, state, EvolveParams(dt, 10, cn_tol=tol))
+    assert len(inputs) < 10 * 9
+    assert norm(WaveFunctional(cfg, out.psi - stepped.psi)) < 2 * 10 * tol
 
 
 def test_evolve_params_step_guard():
@@ -413,15 +409,71 @@ def test_crank_nicolson_step_meets_tol_on_true_residual(text, n, slopes, tol, rn
     assert cn_true_residual(op, psi, out, 0.05) <= tol
 
 
+@pytest.mark.parametrize("text,n,slopes", [
+    ("0.5*zt^2 + 0.3*zt - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", 2, None),
+    ("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", 3, [0.1, -0.2, 0.05]),
+], ids=["linear-zt", "sloped-cross"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_crank_nicolson_chunk_steps_meet_tol_on_true_residual(text, n, slopes, tol, rng,
+                                                             monkeypatch):
+    """Every step of one 8-step Lanczos run meets cn_tol on the dense true residual.
+
+    The run's states phi_j = |psi| V y_j are rebuilt from the vectors H acted on
+    and the run's T, with y_j from dense Cayley solves; phi_8 is the output.
+    """
+    cfg = LatticeConfig(n, 1.0, 16 if n == 2 else 8, 6.0)
+    op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, slopes)
+    mat = op.dense_matrix()
+    psi = rng.standard_normal(cfg.shape) + 1j * rng.standard_normal(cfg.shape)
+    psi /= np.linalg.norm(psi)
+    dt, steps = 0.05, 8
+    alpha = 0.5 * dt / cfg.hbar
+    runs = []  # the (a, b) lists each Lanczos step appends to
+    lanczos_vector = evolve._lanczos_vector
+    monkeypatch.setattr(evolve, "_lanczos_vector", lambda hv, v, v_prev, i, a, b: runs.append(
+        (a, b)) or lanczos_vector(hv, v, v_prev, i, a, b))
+    inputs = counting_apply(op)
+    out = evolve_crank_nicolson(op, WaveFunctional(cfg, psi), EvolveParams(dt, steps, tol))
+    a, b = runs[-1]
+    assert all(run[0] is a for run in runs)  # one run
+    k = len(a)
+    basis = np.array([v.ravel() for v in inputs[:k]]).T  # the first pass's v_0 .. v_(k-1)
+    tri = np.diag(a) + np.diag(b[:-1], 1) + np.diag(b[:-1], -1)
+    eye = np.eye(k)
+    y = [eye[0]]
+    for _ in range(steps):
+        y.append(np.linalg.solve(eye + 1j * alpha * tri, (eye - 1j * alpha * tri) @ y[-1]))
+    phi = [basis @ yj for yj in y]
+    for prev, nxt in zip(phi, phi[1:]):
+        lhs = nxt + 1j * alpha * (mat @ nxt)
+        rhs = prev - 1j * alpha * (mat @ prev)
+        assert np.linalg.norm(lhs - rhs) <= tol
+    assert np.max(np.abs(out.psi.ravel() - phi[-1])) < 1e-12
+
+
+def test_crank_nicolson_small_and_large_store_agree_bit_for_bit(monkeypatch):
+    """Remade Lanczos vectors equal the held ones bit for bit, so a store of 2 vectors and
+    one of every vector give identical states; the small store takes more products."""
+    cfg, op, state = free_setup(q=16)
+    inputs = counting_apply(op)
+    products, outs = [], []
+    for store in (2, evolve.LANCZOS_MAXITER):
+        monkeypatch.setattr(evolve, "LANCZOS_STORE", store)
+        inputs.clear()
+        outs.append(evolve_crank_nicolson(op, state, EvolveParams(0.02, 12)).psi)
+        products.append(len(inputs))
+    assert np.array_equal(outs[0], outs[1])
+    assert products[0] > products[1]
+
+
 @pytest.mark.filterwarnings("error")
 def test_crank_nicolson_happy_breakdown_is_exact():
-    """On a diagonal operator Jacobi inverts the system, so Arnoldi breaks down at once."""
+    """An eigenvector spans an invariant subspace: b_0 = 0 after one product, so the
+    Lanczos run gives the exact Cayley factor, checked on one more product."""
     cfg = LatticeConfig(2, 1.0, 16, 6.0)
     op = compile_hamiltonian(diagonal_density(0.5, (0.0, 0.3, 0.5, 0.0, 0.1)), cfg)
     assert np.array_equal(op.dense_matrix(), np.diag(op.diag.ravel()))
-    calls = []
-    apply = op.apply
-    op.apply = lambda psi: calls.append(1) or apply(psi)
+    inputs = counting_apply(op)
     psi = np.zeros(cfg.shape, dtype=complex)
     psi[3, 5] = 1.0  # an eigenvector
     dt = 0.1
@@ -431,19 +483,25 @@ def test_crank_nicolson_happy_breakdown_is_exact():
     expected = np.zeros_like(psi)
     expected[3, 5] = (1 - 1j * alpha * lam) / (1 + 1j * alpha * lam)
     assert np.max(np.abs(out - expected)) < 1e-15
-    assert len(calls) == 3  # H psi, one Arnoldi step, the true residual
+    assert len(inputs) == 2  # one Lanczos product, the true residual
 
 
-def test_crank_nicolson_maxiter_counts_restart_cycles(monkeypatch):
-    """CN_MAXITER = 1 allows one cycle of 20 Arnoldi steps; cn_tol 1e-14 is out of reach."""
+def test_crank_nicolson_lanczos_cap_counts_products(monkeypatch):
+    """LANCZOS_MAXITER = 20 allows 20 products on H; one step at cn_tol 1e-14 needs 25."""
     cfg, op, state = free_setup(q=16)
-    monkeypatch.setattr(evolve, "CN_MAXITER", 1)
-    calls = []
-    apply = op.apply
-    op.apply = lambda psi: calls.append(1) or apply(psi)
-    with pytest.raises(SolverDivergence, match="after 1 cycles"):
+    monkeypatch.setattr(evolve, "LANCZOS_MAXITER", 20)
+    inputs = counting_apply(op)
+    with pytest.raises(SolverDivergence, match="no crank-nicolson step met 1e-14 in 20 products"):
         crank_nicolson_step(op, state.psi, 0.1, 1e-14)
-    assert len(calls) == 1 + 20 + 1
+    assert len(inputs) == 20
+
+
+def test_crank_nicolson_tolerance_below_roundoff_fails_on_the_true_residual():
+    """At cn_tol 1e-17 the run's scalar certificate passes, but the real product that ends
+    the run sees the roundoff floor, so the step fails instead of returning."""
+    cfg, op, state = free_setup(q=16)
+    with pytest.raises(SolverDivergence, match="crank-nicolson residual .* above"):
+        crank_nicolson_step(op, state.psi, 0.1, 1e-17)
 
 
 def test_crank_nicolson_non_finite_state_fails_at_once():
