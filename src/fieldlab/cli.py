@@ -14,8 +14,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -304,41 +302,20 @@ def cmd_legendre(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: 
 
 
 def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
-    from .evolve import (EvolveParams, ExactPropagator, evolve_crank_nicolson, evolve_strang,
-                         observables, strang_factors)
+    from .evolve import EvolveParams, observables, trajectory
     from .operators import compile_hamiltonian
 
     cfg = _build_lattice(lattice)
-    method, steps, dt, log_every = opts["method"], opts["steps"], opts["dt"], opts["log_every"]
-    params = EvolveParams(dt, steps, cn_tol=opts["cn_tol"])  # the step guard, before any work
+    params = EvolveParams(opts["dt"], opts["steps"], opts["cn_tol"])  # step guard before any work
     initial = _build_initial(opts["initial"], "evolve.initial", cfg, base_dir)
 
-    density = legendre_transform(lagr)
-    hamiltonian = compile_hamiltonian(density, cfg)
-    columns = (["t", "norm", "energy"]
-               + [f"z_mean_{j}" for j in range(cfg.n_sites)]
-               + [f"z2_mean_{j}" for j in range(cfg.n_sites)])
+    hamiltonian = compile_hamiltonian(legendre_transform(lagr), cfg)
+    columns = ["t", "norm", "energy", *(f"{name}_{j}" for name in ("z_mean", "z2_mean")
+                                        for j in range(cfg.n_sites))]
     rows = []
-
-    def log_row(t, state):
+    for n, state in trajectory(hamiltonian, initial, opts["method"], params, opts["log_every"]):
         obs = observables(state, hamiltonian)
-        rows.append([t, obs["norm"], obs["energy"], *obs["z_mean"], *obs["z2_mean"]])
-
-    stepper = {"strang": evolve_strang, "crank_nicolson": evolve_crank_nicolson}.get(method)
-    if stepper is None and steps > 0:  # zero steps build no propagator and meet no dense guard
-        propagator = ExactPropagator(hamiltonian)
-    if method == "strang" and steps > 0:  # one set of factors serves every log chunk
-        stepper = partial(evolve_strang, factors=strang_factors(hamiltonian, dt))
-    state, done = initial, 0
-    log_row(0.0, state)
-    while done < steps:
-        chunk = min(log_every, steps - done)
-        done += chunk
-        if stepper is None:
-            state = propagator.propagate(initial, done * dt)
-        else:
-            state = stepper(hamiltonian, state, replace(params, steps=chunk))
-        log_row(done * dt, state)
+        rows.append([n * params.dt, obs["norm"], obs["energy"], *obs["z_mean"], *obs["z2_mean"]])
     _require_finite(state.psi, "final_state.bin")
     _write_csv(outdir / "trajectory.csv", meta, columns, rows)
     save_state(state, outdir / "final_state.bin")

@@ -2,17 +2,19 @@
 
 Three integrators with a ground-truth hierarchy: a dense eigendecomposition
 exponential (exact, small dimensions), Strang splitting, and matrix-free
-Crank--Nicolson steps for operators with cross terms.
+Crank--Nicolson steps for operators with cross terms.  ``trajectory`` takes a
+whole run by one of them and yields the states at the logged steps; which
+steps are logged changes no state.
 
 Strang splitting repeats the operator's Lie-Trotter step, the transfer step
-of ``feynman``, between half phases.  Its kinetic blocks are exact for the
-grid's derivative (spectral or fd), so splitting is the only error.  At N=3,
-Q=32 a step takes about half the time of the whole-grid ``fftn``/``ifftn``
-pair; at N=2, Q=128 it takes about 1.4 times as long.
+of ``feynman``, between half phases built once per run.  Its kinetic blocks
+are exact for the grid's derivative (spectral or fd), so splitting is the
+only error.
 
-Crank--Nicolson steps all apply one Cayley operator, so one Lanczos run on H serves
-many (short-iterative Lanczos, Park & Light, J. Chem. Phys. 85, 5870 (1986)); ``cn_tol``
-bounds each step's true residual, relative to the state's norm.
+Crank--Nicolson steps all apply one Cayley operator, so one Lanczos run on H
+serves up to ``RUN_STEPS`` of them, across log rows (short-iterative Lanczos,
+Park & Light, J. Chem. Phys. 85, 5870 (1986)); ``cn_tol`` bounds each step's
+true residual, relative to the state's norm.
 """
 
 from __future__ import annotations
@@ -143,26 +145,6 @@ class ExactPropagator:
         return min(float(eigvals[0]) for _, _, eigvals, _ in self.sectors)
 
 
-def strang_factors(hamiltonian: LatticeHamiltonian, dt: float):
-    """(phase, blocks, h): ``trotter_factors(dt)`` and the half phase h of Strang steps."""
-    if not hamiltonian.separable:
-        raise NonSeparableHamiltonian("Strang splitting needs a kinetic + diagonal operator")
-    phase, blocks = hamiltonian.trotter_factors(dt)
-    return phase, blocks, np.exp(-0.5j * dt * hamiltonian.diag / hamiltonian.cfg.hbar)
-
-
-def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
-                  params: EvolveParams, factors=None) -> WaveFunctional:
-    """(h K h)^n = h (K P)^n h^-1: n Lie-Trotter steps K P of the operator between the
-    half phase h and its inverse, since the half phases of consecutive steps meet as P.
-    ``factors`` are ``strang_factors(hamiltonian, params.dt)``, built here if not given."""
-    phase, blocks, half_phase = factors or strang_factors(hamiltonian, params.dt)
-    if params.steps == 0:
-        return state.copy()  # h h^-1 is 1 only up to roundoff
-    psi = _trotter_steps(phase, blocks, (half_phase.conj() * state.psi)[None], params.steps)
-    return WaveFunctional(hamiltonian.cfg, half_phase * psi[0])
-
-
 def _norm(v: np.ndarray) -> float:
     """2-norm of a complex vector; np.linalg.norm takes about three times as long."""
     return float(np.sqrt(np.vdot(v, v).real))
@@ -185,9 +167,10 @@ def _lanczos_vector(hv: np.ndarray, v: np.ndarray, v_prev, i: int, a: list, b: l
 
 
 def _cayley_steps(hamiltonian: LatticeHamiltonian, psi: np.ndarray, alpha: float,
-                  tol: float, steps: int) -> tuple[np.ndarray, int]:
-    """(phi_s, s): the first s <= ``steps`` Cayley steps
-    (1 + i alpha H) phi_j = (1 - i alpha H) phi_(j-1) from phi_0 = ``psi``, by one Lanczos run.
+                  tol: float, ends: list[int]) -> list[tuple[int, np.ndarray]]:
+    """[(j, phi_j)] for the j in ``ends`` below s, then (s, phi_s): the first s <= ends[-1]
+    Cayley steps (1 + i alpha H) phi_j = (1 - i alpha H) phi_(j-1) from phi_0 = ``psi``,
+    by one Lanczos run.
 
     k products on H from v_0 = psi / |psi| give V = [v_0 .. v_(k-1)], the tridiagonal
     T and phi_j = |psi| V y_j, y_j = C(T)^j e_0, C(x) = exp(-2i atan(alpha x)).  As
@@ -195,8 +178,10 @@ def _cayley_steps(hamiltonian: LatticeHamiltonian, psi: np.ndarray, alpha: float
     (Paige 1976), step j's residual is |psi| alpha b_(k-1) |y_j[-1] + y_(j-1)[-1]|.
     The run grows until all steps meet ``tol`` |psi| (or takes those before the first
     that does not at ``LANCZOS_MAXITER``), remaking vectors past ``LANCZOS_STORE``,
-    and checks its last step on a real product.
+    and checks its last step on a real product.  One second pass builds every state
+    returned, each from its own coordinates, so none depends on what ``ends`` asks for.
     """
+    steps = ends[-1]
     psi_norm = _norm(psi)
     if not np.isfinite(psi_norm):
         raise SolverDivergence(f"crank-nicolson state norm is {psi_norm}")
@@ -222,35 +207,79 @@ def _cayley_steps(hamiltonian: LatticeHamiltonian, psi: np.ndarray, alpha: float
         v_prev, v = v, w
     if taken == 0:
         raise SolverDivergence(f"no crank-nicolson step met {tol:.3g} in {i + 1} products")
-    coords = psi_norm * vecs @ (vecs[0][:, None] * powers[:, [taken, taken - 1]])
-    new, old = np.zeros_like(psi), np.zeros_like(psi)  # phi_s, phi_(s-1)
-    for i, (c_new, c_old) in enumerate(coords):
+    inside = [j for j in ends if j < taken]
+    scaled, weights = psi_norm * vecs, vecs[0][:, None] * powers  # phi_j = V scaled weights[:, j]
+    coords = np.column_stack([scaled @ weights[:, j] for j in inside]
+                             + [scaled @ weights[:, [taken, taken - 1]]])
+    states = [np.zeros_like(psi) for _ in coords[0]]  # phi_j for j in inside, phi_s, phi_(s-1)
+    term = np.empty_like(psi)
+    for i, row in enumerate(coords):
         v_prev, v = v, (basis[i] if i < LANCZOS_STORE else
                         _lanczos_vector(hamiltonian.apply(v), v, v_prev, i - 1, a, b))
-        new += c_new * v
-        old += c_old * v
+        for state, c in zip(states, row):
+            state += np.multiply(c, v, out=term)
+    new, old = states[-2:]
     residual = _norm(new - old + 1j * alpha * hamiltonian.apply(new + old))
     if not residual <= tol * psi_norm:
         raise SolverDivergence(f"crank-nicolson residual {residual:.3g} above {tol * psi_norm:.3g}")
-    return new, taken
+    return [*zip(inside, states), (taken, new)]
 
 
 def crank_nicolson_step(hamiltonian: LatticeHamiltonian, psi: np.ndarray,
                         dt: float, tol: float) -> np.ndarray:
     """One Cayley step (1 + i dt H / 2h) psi' = (1 - i dt H / 2h) psi, to ``tol`` |psi|."""
-    return _cayley_steps(hamiltonian, psi, 0.5 * dt / hamiltonian.cfg.hbar, tol, 1)[0]
+    return _cayley_steps(hamiltonian, psi, 0.5 * dt / hamiltonian.cfg.hbar, tol, [1])[-1][1]
+
+
+def trajectory(hamiltonian: LatticeHamiltonian, state: WaveFunctional, method: str,
+               params: EvolveParams, log_every: int):
+    """(n, the state after n steps) for n = 0, ``log_every``, 2 ``log_every``, ... and
+    ``params.steps`` by ``method``; ``log_every`` picks the states yielded and changes none.
+
+    ``exact`` propagates the initial state to each time.  ``strang`` builds its factors
+    once and, as (h K h)^n = h (K P)^n h^-1 for the half phase h = P^(1/2), stays in the
+    frame h^-1, applying h to a copy at each logged step.  ``crank_nicolson`` takes runs of
+    ``RUN_STEPS`` steps wherever the logged steps fall.  Zero steps build nothing.
+    """
+    if method not in ("exact", "strang", "crank_nicolson") or log_every < 1:
+        raise ValueError(f"no {method!r} trajectory logged every {log_every} steps")
+    yield 0, state.copy()
+    cfg, steps = state.cfg, params.steps
+    rows = [*range(log_every, steps, log_every), steps]
+    if method == "exact" and steps:
+        propagator = ExactPropagator(hamiltonian)
+        for n in rows:
+            yield n, propagator.propagate(state, n * params.dt)
+    elif method == "strang" and steps:
+        if not hamiltonian.separable:
+            raise NonSeparableHamiltonian("Strang splitting needs a kinetic + diagonal operator")
+        phase, blocks = hamiltonian.trotter_factors(params.dt)
+        half_phase = np.exp(-0.5j * params.dt * hamiltonian.diag / cfg.hbar)
+        batch, done = (half_phase.conj() * state.psi)[None], 0
+        for n in rows:
+            batch, done = _trotter_steps(phase, blocks, batch, n - done), n
+            yield n, WaveFunctional(cfg, half_phase * batch[0])
+    elif method == "crank_nicolson":
+        psi, done, alpha = state.psi, 0, 0.5 * params.dt / cfg.hbar
+        while done < steps:
+            run = min(steps - done, RUN_STEPS)
+            ends = [*range(log_every - done % log_every, run, log_every), run]
+            for j, phi in _cayley_steps(hamiltonian, psi, alpha, params.cn_tol, ends):
+                if (done + j) % log_every == 0 or done + j == steps:
+                    yield done + j, WaveFunctional(cfg, phi)
+            done, psi = done + j, phi  # the run's last state; its other states are freed
+
+
+def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
+                  params: EvolveParams) -> WaveFunctional:
+    """The state after ``params.steps`` Strang steps h K h, K P the Lie-Trotter step."""
+    return list(trajectory(hamiltonian, state, "strang", params, params.steps or 1))[-1][1]
 
 
 def evolve_crank_nicolson(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
                           params: EvolveParams) -> WaveFunctional:
-    """``params.steps`` Cayley steps, up to ``RUN_STEPS`` of them per Lanczos run."""
-    alpha = 0.5 * params.dt / hamiltonian.cfg.hbar
-    psi, done = state.psi, 0
-    while done < params.steps:
-        psi, taken = _cayley_steps(hamiltonian, psi, alpha, params.cn_tol,
-                                   min(params.steps - done, RUN_STEPS))
-        done += taken
-    return WaveFunctional(state.cfg, psi.copy())
+    """The state after ``params.steps`` Cayley steps, up to ``RUN_STEPS`` per Lanczos run."""
+    return list(trajectory(hamiltonian, state, "crank_nicolson", params, params.steps or 1))[-1][1]
 
 
 def observables(state: WaveFunctional, hamiltonian: LatticeHamiltonian) -> dict:

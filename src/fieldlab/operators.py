@@ -206,13 +206,6 @@ class LatticeHamiltonian:
         den = np.vdot(state.psi, state.psi)
         return float((num / den).real)
 
-    @cached_property
-    def field_diagonal(self) -> np.ndarray:
-        """The operator's diagonal in the field basis, computed once per operator."""
-        # a one-axis Fourier multiplier puts its mean on the diagonal; a cross
-        # term puts f * mean(k1) there, and the mean of k1 is zero
-        return self.diag + sum(float(np.mean(t.mult)) for t in self.terms if t.mult is not None)
-
     def dense_matrix(self) -> np.ndarray:
         """The operator as an exactly Hermitian (dim, dim) array, assembled from its structure.
 

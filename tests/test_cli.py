@@ -156,6 +156,27 @@ def test_evolve_exact_zero_steps_skips_the_dense_guard(tmp_path):
     assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("method", ["exact", "strang", "crank_nicolson"])
+def test_evolve_log_every_changes_no_number(tmp_path, method):
+    """log_every picks rows only: 10 steps logged every 1, 3 or 10 steps give the same
+    final_state.bin bytes, and the same row at every time two of the runs log."""
+    finals, tables = [], []
+    for log_every in (1, 3, 10):
+        cfg = evolve_config(10, method, initial={"kind": "gaussian", "centers": [0.5, -0.3],
+                                                 "widths": [1.0, 0.8]})
+        cfg["lattice"] = {"n_sites": 2, "q_points": 16, "q_extent": 8.0}
+        cfg["evolve"]["log_every"] = log_every
+        out = tmp_path / f"every_{log_every}"
+        assert run(tmp_path, cfg, out=out.name) == 0
+        finals.append((out / "final_state.bin").read_bytes())
+        lines = (out / "trajectory.csv").read_text().splitlines()[2:]
+        tables.append({line.split(",")[0]: line for line in lines})
+    assert finals[0] == finals[1] == finals[2]
+    assert [len(table) for table in tables] == [11, 5, 2]
+    for table in tables[1:]:
+        assert all(tables[0][t] == row for t, row in table.items())
+
+
 def test_evolve_crank_nicolson_overflowing_step_is_numerical_failure(tmp_path, capsys):
     """A dt of 1e200 overflows the Cayley system's norms: exit 3, not an unchanged trajectory."""
     cfg = evolve_config(3, "crank_nicolson")
@@ -180,7 +201,7 @@ def test_evolve_crank_nicolson_overflow_prints_only_its_message(tmp_path, capsys
 
 
 def test_evolve_strang_builds_its_factors_once(tmp_path, monkeypatch):
-    """Six steps logged every two take three Strang calls and one build of their factors."""
+    """Six steps logged every two take one build of the Strang factors."""
     builds = []
     trotter_factors = LatticeHamiltonian.trotter_factors
     monkeypatch.setattr(LatticeHamiltonian, "trotter_factors",

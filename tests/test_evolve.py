@@ -13,6 +13,7 @@ from fieldlab.evolve import (
     evolve_crank_nicolson,
     evolve_strang,
     observables,
+    trajectory,
 )
 from fieldlab.feynman import PathIntegralSpec, TransferOperator
 from fieldlab.lagrangian import diagonal_density, legendre_transform, parse_lagrangian
@@ -354,13 +355,19 @@ def counting_apply(op):
     return inputs
 
 
-def test_crank_nicolson_chunk_saves_matvecs():
-    """A 10-step chunk takes fewer products than the 10 x 9 of ten Jacobi-preconditioned
-    GMRES steps, and lands within its tolerance of ten one-step runs."""
+def quartic_setup():
+    """A flat quartic operator at N=3, Q=16 and a Gaussian away from its centre."""
     lagr = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
     cfg = LatticeConfig(3, 1.0, 16, 8.0)
     op = compile_hamiltonian(legendre_transform(lagr), cfg)
-    state = init_wavefunctional(GaussianStateSpec((0.3, -0.2, 0.1), widths=(1.0,) * 3), cfg)
+    return cfg, op, init_wavefunctional(
+        GaussianStateSpec((0.3, -0.2, 0.1), widths=(1.0,) * 3), cfg)
+
+
+def test_crank_nicolson_chunk_saves_matvecs():
+    """A 10-step chunk takes fewer products than the 10 x 9 of ten Jacobi-preconditioned
+    GMRES steps, and lands within its tolerance of ten one-step runs."""
+    cfg, op, state = quartic_setup()
     dt, tol = 0.01, 1e-10
     stepped = state
     for _ in range(10):
@@ -369,6 +376,38 @@ def test_crank_nicolson_chunk_saves_matvecs():
     out = evolve_crank_nicolson(op, state, EvolveParams(dt, 10, cn_tol=tol))
     assert len(inputs) < 10 * 9
     assert norm(WaveFunctional(cfg, out.psi - stepped.psi)) < 2 * 10 * tol
+
+
+def test_crank_nicolson_logged_steps_share_lanczos_runs():
+    """32 steps logged after every step share one Lanczos run: they take at most half the
+    products of 32 one-step runs, and end on the state of one unlogged run of 32."""
+    cfg, op, state = quartic_setup()
+    params = EvolveParams(0.01, 32)
+    inputs = counting_apply(op)
+    stepped = state
+    for _ in range(32):
+        stepped = evolve_crank_nicolson(op, stepped, EvolveParams(params.dt, 1))
+    one_step_runs = len(inputs)
+    inputs.clear()
+    rows = list(trajectory(op, state, "crank_nicolson", params, 1))
+    assert [n for n, _ in rows] == list(range(33))
+    assert 2 * len(inputs) <= one_step_runs
+    assert np.array_equal(rows[-1][1].psi, evolve_crank_nicolson(op, state, params).psi)
+    assert norm(WaveFunctional(cfg, rows[-1][1].psi - stepped.psi)) < 2 * 32 * params.cn_tol
+
+
+@pytest.mark.parametrize("method", ["exact", "strang", "crank_nicolson"])
+def test_trajectory_yields_the_logged_steps(method):
+    """Rows at 0, every log_every steps and the last step; zero steps yield the initial
+    state alone, as a copy."""
+    cfg, op, state = free_setup()
+    steps = [n for n, _ in trajectory(op, state, method, EvolveParams(0.01, 10), 4)]
+    assert steps == [0, 4, 8, 10]
+    [(n, out)] = trajectory(op, state, method, EvolveParams(0.01, 0), 4)
+    assert n == 0 and out is not state and np.array_equal(out.psi, state.psi)
+    for bad_method, log_every in ((method, 0), ("leapfrog", 1)):
+        with pytest.raises(ValueError):
+            next(trajectory(op, state, bad_method, EvolveParams(0.01, 10), log_every))
 
 
 def test_evolve_params_step_guard():

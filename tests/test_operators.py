@@ -295,18 +295,6 @@ def test_dense_matrix_diagonal_density_is_real_diagonal():
     assert np.array_equal(mat, np.diag(np.diag(mat)))
 
 
-@pytest.mark.parametrize("case", sorted(DENSE_CASES))
-def test_field_diagonal_matches_dense(case):
-    """The Jacobi diagonal is the dense matrix's diagonal, cross terms included."""
-    text, n, derivative, slopes, sites, _ = DENSE_CASES[case]
-    cfg = LatticeConfig(n, 1.0, 8 if n == 3 else 16, 6.0, derivative=derivative)
-    op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, slopes, sites)
-    diagonal = op.field_diagonal
-    assert diagonal.shape == cfg.shape and diagonal.dtype == np.float64
-    assert np.max(np.abs(diagonal.ravel() - np.diag(op.dense_matrix()))) < 1e-12
-    assert op.field_diagonal is diagonal
-
-
 @pytest.mark.parametrize("text,slopes,sites,derivative", [
     (LINEAR_ZT, [0.3, -0.1], None, "spectral"),
     (FREE, [0.2, -0.4], [1], "spectral"),
