@@ -659,6 +659,13 @@ def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float
     }
 
 
+def reparameterizations(bd: BoundaryData, dt_c: float) -> list[tuple[BoundaryData, float]]:
+    """The (boundary, row step) solves reparameterization_check compares with ``bd`` at
+    ``dt_c``: a cyclic relabeling, the reflection, a time shift, dt_c / 2 and dt_c / 4."""
+    return [(bd.relabeled(1), dt_c), (bd.reflected(), dt_c), (bd.shifted(0.37), dt_c),
+            (bd, dt_c / 2.0), (bd, dt_c / 4.0)]
+
+
 def reparameterization_check(base: ExtremalSolution, lagr: LagrangianSpec) -> dict:
     """``base.action`` against exact lattice relabelings and a row refinement, at ``base.dt_c``.
 
@@ -669,11 +676,8 @@ def reparameterization_check(base: ExtremalSolution, lagr: LagrangianSpec) -> di
     re-solves on ``base``'s grid; the other solves build their own.
     """
     bd, dt_c, s_base = base.bd, base.dt_c, base.action
-    s_cyclic = _resolve(base, bd.relabeled(1), lagr, dt_c).action
-    s_parity = _resolve(base, bd.reflected(), lagr, dt_c).action
-    s_shift = _resolve(base, bd.shifted(0.37), lagr, dt_c).action
-    s_half = _resolve(base, bd, lagr, dt_c / 2.0).action
-    s_quarter = _resolve(base, bd, lagr, dt_c / 4.0).action
+    s_cyclic, s_parity, s_shift, s_half, s_quarter = (
+        _resolve(base, varied, lagr, dt).action for varied, dt in reparameterizations(bd, dt_c))
     diff_1 = s_base - s_half
     diff_2 = s_half - s_quarter
     ratio = diff_1 / diff_2 if diff_2 != 0.0 else None  # undefined, reported as null

@@ -25,7 +25,6 @@ from .errors import (
     FieldLabError,
     NonFiniteCoefficient,
     NonFiniteResult,
-    NotSpacelike,
     NumericalFailure,
     ResourceGuard,
 )
@@ -234,9 +233,11 @@ def _read(block: dict, path: str, table: dict) -> dict:
 
 
 def _build_at(path: str, build, *args, **kwargs):
-    """build(*args, **kwargs), with the errors it raises reported as config errors at ``path``."""
+    """build(*args, **kwargs), its errors config errors at ``path``; a guard's refusal passes."""
     try:
         return build(*args, **kwargs)
+    except ResourceGuard:
+        raise
     except (ValueError, KeyError, TypeError, ArithmeticError, FieldLabError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -290,8 +291,8 @@ def _build_initial(block: dict, path: str, cfg: LatticeConfig, base_dir: Path):
 
 
 # --- commands: each gets the parsed Lagrangian, the root's `lattice` block (None when
-# absent) and its own block as read through SCHEMA, and imports the modules it runs,
-# so a run loads no other command's modules
+# absent) and its own block as read through SCHEMA, imports only the modules it runs, and
+# resolves its config, running every guard, before it builds any state or solves
 
 def cmd_legendre(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     density = legendre_transform(lagr)
@@ -303,12 +304,14 @@ def cmd_legendre(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: 
 
 def cmd_evolve(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     from .evolve import EvolveParams, observables, trajectory
-    from .operators import compile_hamiltonian
+    from .operators import check_dense, compile_hamiltonian
 
     cfg = _build_lattice(lattice)
-    params = EvolveParams(opts["dt"], opts["steps"], opts["cn_tol"])  # step guard before any work
-    initial = _build_initial(opts["initial"], "evolve.initial", cfg, base_dir)
+    params = EvolveParams(opts["dt"], opts["steps"], opts["cn_tol"])  # the step guard
+    if opts["method"] == "exact" and params.steps:  # zero steps build no dense operator
+        check_dense(cfg)
 
+    initial = _build_initial(opts["initial"], "evolve.initial", cfg, base_dir)
     hamiltonian = compile_hamiltonian(legendre_transform(lagr), cfg)
     columns = ["t", "norm", "energy", *(f"{name}_{j}" for name in ("z_mean", "z2_mean")
                                         for j in range(cfg.n_sites))]
@@ -346,17 +349,12 @@ def cmd_surface(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
     if len(start_times) != cfg.n_sites:
         raise ConfigError("surface.start_times", f"expected {cfg.n_sites} entries")
     start = _build_at("surface.start_times", SpacelikeSurface, tuple(start_times), cfg.spacing)
-    initial = _build_initial(opts["initial"], "surface.initial", cfg, base_dir)
     build_a = _build_schedule_factory(opts["schedule_a"], "surface.schedule_a", start, total_time)
     build_b = _build_schedule_factory(opts["schedule_b"], "surface.schedule_b", start, total_time)
-    # every schedule of the ladder is built and its moves counted, then each is
-    # walked once, all before the first solve
+    # every schedule of the ladder is built and its moves counted, then each is walked once
     levels, moves = [], 0
     for i, dt in enumerate(dt_values):
-        try:
-            pair = (build_a(dt), build_b(dt))
-        except ValueError as exc:
-            raise ConfigError(f"surface.dt_values[{i}]", str(exc)) from exc
+        pair = _build_at(f"surface.dt_values[{i}]", lambda: (build_a(dt), build_b(dt)))
         moves += len(pair[0].moves) + len(pair[1].moves)
         if moves > MAX_LADDER_MOVES:
             raise DimensionTooLarge(f"surface.dt_values: the first {i + 1} steps need {moves} "
@@ -368,41 +366,37 @@ def cmd_surface(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
             _build_at(f"surface.{name}", schedule.end)  # the walk refuses |v| >= 1
         endpoints = _build_at("surface.schedule_b", shared_endpoints, *pair, endpoints)
 
+    initial = _build_initial(opts["initial"], "surface.initial", cfg, base_dir)
     density = legendre_transform(lagr)
     report = integrability_test(initial, density, levels, dt_values,
                                 integrator=opts["integrator"], ratio_floor=opts["ratio_floor"])
-    report["spec_hash"] = meta["config_sha256"]
-    report["meta"] = meta
+    report.update(spec_hash=meta["config_sha256"], meta=meta)
     _write_json(outdir / "integrability.json", report)
 
 
 def cmd_feynman(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
-    from .feynman import (PathIntegralSpec, TransferOperator, brute_force_amplitudes,
-                          check_enumerable, feynman_vs_schrodinger, history_count, ladder_specs)
+    from .feynman import (AUTO_IDENTITY_HISTORIES, PathIntegralSpec, TransferOperator,
+                          brute_force_amplitudes, check_enumerable, feynman_vs_schrodinger,
+                          history_count, ladder_specs)
 
     cfg = _build_lattice(lattice)
     pspec = _build_at("feynman.dt", PathIntegralSpec, opts["t_steps"], opts["dt"], opts["kernel"])
-    initial = _build_initial(opts["initial"], "feynman.initial", cfg, base_dir)
-
     identity_mode = opts["identity_check"]
     if identity_mode == "force":
-        check_enumerable(pspec, cfg)  # an oversized history sum is refused before any work
-    try:
-        ladder_specs(pspec, opts["levels"])  # so is a level step that underflows to 0
-    except ValueError as exc:
-        raise ConfigError("feynman.dt", str(exc)) from exc
+        check_enumerable(pspec, cfg)  # an oversized history sum is refused first
+    _build_at("feynman.dt", ladder_specs, pspec, opts["levels"], cfg)  # the step and dense guards
+    check_identity = identity_mode == "force" or (
+        identity_mode == "auto" and history_count(pspec, cfg) <= AUTO_IDENTITY_HISTORIES)
+
+    initial = _build_initial(opts["initial"], "feynman.initial", cfg, base_dir)
     report = feynman_vs_schrodinger(initial, pspec, lagr, opts["levels"])
     transfer_state = TransferOperator(pspec, lagr, cfg).evolve(initial)
-
     identity = {"checked": False}
-    if identity_mode == "force" or (identity_mode == "auto"
-                                    and history_count(pspec, cfg) <= 2 ** 14):
+    if check_identity:
         amps = brute_force_amplitudes(initial, pspec, lagr)
         err = float(np.max(np.abs(amps - transfer_state.psi)))
         identity = {"checked": True, "max_abs_err": err, "passes_1e12": err < 1e-12}
-    report["identity"] = identity
-    report["spec_hash"] = meta["config_sha256"]
-    report["meta"] = meta
+    report.update(identity=identity, spec_hash=meta["config_sha256"], meta=meta)
     _require_finite(transfer_state.psi, "amplitudes.csv")
     _write_json(outdir / "comparison.json", report)
     state_to_csv(transfer_state, outdir / "amplitudes.csv",
@@ -411,24 +405,20 @@ def cmd_feynman(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
 
 def cmd_classical(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
     from .classical import (BoundaryData, grid_rows, hj_residuals, hj_variations,
-                            reparameterization_check, solve_extremal)
+                            reparameterization_check, reparameterizations, solve_extremal)
 
     boundary = _read(opts["boundary"], "classical.boundary", SCHEMA["classical.boundary"])
     dt_c, fd_epsilon, checks = opts["dt_c"], opts["fd_epsilon"], opts["checks"]
     bd = _build_at("classical.boundary", BoundaryData, **boundary)
-    try:
-        grid_rows(bd, dt_c)
-    except ValueError as exc:
-        raise ConfigError("classical.dt_c", str(exc)) from exc
-    # the finest grid of the run, checked against the grid guard before any solve
-    grid_rows(bd, dt_c / 4.0 if "reparameterization" in checks else dt_c)
+    # the grid of every solve of the run, checked against the grid guard before any solve
+    _build_at("classical.dt_c", grid_rows, bd, dt_c)
+    if "reparameterization" in checks:
+        for varied, dt in _build_at("classical.checks", reparameterizations, bd, dt_c):
+            _build_at("classical.dt_c", grid_rows, varied, dt)
     if "hj_residuals" in checks:
-        try:
-            for pair in hj_variations(bd, fd_epsilon).values():
-                for varied in pair:
-                    grid_rows(varied, dt_c)
-        except (ValueError, NotSpacelike) as exc:
-            raise ConfigError("classical.fd_epsilon", str(exc)) from exc
+        for pair in _build_at("classical.fd_epsilon", hj_variations, bd, fd_epsilon).values():
+            for varied in pair:
+                _build_at("classical.fd_epsilon", grid_rows, varied, dt_c)
 
     sol = solve_extremal(bd, lagr, dt_c)
     payload = {"action": sol.action, "residual": sol.residual, "n_rows": sol.n_rows}
@@ -436,8 +426,7 @@ def cmd_classical(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir:
         payload["hj"] = hj_residuals(sol, lagr, fd_epsilon)
     if "reparameterization" in checks:
         payload["reparameterization"] = reparameterization_check(sol, lagr)
-    payload["spec_hash"] = meta["config_sha256"]
-    payload["meta"] = meta
+    payload.update(spec_hash=meta["config_sha256"], meta=meta)
     _write_json(outdir / "residuals.json", payload)
     x = np.broadcast_to(np.arange(bd.n_sites) * bd.spacing, sol.z.shape)
     _write_csv(outdir / "extremal.csv", meta, ("t", "x", "z"),

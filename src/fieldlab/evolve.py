@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NonSeparableHamiltonian, SolverDivergence
 from .lattice import LatticeConfig, WaveFunctional, norm as state_norm, site_moments
-from .operators import DENSE_GUARD, LatticeHamiltonian, _trotter_steps
+from .operators import LatticeHamiltonian, _trotter_steps
 
 MAX_STEPS = 100_000  # time steps in one run; committed configs and benchmarks take at most 1000
 LANCZOS_MAXITER = 500  # products on H in one Crank-Nicolson Lanczos run
@@ -106,12 +106,9 @@ class ExactPropagator:
     """
 
     def __init__(self, hamiltonian: LatticeHamiltonian):
-        if hamiltonian.cfg.dim > DENSE_GUARD:
-            raise DimensionTooLarge(
-                f"dimension {hamiltonian.cfg.dim} exceeds dense guard {DENSE_GUARD}")
+        mat = hamiltonian.dense_matrix()  # refused past the dense guard before the orbits
         self.cfg = hamiltonian.cfg
         self._orbits = _shift_orbits(self.cfg, hamiltonian.translation_invariant)
-        mat = hamiltonian.dense_matrix()
         m_order = len(self._orbits)
         length = m_order // np.sum(self._orbits == self._orbits[0], axis=0)
         self._scale = np.sqrt(length) / m_order

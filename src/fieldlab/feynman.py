@@ -28,9 +28,10 @@ from .errors import DimensionTooLarge, EnumerationTooLarge, ShapeMismatch
 from .evolve import MAX_STEPS, ExactPropagator
 from .lagrangian import LagrangianSpec, legendre_transform
 from .lattice import LatticeConfig, WaveFunctional, field_action, fit_order, norm
-from .operators import _trotter_steps, compile_hamiltonian
+from .operators import _trotter_steps, check_dense, compile_hamiltonian
 
 ENUMERATION_GUARD = 2 ** 22
+AUTO_IDENTITY_HISTORIES = 2 ** 14  # the most histories an "auto" identity check sums
 BLOCK_TERMS = 2 ** 14  # history-final terms the history sum forms at once
 
 KERNELS = ("fresnel_exact", "lagrangian_riemann")
@@ -194,12 +195,14 @@ def brute_force_amplitudes(state: WaveFunctional, pspec: PathIntegralSpec,
     return out.reshape(cfg.shape)
 
 
-def ladder_specs(pspec: PathIntegralSpec, levels: int) -> list[PathIntegralSpec]:
+def ladder_specs(pspec: PathIntegralSpec, levels: int,
+                 cfg: LatticeConfig) -> list[PathIntegralSpec]:
     """The spec of each level of the dt ladder: the total time held, the step count doubled.
 
     Raises DimensionTooLarge when the finest level, (t_steps + 1) * 2**(levels - 1)
-    kernel steps, would take more than MAX_STEPS, and ValueError naming the
-    first level whose spec is refused (a Riemann step that underflows to 0).
+    kernel steps, would take more than MAX_STEPS, ValueError naming the first level
+    whose spec is refused (a Riemann step that underflows to 0), and, through
+    ``check_dense``, DimensionTooLarge when a nonzero time has no dense exact reference.
     """
     if pspec.t_steps + 1 > MAX_STEPS >> max(levels - 1, 0):
         raise DimensionTooLarge(f"{levels} levels of {pspec.t_steps + 1} kernel steps "
@@ -214,6 +217,8 @@ def ladder_specs(pspec: PathIntegralSpec, levels: int) -> list[PathIntegralSpec]
         except ValueError as exc:
             raise ValueError(f"ladder level {level} (dt = {total_time!r} / {steps} = {dt!r}): "
                              f"{exc}") from None
+    if total_time:
+        check_dense(cfg)
     return specs
 
 
@@ -227,8 +232,8 @@ def feynman_vs_schrodinger(state: WaveFunctional, pspec: PathIntegralSpec,
     Every level's spec is built, and refused as ``ladder_specs`` refuses it,
     before the exact propagator.
     """
-    specs = ladder_specs(pspec, levels)
     cfg = state.cfg
+    specs = ladder_specs(pspec, levels, cfg)
     total_time = pspec.total_time
     if total_time == 0.0:
         return {

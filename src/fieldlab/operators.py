@@ -27,6 +27,12 @@ from .lattice import LatticeConfig, WaveFunctional, spacelike
 DENSE_GUARD = 4096
 
 
+def check_dense(cfg: LatticeConfig) -> None:
+    """Refuse a dense (dim, dim) operator on ``cfg`` past DENSE_GUARD: DimensionTooLarge."""
+    if cfg.dim > DENSE_GUARD:
+        raise DimensionTooLarge(f"dimension {cfg.dim} exceeds dense guard {DENSE_GUARD}")
+
+
 def momentum_grids(cfg: LatticeConfig):
     """(k^2 multiplier, first-derivative k multiplier) for one grid axis.
 
@@ -212,8 +218,7 @@ class LatticeHamiltonian:
         Each site term's blocks go in as a Kronecker sum I (x) block (x) I.
         """
         dim, n, q = self.cfg.dim, self.cfg.n_sites, self.cfg.q_points
-        if dim > DENSE_GUARD:
-            raise DimensionTooLarge(f"dimension {dim} exceeds dense guard {DENSE_GUARD}")
+        check_dense(self.cfg)
         return self._assembled((dim, dim), lambda mat, axis: _site_diagonal(mat, n, q, axis))
 
     def site_blocks(self) -> np.ndarray:

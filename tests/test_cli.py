@@ -16,6 +16,7 @@ import fieldlab.classical
 import fieldlab.cli
 import fieldlab.evolve
 import fieldlab.feynman
+import fieldlab.operators
 import fieldlab.surface
 from fieldlab.cli import SCHEMA, main
 from fieldlab.errors import ConfigError
@@ -512,6 +513,52 @@ def test_feynman_forced_identity_refused_before_any_work(tmp_path, capsys, monke
     assert not (tmp_path / "out" / "meta.json").exists()
 
 
+# --- every guard before the first state ---------------------------------------------
+
+def past_the_dense_guard(cfg):
+    cfg["lattice"] = {"n_sites": 2, "q_points": 128, "q_extent": 8.0}  # dimension 16384
+    return cfg
+
+
+def forced_identity_past_the_enumeration_guard():
+    cfg = feynman_config(t_steps=3, identity="force", q=64)
+    cfg["lattice"]["n_sites"] = 2
+    return cfg
+
+
+def feynman_past_the_step_guard():
+    cfg = feynman_config()
+    cfg["feynman"]["t_steps"] = 2 ** 62
+    return cfg
+
+
+@pytest.mark.parametrize("build,line", [
+    (lambda: past_the_dense_guard(evolve_config(1, "exact")),
+     "dimension 16384 exceeds dense guard 4096"),
+    (lambda: surface_config(*SWEEPS, dt_values=[0.05, 1e-9]),
+     "step 1e-09 needs 3e+08 moves, above the 10000 move schedule guard"),
+    (lambda: surface_config(*MOVES, dt_values=[0.05 / 3333] * 6),
+     "surface.dt_values: the first 6 steps need 119988 moves, above the 100000 move ladder guard"),
+    (forced_identity_past_the_enumeration_guard,
+     "281474976710656 histories exceed the enumeration guard 4194304"),
+    (lambda: past_the_dense_guard(feynman_config()), "dimension 16384 exceeds dense guard 4096"),
+    (feynman_past_the_step_guard,
+     "2 levels of 4611686018427387905 kernel steps exceed the 100000 step guard "
+     "at the finest level"),
+], ids=["evolve-exact-dense", "surface-move", "surface-ladder", "feynman-enumeration",
+        "feynman-dense-reference", "feynman-step"])
+def test_every_guard_refuses_before_the_first_state(tmp_path, capsys, monkeypatch, build, line):
+    """A run that a guard refuses builds neither its initial state nor its operator: exit 4."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a state or an operator was built before the guard")
+
+    monkeypatch.setattr(fieldlab.cli, "init_wavefunctional", no_work)
+    monkeypatch.setattr(fieldlab.operators, "compile_hamiltonian", no_work)
+    assert run(tmp_path, build()) == 4
+    assert capsys.readouterr().err == f"resource guard: {line}\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
 # --- classical -------------------------------------------------------------------
 
 def classical_config(boundary, checks=("hj_residuals",), dt_c=1e-2):
@@ -617,6 +664,21 @@ def test_classical_step_errors_are_config_errors(tmp_path, capsys, field, value,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: classical.{field}: ") and needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t0,t1,dt_c", [(0.0, 1e-322, 1e-323), (1.75, 1.7500000000000002, 5e-17)],
+                         ids=["subnormal-span", "one-ulp-span"])
+def test_reparameterization_time_shift_that_merges_the_surfaces_is_a_config_error(
+        tmp_path, capsys, t0, t1, dt_c):
+    """t0 and t1 that the check's time shift of 0.37 rounds to one value exit 2 before any
+    solve.  Both were tracebacks: the first from the guard's dt_c / 4, which underflows to 0,
+    the second from the shift after the base solve."""
+    cfg = classical_config({"t0": [t0], "t1": [t1], "z0": [0.0], "z1": [0.0]},
+                           checks=("reparameterization",), dt_c=dt_c)
+    assert run(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: classical.checks: surfaces must satisfy t0_j < t1_j")
+    assert not (tmp_path / "out" / "residuals.json").exists()
 
 
 @pytest.mark.parametrize("n_sites", [1, 2])

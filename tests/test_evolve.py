@@ -365,8 +365,8 @@ def quartic_setup():
 
 
 def test_crank_nicolson_chunk_saves_matvecs():
-    """A 10-step chunk takes fewer products than the 10 x 9 of ten Jacobi-preconditioned
-    GMRES steps, and lands within its tolerance of ten one-step runs."""
+    """A 10-step chunk takes fewer than 10 x 9 products, one Lanczos run for all ten steps,
+    and lands within its tolerance of ten one-step runs."""
     cfg, op, state = quartic_setup()
     dt, tol = 0.01, 1e-10
     stepped = state
@@ -418,7 +418,7 @@ def test_evolve_params_step_guard():
 
 @pytest.mark.parametrize("cn_tol", [0.0, -1e-10])
 def test_evolve_params_reject_non_positive_cn_tol(cn_tol):
-    """GMRES cannot meet a zero tolerance and rejects a negative one."""
+    """A Lanczos run cannot meet a zero tolerance, and a negative one is meaningless."""
     with pytest.raises(ValueError, match="cn_tol"):
         EvolveParams(0.1, 1, cn_tol=cn_tol)
 
@@ -438,7 +438,7 @@ def cn_true_residual(op, psi, out, dt):
 ], ids=["linear-zt", "sloped-cross"])
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
 def test_crank_nicolson_step_meets_tol_on_true_residual(text, n, slopes, tol, rng):
-    """The GMRES answer meets cn_tol on the true residual of the Cayley system."""
+    """The Lanczos answer meets cn_tol on the true residual of the Cayley system."""
     cfg = LatticeConfig(n, 1.0, 16 if n == 2 else 8, 6.0)
     op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, slopes)
     assert not np.isrealobj(op.dense_matrix())

@@ -112,7 +112,7 @@ def test_surface_crank_nicolson_loads_no_scipy(tmp_path):
 
 
 def test_classical_and_cn_runs_load_scipy_when_needed(tmp_path):
-    """No scipy module after classical (scipy's LAPACK extension only) or flat CN (numpy GMRES)."""
+    """No scipy module after classical (scipy's LAPACK extension only) or flat CN (numpy Lanczos)."""
     classical = scipy_modules_after(RUN, str(CONFIGS / "classical_oscillator.json"),
                                     str(tmp_path / "classical"))
     assert classical == []
