@@ -158,15 +158,6 @@ class _ActionGrid:
         self._assemble_quadratic()
         self._solve = None      # the factorization of a constant Hessian, once made
 
-    def serves(self, bd: BoundaryData, lagr: LagrangianSpec, n_rows: int) -> bool:
-        """Whether ``_ActionGrid(bd, lagr, n_rows)`` would build this grid.
-
-        Nothing here depends on the boundary values z0 and z1, so boundaries
-        with the same surfaces, Lagrangian and row count share a grid.
-        """
-        return ((bd.t0, bd.t1, bd.spacing) == self.surfaces and lagr is self.lagr
-                and n_rows == self.R)
-
     def flatten(self, z: np.ndarray) -> np.ndarray:
         return z[:, self.order].ravel()
 
@@ -311,11 +302,6 @@ class ExtremalSolution:
         """(R+1, N) times of the grid rows."""
         return self.grid.row_times
 
-    @property
-    def deltas(self) -> np.ndarray:
-        """Per-site row step."""
-        return self.grid.delta
-
 
 def _inverse_norm_estimate(solve, m: int) -> float:
     """Lower bound on ||A^-1||_1 for an m x m matrix (m >= 2) from solves with A and A^T.
@@ -437,22 +423,23 @@ def solve_extremal(bd: BoundaryData, lagr: LagrangianSpec, dt_c: float) -> Extre
     """Stationary point of the discrete action between the two surfaces.
 
     Builds the grid of ``bd``'s surfaces at step ``dt_c`` and solves on it
-    with ``_newton``; the solution keeps the grid, so that ``hj_residuals``
-    and ``reparameterization_check`` re-solve on it the boundaries that
-    share its surfaces.
+    with ``_newton``.  The solution keeps the grid, and with it the
+    Lagrangian, so it is the one handle the checks below take.
     """
     return _newton(_ActionGrid(bd, lagr, grid_rows(bd, dt_c)), bd, dt_c)
 
 
-def _resolve(base: ExtremalSolution, bd: BoundaryData, lagr: LagrangianSpec,
-             dt_c: float) -> ExtremalSolution:
-    """``solve_extremal(bd, lagr, dt_c)``, on ``base``'s grid when that is the grid it builds.
+def _resolve(base: ExtremalSolution, bd: BoundaryData, dt_c: float) -> ExtremalSolution:
+    """``solve_extremal(bd, base.grid.lagr, dt_c)``, on ``base``'s grid when the surfaces and
+    row count match.
 
-    The grid is the same when only the boundary values differ, or when a
-    relabeling maps the surfaces onto themselves; otherwise a new one is built.
+    Nothing on a grid depends on the boundary values, so the grid is the same
+    when only they differ, or when a relabeling maps the surfaces onto
+    themselves; otherwise a new one is built.
     """
-    n_rows = grid_rows(bd, dt_c)
-    grid = base.grid if base.grid.serves(bd, lagr, n_rows) else _ActionGrid(bd, lagr, n_rows)
+    grid, n_rows = base.grid, grid_rows(bd, dt_c)
+    if (bd.t0, bd.t1, bd.spacing) != grid.surfaces or n_rows != grid.R:
+        grid = _ActionGrid(bd, grid.lagr, n_rows)
     return _newton(grid, bd, dt_c)
 
 
@@ -512,12 +499,6 @@ class BoundarySideMomenta:
     tangential: np.ndarray  # p*zs - energy*v - flux, an algebraic identity check
 
 
-@dataclass
-class BoundaryMomenta:
-    initial: BoundarySideMomenta
-    final: BoundarySideMomenta
-
-
 def _link_momenta(lagr: LagrangianSpec, zb, zdot, zs, v):
     """Momentum, energy and flux densities from one link's (zs, v) pair."""
     zx = zs - zdot * v
@@ -538,38 +519,26 @@ def _adjacent_links(times, z, a: float):
     return np.roll(v_right, 1), v_right, np.roll(zs_right, 1), zs_right
 
 
-def _side_momenta(sol: ExtremalSolution, lagr: LagrangianSpec, final: bool) -> BoundarySideMomenta:
-    """Boundary densities as the mean of the two adjacent-link evaluations.
+def boundary_momenta(sol: ExtremalSolution) -> tuple[BoundarySideMomenta, BoundarySideMomenta]:
+    """(initial, final) boundary densities of the extremal under its own Lagrangian.
 
-    The discrete action assigns each link half its energy to either end (the
-    link-symmetric measure), so the per-site conjugate densities are averages
-    of per-link formulas sharing the site's one-sided time derivative.  The
-    tangential combination vanishes identically link by link, hence also
-    after averaging.
+    Each side takes the one-sided O(dt^2) time derivative at its boundary row
+    (its sign flips on the initial surface, whose next rows lie later) and
+    the mean of the two adjacent-link evaluations.  The discrete action
+    assigns each link half its energy to either end (the link-symmetric
+    measure), so the per-site conjugate densities are averages of per-link
+    formulas sharing the site's time derivative.  The tangential combination
+    vanishes identically link by link, hence also after averaging.
     """
-    z = sol.z
-    delta = sol.deltas
-    if final:
-        zb = z[-1]
-        zdot = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * delta)
-        times = sol.bd.t1
-    else:
-        zb = z[0]
-        zdot = (-3.0 * z[0] + 4.0 * z[1] - z[2]) / (2.0 * delta)
-        times = sol.bd.t0
-    v_left, v_right, zs_left, zs_right = _adjacent_links(times, zb, sol.bd.spacing)
-    left = _link_momenta(lagr, zb, zdot, zs_left, v_left)
-    right = _link_momenta(lagr, zb, zdot, zs_right, v_right)
-    p, energy, flux, tangential = (0.5 * (l + r) for l, r in zip(left, right))
-    return BoundarySideMomenta(p, energy, flux, tangential)
-
-
-def boundary_momenta(sol: ExtremalSolution, lagr: LagrangianSpec) -> BoundaryMomenta:
-    """One-sided O(dt^2) boundary kinematics on both surfaces."""
-    return BoundaryMomenta(
-        initial=_side_momenta(sol, lagr, final=False),
-        final=_side_momenta(sol, lagr, final=True),
-    )
+    z, delta, lagr = sol.z, sol.grid.delta, sol.grid.lagr
+    sides = []
+    for (zb, zb1, zb2), sign, times in ((z[:3], -1.0, sol.bd.t0), (z[:-4:-1], 1.0, sol.bd.t1)):
+        zdot = sign * (3.0 * zb - 4.0 * zb1 + zb2) / (2.0 * delta)
+        v_left, v_right, zs_left, zs_right = _adjacent_links(times, zb, sol.bd.spacing)
+        left = _link_momenta(lagr, zb, zdot, zs_left, v_left)
+        right = _link_momenta(lagr, zb, zdot, zs_right, v_right)
+        sides.append(BoundarySideMomenta(*(0.5 * (l + r) for l, r in zip(left, right))))
+    return tuple(sides)
 
 
 def _rel_err(value: float, reference: float) -> float:
@@ -594,8 +563,9 @@ def hj_variations(bd: BoundaryData, fd_epsilon: float) -> dict:
     return variations
 
 
-def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float) -> dict:
-    """Finite-difference boundary variations of S around the extremal ``base``.
+def hj_residuals(base: ExtremalSolution, fd_epsilon: float) -> dict:
+    """Finite-difference boundary variations of S around the extremal ``base``, under the
+    Lagrangian it was solved with.
 
     Checks, per final-surface site: dS/dz vs a*p and dS/dt vs -a*energy
     (central differences, re-solving the varied problems at ``base.dt_c``), the
@@ -607,8 +577,8 @@ def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float
     """
     bd, dt_c = base.bd, base.dt_c
     variations = hj_variations(bd, fd_epsilon)
-    momenta = boundary_momenta(base, lagr)
-    density = legendre_transform(lagr)
+    initial, final = boundary_momenta(base)
+    density = legendre_transform(base.grid.lagr)
     a = bd.spacing
     n = bd.n_sites
     eps = fd_epsilon
@@ -623,16 +593,16 @@ def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float
 
     def central_difference(name, j):
         up, down = variations[name, j]
-        s_up = _resolve(base, up, lagr, dt_c).action
-        s_down = _resolve(base, down, lagr, dt_c).action
+        s_up = _resolve(base, up, dt_c).action
+        s_down = _resolve(base, down, dt_c).action
         return (s_up - s_down) / (2.0 * eps)
 
     for j in range(n):
         fd_z = central_difference("z1", j)
-        dsdz_rel[j] = _rel_err(fd_z, a * momenta.final.p[j])
+        dsdz_rel[j] = _rel_err(fd_z, a * final.p[j])
 
         fd_t = central_difference("t1", j)
-        dsdt_rel[j] = _rel_err(fd_t, -a * momenta.final.energy[j])
+        dsdt_rel[j] = _rel_err(fd_t, -a * final.energy[j])
 
         # the density at a site is the mean of its two adjacent-link values,
         # matching the link-symmetric energy split of the discrete action
@@ -641,7 +611,7 @@ def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float
         eq10_resid[j] = abs(fd_t / a + h_links)
 
         fd_z0 = central_difference("z0", j)
-        dsdz0_rel[j] = _rel_err(fd_z0, -a * momenta.initial.p[j])
+        dsdz0_rel[j] = _rel_err(fd_z0, -a * initial.p[j])
 
     return {
         "action": base.action,
@@ -650,10 +620,10 @@ def hj_residuals(base: ExtremalSolution, lagr: LagrangianSpec, fd_epsilon: float
         "dSdt_final_rel": dsdt_rel,
         "dSdz_initial_rel": dsdz0_rel,
         "hj_resid": eq10_resid,
-        "tangential_final": np.abs(momenta.final.tangential),
-        "tangential_initial": np.abs(momenta.initial.tangential),
-        "p_final": momenta.final.p,
-        "energy_final": momenta.final.energy,
+        "tangential_final": np.abs(final.tangential),
+        "tangential_initial": np.abs(initial.tangential),
+        "p_final": final.p,
+        "energy_final": final.energy,
         "fd_epsilon": eps,
         "dt_c": dt_c,
     }
@@ -666,8 +636,9 @@ def reparameterizations(bd: BoundaryData, dt_c: float) -> list[tuple[BoundaryDat
             (bd, dt_c / 2.0), (bd, dt_c / 4.0)]
 
 
-def reparameterization_check(base: ExtremalSolution, lagr: LagrangianSpec) -> dict:
-    """``base.action`` against exact lattice relabelings and a row refinement, at ``base.dt_c``.
+def reparameterization_check(base: ExtremalSolution) -> dict:
+    """``base.action`` against exact lattice relabelings and a row refinement, at ``base.dt_c``,
+    each solved under ``base``'s Lagrangian.
 
     Cyclic and reflected site orders are exact symmetries of the periodic
     lattice (reflection needs the zx-even densities this grammar produces);
@@ -677,7 +648,7 @@ def reparameterization_check(base: ExtremalSolution, lagr: LagrangianSpec) -> di
     """
     bd, dt_c, s_base = base.bd, base.dt_c, base.action
     s_cyclic, s_parity, s_shift, s_half, s_quarter = (
-        _resolve(base, varied, lagr, dt).action for varied, dt in reparameterizations(bd, dt_c))
+        _resolve(base, varied, dt).action for varied, dt in reparameterizations(bd, dt_c))
     diff_1 = s_base - s_half
     diff_2 = s_half - s_quarter
     ratio = diff_1 / diff_2 if diff_2 != 0.0 else None  # undefined, reported as null

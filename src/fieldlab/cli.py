@@ -423,9 +423,9 @@ def cmd_classical(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir:
     sol = solve_extremal(bd, lagr, dt_c)
     payload = {"action": sol.action, "residual": sol.residual, "n_rows": sol.n_rows}
     if "hj_residuals" in checks:
-        payload["hj"] = hj_residuals(sol, lagr, fd_epsilon)
+        payload["hj"] = hj_residuals(sol, fd_epsilon)
     if "reparameterization" in checks:
-        payload["reparameterization"] = reparameterization_check(sol, lagr)
+        payload["reparameterization"] = reparameterization_check(sol)
     payload.update(spec_hash=meta["config_sha256"], meta=meta)
     _write_json(outdir / "residuals.json", payload)
     x = np.broadcast_to(np.arange(bd.n_sites) * bd.spacing, sol.z.shape)
@@ -457,10 +457,13 @@ def run_config(config: dict, outdir: Path, base_dir: Path) -> None:
     run = {"legendre": cmd_legendre, "evolve": cmd_evolve, "surface": cmd_surface,
            "feynman": cmd_feynman, "classical": cmd_classical}[command]
     # the commands read no file but initial.path, whose errors _build_initial reports,
-    # so an OSError here is an output directory or file that cannot be written
+    # so an OSError here is an output directory or file that cannot be written.  numpy
+    # overflow and invalid values pass quietly: the finiteness checks of the results, not
+    # a RuntimeWarning on stderr, decide whether the run failed
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        run(lagr, root["lattice"], opts, outdir, meta, base_dir)
+        with np.errstate(all="ignore"):
+            run(lagr, root["lattice"], opts, outdir, meta, base_dir)
         _write_json(outdir / "meta.json", meta)
     except OSError as exc:
         raise ConfigError("output_dir", str(exc)) from exc

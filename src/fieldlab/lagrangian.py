@@ -62,6 +62,17 @@ def _tokenize(text: str):
     return tokens
 
 
+def _refuse(iz: int, it: int, ix: int):
+    """Raise the error for the monomial z^iz*zt^it*zx^ix, outside the accepted density."""
+    if it > 2:
+        raise NonQuadraticKinetic(f"zt power {it} exceeds 2")
+    if it > 0:
+        raise UnsupportedMixing(f"monomial z^{iz}*zt^{it}*zx^{ix} mixes zt with z or zx")
+    if ix > 0:
+        raise UnsupportedMixing(f"monomial z^{iz}*zx^{ix} is not a pure zx^2 term")
+    raise DegreeTooHigh(f"potential degree {iz} exceeds maximum {MAX_DEGREE}")
+
+
 class _Poly:
     """Polynomial in (z, zt, zx) as a monomial-exponent -> coefficient map."""
 
@@ -86,10 +97,18 @@ class _Poly:
         return _Poly(out)
 
     def __mul__(self, other):
+        """The product, refused at the first monomial past z^MAX_DEGREE, zt^2 or zx^2.
+
+        Exponents only grow under multiplication, so such a monomial survives
+        unless it cancels exactly; refusing it here keeps every product under
+        (MAX_DEGREE+1)*3*3 terms instead of expanding products of powers fully.
+        """
         out = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
+                if key[0] > MAX_DEGREE or key[1] > 2 or key[2] > 2:
+                    _refuse(*key)
                 out[key] = out.get(key, 0.0) + va * vb
         return _Poly(out)
 
@@ -285,7 +304,8 @@ def parse_lagrangian(text: str, params: dict[str, float] | None = None) -> Lagra
     or the zt^2 coefficient is not positive, UnsupportedMixing for monomials
     outside the supported forms, DegreeTooHigh for a potential degree or any
     exponent above MAX_DEGREE, and NonFiniteCoefficient when a coefficient
-    overflows to infinity or NaN.
+    overflows to infinity or NaN.  A monomial past z^MAX_DEGREE, zt^2 or zx^2
+    is refused where a product forms it, even if a later term would cancel it.
     """
     poly = _Parser(_tokenize(text), params or {}).parse()
 
@@ -298,23 +318,16 @@ def parse_lagrangian(text: str, params: dict[str, float] | None = None) -> Lagra
             raise NonFiniteCoefficient(f"monomial z^{iz}*zt^{it}*zx^{ix} has coefficient {coeff}")
         if coeff == 0.0:
             continue
-        if it > 2:
-            raise NonQuadraticKinetic(f"zt power {it} exceeds 2")
-        if it > 0:
-            if iz > 0 or ix > 0:
-                raise UnsupportedMixing(f"monomial z^{iz}*zt^{it}*zx^{ix} mixes zt with z or zx")
-            if it == 2:
-                kinetic += coeff
-            else:
-                kinetic_linear += coeff
-        elif ix > 0:
-            if ix != 2 or iz > 0:
-                raise UnsupportedMixing(f"monomial z^{iz}*zx^{ix} is not a pure zx^2 term")
+        if (iz, it, ix) == (0, 2, 0):
+            kinetic += coeff
+        elif (iz, it, ix) == (0, 1, 0):
+            kinetic_linear += coeff
+        elif (iz, it, ix) == (0, 0, 2):
             gradient += coeff
-        else:
-            if iz > MAX_DEGREE:
-                raise DegreeTooHigh(f"potential degree {iz} exceeds maximum {MAX_DEGREE}")
+        elif it == ix == 0 and iz <= MAX_DEGREE:
             pot[iz] = pot.get(iz, 0.0) - coeff
+        else:
+            _refuse(iz, it, ix)
     if kinetic <= 0.0:
         raise NonQuadraticKinetic(f"kinetic coefficient {kinetic} is not positive")
 

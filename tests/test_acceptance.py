@@ -217,7 +217,7 @@ def test_criterion_5_integrability():
 def test_criterion_6_hamilton_jacobi():
     with budget(60.0, "6 hamilton-jacobi"):
         bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.4))
-        report = hj_residuals(solve_extremal(bd, FREE, 1e-3), FREE, 1e-4)
+        report = hj_residuals(solve_extremal(bd, FREE, 1e-3), 1e-4)
         assert np.max(report["dSdz_final_rel"]) < 1e-4
         assert np.max(report["dSdt_final_rel"]) < 1e-4
         assert np.max(report["hj_resid"]) < 1e-4
@@ -239,7 +239,7 @@ def test_criterion_7_reparameterization_symmetries():
         lagr = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2")
         bd = BoundaryData((0.0, 0.2, -0.1), (1.1, 1.0, 1.3),
                           (0.3, -0.2, 0.1), (0.0, 0.25, -0.3))
-        report = reparameterization_check(solve_extremal(bd, lagr, 5e-3), lagr)
+        report = reparameterization_check(solve_extremal(bd, lagr, 5e-3))
         assert report["cyclic_diff"] < 1e-12
         assert report["parity_diff"] < 1e-12
         assert report["time_shift_diff"] < 1e-12

@@ -126,6 +126,50 @@ def test_newton_tol_is_absolute_on_small_boundaries():
     assert sol.residual <= NEWTON_TOL
 
 
+def count_newton_work(monkeypatch):
+    """Gradient and factor calls of the solves that follow: the start and each line-search
+    trial take a gradient, the start and each accepted step a factor call."""
+    calls = {"gradient": 0, "factor": 0}
+    gradient, factor = _ActionGrid.gradient, _ActionGrid.factor
+
+    def counting_gradient(self, z_flat):
+        calls["gradient"] += 1
+        return gradient(self, z_flat)
+
+    def counting_factor(self, z_flat, work):
+        calls["factor"] += 1
+        return factor(self, z_flat, work)
+
+    monkeypatch.setattr(_ActionGrid, "gradient", counting_gradient)
+    monkeypatch.setattr(_ActionGrid, "factor", counting_factor)
+    return calls
+
+
+def test_newton_line_search_stalls_on_a_large_swing(monkeypatch):
+    """A 3-site quartic swing from +8 to -8 in unit time: steps 3 to 5 are accepted after
+    6, 7 and 9 halvings, and the sixth finds no descent in 12 halvings, 34 in all."""
+    calls = count_newton_work(monkeypatch)
+    lagr = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
+    bd = BoundaryData((0.0,) * 3, (1.0,) * 3, (8.0,) * 3, (-8.0,) * 3)
+    with pytest.raises(NewtonDivergence, match=r"^line search stalled at residual 7\.290e-01$"):
+        solve_extremal(bd, lagr, 1e-2)
+    assert calls["factor"] == 6                         # the start and five accepted steps
+    assert calls["gradient"] - calls["factor"] == 34    # the halvings
+
+
+def test_newton_converges_after_a_halved_step(monkeypatch):
+    """A one-site quartic swing from -3 to 1.3 over t = 2 takes one step at half length and
+    then converges in 7 steps, to an extremal whose action refines at second order."""
+    calls = count_newton_work(monkeypatch)
+    lagr = parse_lagrangian("0.5*zt^2 - 0.5*z^2 - 0.1*z^4")
+    bd = BoundaryData((0.0,), (2.0,), (-3.0,), (1.3,))
+    sol = solve_extremal(bd, lagr, 1e-2)
+    assert sol.residual <= NEWTON_TOL
+    assert calls["factor"] == 8 and calls["gradient"] - calls["factor"] == 1
+    actions = [solve_extremal(bd, lagr, dt_c).action for dt_c in (4e-2, 2e-2)] + [sol.action]
+    assert 3.5 <= (actions[0] - actions[1]) / (actions[1] - actions[2]) <= 4.5
+
+
 def test_oscillator_principal_function():
     lagr = parse_lagrangian("0.5*zt^2 - 0.5*z^2")
     bd = BoundaryData((0.0,), (1.0,), (0.3,), (-0.4,))
@@ -147,10 +191,10 @@ def test_static_extremal_momenta():
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, 0.3), (0.3, 0.3))
     sol = solve_extremal(bd, lagr, 1e-2)
     assert np.max(np.abs(sol.z - 0.3)) < 1e-12
-    mom = boundary_momenta(sol, lagr)
-    assert np.max(np.abs(mom.final.p)) < 1e-10
-    assert np.allclose(mom.final.energy, 0.2, atol=1e-10)
-    assert np.max(np.abs(mom.final.flux)) < 1e-10
+    _, final = boundary_momenta(sol)
+    assert np.max(np.abs(final.p)) < 1e-10
+    assert np.allclose(final.energy, 0.2, atol=1e-10)
+    assert np.max(np.abs(final.flux)) < 1e-10
 
 
 def test_momenta_match_mode_oracle(free_lagr):
@@ -158,7 +202,7 @@ def test_momenta_match_mode_oracle(free_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.4), 1.0)
     dt_c = 1e-3
     sol = solve_extremal(bd, free_lagr, dt_c)
-    mom = boundary_momenta(sol, free_lagr)
+    _, final = boundary_momenta(sol)
     cfg = LatticeConfig(2, 1.0, 4, 4.0)
     omegas = mode_frequencies(cfg, 1.0)
     # orthonormal modes of the 2-site ring: symmetric and antisymmetric
@@ -170,28 +214,28 @@ def test_momenta_match_mode_oracle(free_lagr):
         for k in range(2)
     ])
     p_expected = basis.T @ udot1  # p = zdot for kinetic_coeff 1/2
-    assert np.max(np.abs(mom.final.p - p_expected)) < 1e-5
+    assert np.max(np.abs(final.p - p_expected)) < 1e-5
 
 
 def test_flux_zero_for_constant_data(free_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.2, 0.2), (-0.1, -0.1))
     sol = solve_extremal(bd, free_lagr, 1e-2)
-    mom = boundary_momenta(sol, free_lagr)
-    assert np.max(np.abs(mom.final.flux)) < 1e-10
-    assert np.max(np.abs(mom.initial.flux)) < 1e-10
+    initial, final = boundary_momenta(sol)
+    assert np.max(np.abs(final.flux)) < 1e-10
+    assert np.max(np.abs(initial.flux)) < 1e-10
 
 
 def test_tangential_identity_curved(free_lagr):
     bd = BoundaryData((0.0, 0.3), (1.2, 1.0), (0.25, -0.15), (0.05, 0.35))
     sol = solve_extremal(bd, free_lagr, 2e-3)
-    mom = boundary_momenta(sol, free_lagr)
-    assert np.max(np.abs(mom.final.tangential)) < 1e-12
-    assert np.max(np.abs(mom.initial.tangential)) < 1e-12
+    initial, final = boundary_momenta(sol)
+    assert np.max(np.abs(final.tangential)) < 1e-12
+    assert np.max(np.abs(initial.tangential)) < 1e-12
 
 
 def test_hj_residuals_free_field(free_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.4))
-    report = hj_residuals(solve_extremal(bd, free_lagr, 1e-3), free_lagr, 1e-4)
+    report = hj_residuals(solve_extremal(bd, free_lagr, 1e-3), 1e-4)
     assert np.max(report["dSdz_final_rel"]) < 1e-4
     assert np.max(report["dSdt_final_rel"]) < 1e-4
     assert np.max(report["dSdz_initial_rel"]) < 1e-4
@@ -203,14 +247,14 @@ def test_hj_residuals_free_field(free_lagr):
 def test_reparameterization_zero_boundary_ratio_is_null(free_lagr):
     """Zero boundary data give zero actions at every refinement, so the ratio is 0/0."""
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.0, 0.0))
-    report = reparameterization_check(solve_extremal(bd, free_lagr, 1e-2), free_lagr)
+    report = reparameterization_check(solve_extremal(bd, free_lagr, 1e-2))
     assert report["refinement_actions"] == [0.0, 0.0, 0.0]
     assert report["refinement_ratio"] is None
 
 
 def test_hj_residuals_zero_boundary(free_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.0, 0.0))
-    report = hj_residuals(solve_extremal(bd, free_lagr, 1e-2), free_lagr, 1e-4)
+    report = hj_residuals(solve_extremal(bd, free_lagr, 1e-2), 1e-4)
     assert np.max(report["dSdz_final_rel"]) < 1e-10
     assert np.max(report["hj_resid"]) < 1e-10
     assert np.max(report["tangential_final"]) < 1e-10
@@ -234,7 +278,7 @@ def test_reparameterization_exact_symmetries():
     lagr = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2")
     bd = BoundaryData((0.0, 0.2, -0.1), (1.1, 1.0, 1.3),
                       (0.3, -0.2, 0.1), (0.0, 0.25, -0.3))
-    report = reparameterization_check(solve_extremal(bd, lagr, 5e-3), lagr)
+    report = reparameterization_check(solve_extremal(bd, lagr, 5e-3))
     assert report["cyclic_diff"] < 1e-12
     assert report["parity_diff"] < 1e-12
     assert report["time_shift_diff"] < 1e-12
@@ -259,7 +303,7 @@ def test_oscillator_near_resonance_solves_or_raises(k):
 
 def test_reparameterization_refinement_ratio(free_lagr):
     bd = BoundaryData((0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (0.1, 0.4))
-    report = reparameterization_check(solve_extremal(bd, free_lagr, 4e-3), free_lagr)
+    report = reparameterization_check(solve_extremal(bd, free_lagr, 4e-3))
     assert 3.5 <= report["refinement_ratio"] <= 4.5
 
 
@@ -343,7 +387,7 @@ def test_hj_variations_move_each_entry_by_epsilon():
 def test_hj_residuals_rejects_zero_epsilon(free_lagr):
     bd = BoundaryData((0.0,), (1.0,), (0.3,), (-0.4,))
     with pytest.raises(ValueError, match="fd_epsilon"):
-        hj_residuals(solve_extremal(bd, free_lagr, 1e-2), free_lagr, fd_epsilon=0.0)
+        hj_residuals(solve_extremal(bd, free_lagr, 1e-2), fd_epsilon=0.0)
 
 
 def test_grid_rows_guard(monkeypatch):
@@ -498,12 +542,12 @@ def test_checks_on_the_base_grid_match_fresh_solves(request, monkeypatch, lagr_n
     """Both checks give bit for bit what a fresh solve_extremal per varied boundary gives."""
     lagr = request.getfixturevalue(lagr_name)
     base = solve_extremal(THREE_SITE[shape], lagr, 1e-2)
-    shared = [report_bits(hj_residuals(base, lagr, 1e-4)),
-              report_bits(reparameterization_check(base, lagr))]
+    shared = [report_bits(hj_residuals(base, 1e-4)),
+              report_bits(reparameterization_check(base))]
     monkeypatch.setattr(fieldlab.classical, "_resolve",
-                        lambda base, bd, lagr, dt_c: solve_extremal(bd, lagr, dt_c))
-    fresh = [report_bits(hj_residuals(base, lagr, 1e-4)),
-             report_bits(reparameterization_check(base, lagr))]
+                        lambda base, bd, dt_c: solve_extremal(bd, base.grid.lagr, dt_c))
+    fresh = [report_bits(hj_residuals(base, 1e-4)),
+             report_bits(reparameterization_check(base))]
     assert shared == fresh
 
 
@@ -529,8 +573,8 @@ def test_flat_checks_build_ten_grids(request, monkeypatch, lagr_name):
     monkeypatch.setattr(_ActionGrid, "__init__", counting_init)
     monkeypatch.setattr(handle, "dgbtrf", counting_dgbtrf)
     base = solve_extremal(THREE_SITE["flat"], lagr, 1e-2)
-    hj_residuals(base, lagr, 1e-4)
-    reparameterization_check(base, lagr)
+    hj_residuals(base, 1e-4)
+    reparameterization_check(base)
     assert len(builds) == 10
     if lagr_name == "free_lagr":
         assert len(factorizations) == 10

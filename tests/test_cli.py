@@ -641,6 +641,18 @@ def test_classical_solves_above_the_absolute_newton_tol(tmp_path):
     assert fieldlab.classical.NEWTON_TOL < report["residual"] < 1e-8
 
 
+def test_classical_stalled_line_search_is_numerical_failure(tmp_path, capsys):
+    """A quartic swing of 200 in a time of 0.1 stalls Newton's line search far above any
+    roundoff floor: exit 3 with the one message line, and nothing written."""
+    cfg = classical_config({"t0": [0.0], "t1": [0.1], "z0": [100.0], "z1": [-100.0]},
+                           dt_c=1e-3)
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*z^2 - 0.1*z^4", "params": {}}
+    assert run(tmp_path, cfg) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: line search stalled at residual 1.664e+02\n")
+    assert not (tmp_path / "out" / "residuals.json").exists()
+
+
 ORACLE_BOUNDARY = {"t0": [0.0], "t1": [1.0], "z0": [0.3], "z1": [-0.4]}
 
 
@@ -770,6 +782,49 @@ def test_malformed_configs_rejected(tmp_path, capsys, block, needle):
     assert needle in capsys.readouterr().err
 
 
+def stored_on_two_sites(tmp_path):
+    """A one-site evolve config whose initial state file holds a two-site state."""
+    cfg = LatticeConfig(2, 1.0, 16, 8.0)
+    save_state(WaveFunctional(cfg, np.ones(cfg.shape, dtype=complex)), tmp_path / "two.bin")
+    return evolve_config(5, initial={"kind": "file", "path": "two.bin"})
+
+
+def three_site_ground_state(**initial):
+    cfg = evolve_config(5, initial={"kind": "ground_state", **initial})
+    cfg["lattice"]["n_sites"] = 3
+    return cfg
+
+
+def without_output_dir():
+    cfg = base_config({"legendre": {}})
+    del cfg["output_dir"]
+    return cfg
+
+
+@pytest.mark.parametrize("build,out,line", [
+    (lambda tmp: surface_config({"kind": "moves", "moves": [[5, 0.05]]}, SWEEPS[1]), True,
+     "surface.schedule_a.moves[0]: site 5 out of range"),
+    (lambda tmp: three_site_ground_state(mass=1.0, centers=[0.0, 0.0]), True,
+     "evolve.initial.centers: expected 3 entries"),
+    (lambda tmp: evolve_config(5, initial={"kind": "ground_state", "mass": -1.0}), True,
+     "evolve.initial.mass: mass must be nonnegative"),
+    (stored_on_two_sites, True,
+     "evolve.initial.path: stored lattice differs from the config lattice"),
+    (lambda tmp: [base_config({"legendre": {}})], True, "config root must be an object"),
+    (lambda tmp: without_output_dir(), False, "output_dir: missing (or pass --out)"),
+    (lambda tmp: {**base_config({"legendre": {}}), "lagrangian": {"text": "0.5*zt^2 - z^6*z"}},
+     True, "lagrangian.text: potential degree 7 exceeds maximum 6"),
+], ids=["move-site", "ground-state-centers", "negative-mass", "state-lattice", "root-list",
+        "no-output-dir", "degree-by-product"])
+def test_config_errors_print_one_line(tmp_path, capsys, build, out, line):
+    """Each config error exits 2 with its one message line on stderr and writes nothing."""
+    path = write_config(tmp_path, build(tmp_path))
+    argv = ["run", str(path)] + (["--out", str(tmp_path / "out")] if out else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not (tmp_path / "out" / "meta.json").exists()
+
+
 @pytest.mark.parametrize("build,block,key,value,needle", [
     (lambda: evolve_config(5), "lattice", "q_extent", 1e-300, "holds NaN or infinity"),
     (lambda: evolve_config(5), "lattice", "spacing", 1e-300,
@@ -780,12 +835,15 @@ def test_malformed_configs_rejected(tmp_path, capsys, block, needle):
 ], ids=["evolve-nan-state", "evolve-overflow", "feynman-eigh", "surface-nan-report"])
 def test_overflowing_runs_are_numerical_failures(tmp_path, capsys, build, block, key, value,
                                                  needle):
-    """Finite inputs whose numbers overflow exit 3 before writing, not 0 with NaN or a traceback."""
+    """Finite inputs whose numbers overflow exit 3 before writing, not 0 with NaN or a traceback,
+    and quietly: with RuntimeWarnings as errors, stderr holds the one typed message."""
     cfg = build()
     cfg[block][key] = value
-    assert run(tmp_path, cfg) == 3
-    err = capsys.readouterr().err
-    assert "numerical failure: " in err and needle in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, cfg) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ") and needle in err[0]
     assert not (tmp_path / "out" / "meta.json").exists()
 
 

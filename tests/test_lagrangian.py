@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,29 @@ def test_parse_huge_exponent_rejected_before_expanding():
         parse_lagrangian("0.5*zt^2 - 0.5*z^99999999")
     with pytest.raises(DegreeTooHigh):
         parse_lagrangian("0.5*zt^2 - 0.5*(z - 1)^7")
+
+
+def test_products_of_powers_are_refused_while_multiplying():
+    """16 factors of (1+z+zt+zx)^6 in 234 characters: expanded in full before the check, the
+    product took 14 to 24 s on a 2-core machine, growing as about k^3.5 in the factor count k."""
+    text = "0.5*zt^2 - " + "*".join(["(1+z+zt+zx)^6"] * 16)
+    assert len(text) == 234
+    start = time.perf_counter()
+    with pytest.raises(NonQuadraticKinetic, match="zt power 3 exceeds 2"):
+        parse_lagrangian(text)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text,error", [
+    ("0.5*zt^2 + z^4*z^4 - z^4*z^4", DegreeTooHigh),
+    ("0.5*zt^2 + zt*zt*zt - zt^3", NonQuadraticKinetic),
+    ("0.5*zt^2 + zx^2*zx - zx^3", UnsupportedMixing),
+])
+def test_out_of_range_monomials_are_refused_even_if_they_cancel(text, error):
+    """A monomial past z^MAX_DEGREE, zt^2 or zx^2 is refused where a product forms it, with
+    the error the finished polynomial's check gives it."""
+    with pytest.raises(error):
+        parse_lagrangian(text)
 
 
 @pytest.mark.parametrize("text,params", [
