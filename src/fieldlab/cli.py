@@ -121,7 +121,8 @@ REQUIRED = object()  # default of a key that must be present
 # {str: kind} (an object, each value of that kind at path.name).  Code that
 # depends on another field decides the rest: the root's `lattice` is required
 # by evolve, surface and feynman, and `initial` and `schedule` name by their
-# `kind` the table of their remaining keys.
+# `kind` the table of their remaining keys.  Any other key is refused, but the
+# root's `output_dir` and command block.
 SCHEMA = {
     "": {"lagrangian": (dict, REQUIRED), "lattice": (dict, None), "seed": (int, 0)},
     "lagrangian": {"text": (str, REQUIRED), "params": ({str: float}, {})},
@@ -216,8 +217,12 @@ def _typed(value, kind, path: str):
     return value
 
 
-def _read(block: dict, path: str, table: dict) -> dict:
-    """Every key of ``table`` from ``block`` at ``path``: typed, defaulted and checked."""
+def _read(block: dict, path: str, table: dict, known=()) -> dict:
+    """Every key of ``table`` from ``block`` at ``path``: typed, defaulted and checked.
+    A key in neither ``table`` nor ``known`` is refused: a misspelt key is an error, not a default."""
+    for key in block:
+        if key not in table and key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
     out = {}
     for key, (kind, default, *rules) in table.items():
         where = f"{path}.{key}" if path else key
@@ -260,8 +265,8 @@ def _build_lattice(block: dict | None) -> LatticeConfig:
 
 
 def _build_initial(block: dict, path: str, cfg: LatticeConfig, base_dir: Path):
-    kind = _read(block, path, SCHEMA["initial"])["kind"]
-    opts = _read(block, path, SCHEMA[f"initial.{kind}"])
+    kind = _read(block, path, SCHEMA["initial"], known=block)["kind"]  # its kind refuses the rest
+    opts = _read(block, path, SCHEMA[f"initial.{kind}"], known=SCHEMA["initial"])
     if kind == "ground_state":
         spec = _build_at(f"{path}.mass", free_ground_state_covariance, cfg, opts["mass"])
         centers = opts["centers"]
@@ -328,8 +333,8 @@ def _build_schedule_factory(block: dict, path: str, start, total_time: float):
     """``dt -> DeformationSchedule`` for the block at ``path``, starting on surface ``start``."""
     from .surface import DeformationSchedule
 
-    kind = _read(block, path, SCHEMA["schedule"])["kind"]
-    opts = _read(block, path, SCHEMA[f"schedule.{kind}"])
+    kind = _read(block, path, SCHEMA["schedule"], known=block)["kind"]  # its kind refuses the rest
+    opts = _read(block, path, SCHEMA[f"schedule.{kind}"], known=SCHEMA["schedule"])
     if kind == "sweep":
         return lambda dt: DeformationSchedule.sweep(start, total_time, dt, opts["direction"])
     moves = opts["moves"]
@@ -360,11 +365,10 @@ def cmd_surface(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
             raise DimensionTooLarge(f"surface.dt_values: the first {i + 1} steps need {moves} "
                                     f"moves, above the {MAX_LADDER_MOVES} move ladder guard")
         levels.append(pair)
-    endpoints = None
     for pair in levels:
         for name, schedule in zip(("schedule_a", "schedule_b"), pair):
             _build_at(f"surface.{name}", schedule.end)  # the walk refuses |v| >= 1
-        endpoints = _build_at("surface.schedule_b", shared_endpoints, *pair, endpoints)
+        _build_at("surface.schedule_b", shared_endpoints, *pair)
 
     initial = _build_initial(opts["initial"], "surface.initial", cfg, base_dir)
     density = legendre_transform(lagr)
@@ -375,22 +379,21 @@ def cmd_surface(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: P
 
 
 def cmd_feynman(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir: Path) -> None:
-    from .feynman import (AUTO_IDENTITY_HISTORIES, PathIntegralSpec, TransferOperator,
-                          brute_force_amplitudes, check_enumerable, feynman_vs_schrodinger,
-                          history_count, ladder_specs)
+    from .feynman import (AUTO_IDENTITY_HISTORIES, PathIntegralSpec, brute_force_amplitudes,
+                          check_enumerable, feynman_vs_schrodinger, history_count, ladder_specs)
 
     cfg = _build_lattice(lattice)
     pspec = _build_at("feynman.dt", PathIntegralSpec, opts["t_steps"], opts["dt"], opts["kernel"])
     identity_mode = opts["identity_check"]
     if identity_mode == "force":
         check_enumerable(pspec, cfg)  # an oversized history sum is refused first
-    _build_at("feynman.dt", ladder_specs, pspec, opts["levels"], cfg)  # the step and dense guards
+    # the ladder the run walks, through the step and dense guards
+    specs = _build_at("feynman.dt", ladder_specs, pspec, opts["levels"], cfg)
     check_identity = identity_mode == "force" or (
         identity_mode == "auto" and history_count(pspec, cfg) <= AUTO_IDENTITY_HISTORIES)
 
     initial = _build_initial(opts["initial"], "feynman.initial", cfg, base_dir)
-    report = feynman_vs_schrodinger(initial, pspec, lagr, opts["levels"])
-    transfer_state = TransferOperator(pspec, lagr, cfg).evolve(initial)
+    report, transfer_state = feynman_vs_schrodinger(initial, specs, lagr)
     identity = {"checked": False}
     if check_identity:
         amps = brute_force_amplitudes(initial, pspec, lagr)
@@ -444,7 +447,7 @@ def run_config(config: dict, outdir: Path, base_dir: Path) -> None:
     command = present[0]
     if not isinstance(config[command], dict):
         raise ConfigError(command, "command block must be an object")
-    root = _read(config, "", SCHEMA[""])
+    root = _read(config, "", SCHEMA[""], known=("output_dir", command))
     opts = _read(config[command], command, SCHEMA[command])
     lagr = _build_lagrangian(root["lagrangian"])
     meta = {

@@ -28,7 +28,8 @@ from fieldlab.evolve import (
     evolve_crank_nicolson,
     evolve_strang,
 )
-from fieldlab.feynman import PathIntegralSpec, TransferOperator, brute_force_amplitudes, feynman_vs_schrodinger
+from fieldlab.feynman import (PathIntegralSpec, TransferOperator, brute_force_amplitudes,
+                             feynman_vs_schrodinger, ladder_specs)
 from fieldlab.lagrangian import LagrangianSpec, diagonal_density, legendre_transform, parse_lagrangian
 from fieldlab.lattice import (
     GaussianStateSpec,
@@ -185,7 +186,8 @@ def test_criterion_4_feynman_identity():
     with budget(60.0, "4b feynman-vs-schrodinger"):
         cfg = LatticeConfig(1, 1.0, 64, 12.0)
         state = init_wavefunctional(GaussianStateSpec((0.3,), widths=(1.0,)), cfg)
-        report = feynman_vs_schrodinger(state, PathIntegralSpec(3, 0.05), QUARTIC, levels=3)
+        report, _ = feynman_vs_schrodinger(state, ladder_specs(PathIntegralSpec(3, 0.05), 3, cfg),
+                                           QUARTIC)
         d = report["distances"]
         assert d[0] / d[1] >= 1.8 and d[1] / d[2] >= 1.8
         assert report["fitted_order"] >= 1.0

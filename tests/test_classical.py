@@ -625,3 +625,17 @@ def test_grid_action_is_the_history_action_under_the_trapezoid_rule(n_sites, spa
 
     expected = 0.5 * spacing * dt * np.sum(row_terms(z[-1]) - row_terms(z[0]))
     assert abs(grid_action - history_action - expected) <= 1e-13 * abs(grid_action)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: grid_rows(BoundaryData((0.0,), (1.0,), (0.1,), (0.2,)), 0.0),
+     ValueError, "dt_c must be positive"),
+    (lambda: grid_rows(BoundaryData((0.0,), (1.0,), (0.1,), (0.2,)), -1e-3),
+     ValueError, "dt_c must be positive"),
+    # a zero band of width 1 over 3 unknowns: dgbtrf meets a zero first pivot
+    (lambda: _factor(np.zeros((4, 3)), 1),
+     SingularBVP, "boundary problem factorization failed: pivot 1 is zero"),
+], ids=["zero-dt_c", "negative-dt_c", "zero-pivot"])
+def test_classical_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -20,7 +20,16 @@ import fieldlab.operators
 import fieldlab.surface
 from fieldlab.cli import SCHEMA, main
 from fieldlab.errors import ConfigError
-from fieldlab.lattice import LatticeConfig, WaveFunctional, load_state, save_state, spacelike
+from fieldlab.lagrangian import parse_lagrangian
+from fieldlab.lattice import (
+    LatticeConfig,
+    WaveFunctional,
+    free_ground_state_covariance,
+    init_wavefunctional,
+    load_state,
+    save_state,
+    spacelike,
+)
 from fieldlab.operators import LatticeHamiltonian
 
 FREE_TEXT = "0.5*zt^2 - 0.5*zx^2 - 0.5*m^2*z^2"
@@ -451,6 +460,35 @@ def test_feynman_identity_flag(tmp_path):
         assert [repr(float(re_part)), repr(float(im_part))] == [re_part, im_part]
 
 
+def test_feynman_level_zero_is_the_configured_run(tmp_path, monkeypatch):
+    """The ladder starts at the configured step, not at (t_steps + 1) * dt / (t_steps + 1),
+    and amplitudes.csv holds level 0's transfer state, from the ladder's own run."""
+    built = []
+
+    class Recorded(fieldlab.feynman.TransferOperator):
+        def __init__(self, pspec, *args):
+            built.append(pspec)
+            super().__init__(pspec, *args)
+
+    monkeypatch.setattr(fieldlab.feynman, "TransferOperator", Recorded)
+    assert run(tmp_path, feynman_config(t_steps=2, dt=0.1)) == 0
+    report = json.loads((tmp_path / "out" / "comparison.json").read_text())
+    assert report["dt_values"] == [0.1, 0.05]
+    pspec = fieldlab.feynman.PathIntegralSpec(2, 0.1)
+    assert report["total_time"] == pspec.total_time
+    # the two ladder levels, then the history sum's step tables
+    assert built == [pspec, fieldlab.feynman.PathIntegralSpec(5, 0.05), pspec]
+
+    cfg = LatticeConfig(1, 1.0, 8, 6.0)
+    state = init_wavefunctional(free_ground_state_covariance(cfg, 1.0), cfg)
+    level0 = fieldlab.feynman.TransferOperator(pspec, parse_lagrangian(FREE_TEXT, {"m": 1.0}),
+                                               cfg).evolve(state)
+    rows = (tmp_path / "out" / "amplitudes.csv").read_text().splitlines()[2:]
+    amps = [complex(float(re_part), float(im_part))
+            for _, re_part, im_part in (row.split(",") for row in rows)]
+    assert amps == level0.psi.ravel().tolist()
+
+
 @pytest.mark.parametrize("build,block,key", [
     (lambda: evolve_config(5), "evolve", "steps"),
     (lambda: feynman_config(), "feynman", "t_steps"),
@@ -795,6 +833,15 @@ def three_site_ground_state(**initial):
     return cfg
 
 
+def with_key(cfg, block, key, value):
+    """``cfg`` with ``key`` set in the block at ``block`` (a name, a path of names or the root)."""
+    target = cfg
+    for name in (block,) if isinstance(block, str) else block or ():
+        target = target[name]
+    target[key] = value
+    return cfg
+
+
 def without_output_dir():
     cfg = base_config({"legendre": {}})
     del cfg["output_dir"]
@@ -814,8 +861,24 @@ def without_output_dir():
     (lambda tmp: without_output_dir(), False, "output_dir: missing (or pass --out)"),
     (lambda tmp: {**base_config({"legendre": {}}), "lagrangian": {"text": "0.5*zt^2 - z^6*z"}},
      True, "lagrangian.text: potential degree 7 exceeds maximum 6"),
+    (lambda tmp: surface_config({"kind": "moves", "moves": [[0, 0.05, 1]]}, SWEEPS[1]), True,
+     "surface.schedule_a.moves[0]: expected 2 entries, got [0, 0.05, 1]"),
+    (lambda tmp: with_key(evolve_config(5), "evolve", "methd", "exact"), True,
+     "evolve.methd: unknown key"),
+    (lambda tmp: with_key(base_config({"legendre": {}}), None, "sed", 1), True, "sed: unknown key"),
+    (lambda tmp: with_key(evolve_config(5), "lattice", "qpoints", 8), True,
+     "lattice.qpoints: unknown key"),
+    (lambda tmp: with_key(three_site_ground_state(mass=1.0), ("evolve", "initial"), "widths", [1.0]),
+     True, "evolve.initial.widths: unknown key"),
+    (lambda tmp: surface_config({"kind": "moves", "moves": [[0, 0.05]], "direction": "left_right"},
+                                SWEEPS[1]), True, "surface.schedule_a.direction: unknown key"),
+    (lambda tmp: with_key(classical_config({"t0": [0.0], "t1": [1.0], "z0": [0.3], "z1": [-0.4]}),
+                             ("classical", "boundary"), "spacng", 1.0),
+     True, "classical.boundary.spacng: unknown key"),
 ], ids=["move-site", "ground-state-centers", "negative-mass", "state-lattice", "root-list",
-        "no-output-dir", "degree-by-product"])
+        "no-output-dir", "degree-by-product", "move-entry-length", "evolve-key", "root-key",
+        "lattice-key", "initial-key-of-another-kind", "schedule-key-of-another-kind",
+        "boundary-key"])
 def test_config_errors_print_one_line(tmp_path, capsys, build, out, line):
     """Each config error exits 2 with its one message line on stderr and writes nothing."""
     path = write_config(tmp_path, build(tmp_path))

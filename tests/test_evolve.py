@@ -610,3 +610,13 @@ def test_strang_ladder_past_the_dense_guard_is_second_order():
         out = evolve_strang(op, state, EvolveParams(dt, int(round(0.8 / dt))))
         errors.append(norm(WaveFunctional(cfg, out.psi - reference.psi)))
     assert abs(fit_order(dt_values, errors) - 2.0) <= 0.05
+
+
+@pytest.mark.parametrize("dt,steps,message", [
+    (0.0, 1, "dt must be positive"),
+    (-1e-3, 1, "dt must be positive"),
+    (1e-3, -1, "steps must be nonnegative"),
+], ids=["zero-dt", "negative-dt", "negative-steps"])
+def test_evolve_params_refusals(dt, steps, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EvolveParams(dt, steps)

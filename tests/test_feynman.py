@@ -1,6 +1,7 @@
 """History sums, transfer operators, and the factorization identity."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from fieldlab.feynman import (
     check_enumerable,
     discrete_action,
     feynman_vs_schrodinger,
+    ladder_specs,
 )
 from fieldlab.lagrangian import legendre_transform, parse_lagrangian
 from fieldlab.lattice import (
@@ -290,7 +292,7 @@ def test_pure_kinetic_matches_exact_evolution():
     cfg = LatticeConfig(1, 1.0, 64, 12.0)
     state = init_wavefunctional(GaussianStateSpec((0.0,), widths=(1.0,)), cfg)
     pspec = PathIntegralSpec(0, 0.05, "fresnel_exact")
-    report = feynman_vs_schrodinger(state, pspec, lagr, levels=2)
+    report, _ = feynman_vs_schrodinger(state, ladder_specs(pspec, 2, cfg), lagr)
     assert max(report["distances"]) < 1e-8
 
 
@@ -298,7 +300,7 @@ def test_quartic_first_order_ladder(quartic_lagr):
     cfg = LatticeConfig(1, 1.0, 32, 10.0)
     state = init_wavefunctional(GaussianStateSpec((0.3,), widths=(1.0,)), cfg)
     pspec = PathIntegralSpec(3, 0.05, "fresnel_exact")
-    report = feynman_vs_schrodinger(state, pspec, quartic_lagr, levels=3)
+    report, _ = feynman_vs_schrodinger(state, ladder_specs(pspec, 3, cfg), quartic_lagr)
     d = report["distances"]
     assert d[0] / d[1] >= 1.8
     assert d[1] / d[2] >= 1.8
@@ -309,7 +311,7 @@ def test_zero_time_distance_zero(free_lagr):
     cfg = LatticeConfig(1, 1.0, 16, 8.0)
     state = init_wavefunctional(free_ground_state_covariance(cfg, 1.0), cfg)
     pspec = PathIntegralSpec(0, 0.0, "fresnel_exact")
-    report = feynman_vs_schrodinger(state, pspec, free_lagr, levels=2)
+    report, _ = feynman_vs_schrodinger(state, ladder_specs(pspec, 2, cfg), free_lagr)
     assert report["distances"] == [0.0, 0.0]
     brute = brute_force_amplitudes(state, pspec, free_lagr)
     assert np.max(np.abs(brute - state.psi)) < 1e-12
@@ -355,3 +357,28 @@ def test_history_sum_memory_is_bounded_by_its_block(quartic_lagr, kernel, t_step
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: PathIntegralSpec(-1, 0.1), "t_steps must be nonnegative"),
+    (lambda: PathIntegralSpec(0, -0.1), "dt must be nonnegative"),
+    (lambda: PathIntegralSpec(0, 0.1, "fresnel"), f"kernel must be one of {KERNELS}"),
+    (lambda: ladder_specs(PathIntegralSpec(1, 5e-324, "lagrangian_riemann"), 2,
+                          LatticeConfig(1, 1.0, 8, 6.0)),
+     "ladder level 1 (dt = 5e-324 / 2**1 = 0.0): the lagrangian_riemann kernel needs dt > 0"),
+], ids=["negative-t_steps", "negative-dt", "unknown-kernel", "ladder-step-underflow"])
+def test_path_integral_spec_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("t_steps,dt", [(2, 0.1), (0, 0.3), (4, 0.07), (1, 5e-3)])
+def test_ladder_level_zero_is_the_configured_spec(kernel, t_steps, dt):
+    """Level 0 is the spec itself, and every level spans its total time exactly."""
+    pspec = PathIntegralSpec(t_steps, dt, kernel)
+    specs = ladder_specs(pspec, 4, LatticeConfig(1, 1.0, 8, 6.0))
+    assert specs[0] == pspec
+    assert [spec.dt for spec in specs] == [dt, dt / 2, dt / 4, dt / 8]
+    assert [spec.t_steps + 1 for spec in specs] == [(t_steps + 1) * 2 ** k for k in range(4)]
+    assert all(spec.total_time == pspec.total_time for spec in specs)

@@ -282,3 +282,16 @@ def test_spacelike_bound_is_strict():
     for edge in (1.0, -1.0):
         with pytest.raises(NotSpacelike, match=r"t0 link slopes .* violate \|v\| < 1"):
             spacelike(np.array([0.0, edge]), "t0 link slopes")
+
+
+@pytest.mark.parametrize("spec,error,message", [
+    (GaussianStateSpec((0.0,), widths=(1.0,)), ValueError, "centers must have length 2"),
+    (GaussianStateSpec((0.0, 0.0), widths=(1.0,)), ValueError, "covariance must be 2x2"),
+    (GaussianStateSpec((0.0, 0.0), covariance=((1.0, 0.0, 0.0),) * 3), ValueError,
+     "covariance must be 2x2"),
+    (GaussianStateSpec((0.0, 0.0), covariance=((1.0, 0.0), (0.0, -1.0))),
+     NonPositiveCovariance, "covariance eigenvalues [-1.  1.]"),
+], ids=["centers", "widths", "covariance-shape", "covariance-not-positive"])
+def test_init_wavefunctional_refusals(spec, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        init_wavefunctional(spec, LatticeConfig(2, 1.0, 8, 6.0))

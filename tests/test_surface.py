@@ -1,6 +1,7 @@
 """Single-site deformations, schedules, and the path-independence study."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from fieldlab.surface import (
     SpacelikeSurface,
     SurfaceEvolver,
     integrability_test,
+    shared_endpoints,
 )
 
 
@@ -349,3 +351,45 @@ def test_pair_cache_one_entry_per_slope():
                 schedule = DeformationSchedule.sweep(start, block["total_time"], dt, direction)
                 evolver.run_schedule(state, schedule)
         assert (len(evolver._eig_cache), len(evolver._prop_cache)) == (7, 9), integrator
+
+
+def test_every_ladder_level_ends_on_level_zeros_end():
+    """A sweep advances every site by exactly its total time, and ``refined`` splits each
+    advance into exact parts, so every level of a ladder ends on level 0's end surface."""
+    start = SpacelikeSurface((0.0, 0.1, 0.05))
+    total = 0.3
+    for direction in ("left_right", "right_left"):
+        ladder = [DeformationSchedule.sweep(start, total, dt, direction)
+                  for dt in (0.1, 0.05, 0.03, 0.015, 0.01, 0.003)]
+        assert len({len(sched.moves) for sched in ladder}) == len(ladder)
+        assert all(sched.end() == ladder[0].end() for sched in ladder)
+        assert ladder[0].end().times == tuple(t + Fraction("0.3") for t in start.times)
+        with pytest.raises(ValueError, match="not a multiple"):  # 4 rounds would end at 0.28
+            DeformationSchedule.sweep(start, total, 0.07, direction)
+    moves = [(0, 0.1), (1, -0.05), (2, 0.0), (0, 0.2), (2, 0.07), (1, 0.13)]
+    ladder = [DeformationSchedule.refined(start, moves, dt)
+              for dt in (0.2, 0.07, 0.03, 0.011, 0.007)]
+    assert len({len(sched.moves) for sched in ladder}) == len(ladder)
+    assert all(sched.end() == ladder[0].end() for sched in ladder)
+    assert ladder[0].end().times == (Fraction("0.3"), Fraction("0.18"), Fraction("0.12"))
+
+
+FLAT3 = SpacelikeSurface.flat(3)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: SpacelikeSurface(()), ValueError, "surface needs at least one site"),
+    (lambda: fieldlab.surface._rounds(0.1, 0.0, 3), ValueError, "step 0.0 must be positive"),
+    (lambda: fieldlab.surface._rounds(0.1, -0.05, 3), ValueError, "step -0.05 must be positive"),
+    (lambda: DeformationSchedule.sweep(FLAT3, 0.1, 0.05, "up_down"), ValueError,
+     "unknown direction 'up_down'"),
+    (lambda: SurfaceEvolver(free_setup()[1], LatticeConfig(3, 1.0, 8, 6.0), "euler"), ValueError,
+     "unknown integrator 'euler'"),
+    (lambda: shared_endpoints(DeformationSchedule(FLAT3, ((2, 0.1),)),
+                              DeformationSchedule(SpacelikeSurface((0.0, 0.0, 0.1)), ())),
+     ScheduleMismatch, "schedules start on different surfaces"),
+], ids=["no-sites", "zero-step", "negative-step", "unknown-direction", "unknown-integrator",
+        "different-starts"])
+def test_surface_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
