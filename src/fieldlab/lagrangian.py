@@ -38,6 +38,10 @@ _TOKEN_RE = re.compile(
 )
 
 MAX_DEGREE = 6  # the largest exponent and potential degree the parser accepts
+# monomials are keyed by their (zt, zx, z) exponents, the order the normal form writes;
+# _SYMBOLS holds each symbol's key, _FIELDS the LagrangianSpec field of each term outside V
+_SYMBOLS = {"zt": (1, 0, 0), "zx": (0, 1, 0), "z": (0, 0, 1)}
+_FIELDS = {(2, 0, 0): "kinetic_coeff", (1, 0, 0): "kinetic_linear", (0, 2, 0): "gradient_coeff"}
 # how deep parentheses and unary minus signs may nest; a parenthesis costs the
 # parser four stack frames, so the deepest text stays inside Python's default
 # recursion limit of 1000
@@ -62,7 +66,7 @@ def _tokenize(text: str):
     return tokens
 
 
-def _refuse(iz: int, it: int, ix: int):
+def _refuse(it: int, ix: int, iz: int):
     """Raise the error for the monomial z^iz*zt^it*zx^ix, outside the accepted density."""
     if it > 2:
         raise NonQuadraticKinetic(f"zt power {it} exceeds 2")
@@ -74,7 +78,7 @@ def _refuse(iz: int, it: int, ix: int):
 
 
 class _Poly:
-    """Polynomial in (z, zt, zx) as a monomial-exponent -> coefficient map."""
+    """Polynomial in (zt, zx, z) as a monomial-exponent -> coefficient map."""
 
     __slots__ = ("terms",)
 
@@ -84,11 +88,6 @@ class _Poly:
     @classmethod
     def const(cls, value):
         return cls({(0, 0, 0): float(value)}) if value else cls()
-
-    @classmethod
-    def symbol(cls, which):
-        key = {"z": (1, 0, 0), "zt": (0, 1, 0), "zx": (0, 0, 1)}[which]
-        return cls({key: 1.0})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -107,7 +106,7 @@ class _Poly:
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-                if key[0] > MAX_DEGREE or key[1] > 2 or key[2] > 2:
+                if key[0] > 2 or key[1] > 2 or key[2] > MAX_DEGREE:
                     _refuse(*key)
                 out[key] = out.get(key, 0.0) + va * vb
         return _Poly(out)
@@ -206,8 +205,8 @@ class _Parser:
         if kind == "number":
             return _Poly.const(float(value))
         if kind == "name":
-            if value in ("z", "zt", "zx"):
-                return _Poly.symbol(value)
+            if value in _SYMBOLS:
+                return _Poly({_SYMBOLS[value]: 1.0})
             if value in self.params:
                 return _Poly.const(float(self.params[value]))
             raise LagrangianSyntaxError(f"unknown symbol {value!r}", pos)
@@ -267,33 +266,37 @@ class LagrangianSpec:
 
     def emit(self) -> str:
         """Normal-form text; ``parse_lagrangian(emit())`` reproduces the spec."""
-        terms = []
-        if self.kinetic_coeff:
-            terms.append((self.kinetic_coeff, "zt^2"))
-        if self.kinetic_linear:
-            terms.append((self.kinetic_linear, "zt"))
-        if self.gradient_coeff:
-            terms.append((self.gradient_coeff, "zx^2"))
+        monomials = {key: getattr(self, name) for key, name in _FIELDS.items()}
         for k, coeff in enumerate(self.potential):
-            if coeff:
-                mono = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
-                terms.append((-coeff, mono))
-        return _join_terms(terms)
+            monomials[0, 0, k] = -coeff
+        return _join_terms(monomials, ("zt", "zx", "z"))
 
 
-def _join_terms(terms):
-    if not terms:
-        return "0.0"
+def _join_terms(monomials: dict, names) -> str:
+    """Normal-form text of {exponents of the three ``names``: coefficient}.
+
+    Terms run by the first power descending, then the second descending, then
+    the third ascending; zero coefficients are dropped, and a table without a
+    nonzero coefficient reads ``0.0``.
+    """
     parts = []
-    for i, (coeff, mono) in enumerate(terms):
-        body = repr(float(abs(coeff)))
-        if mono:
-            body = f"{body}*{mono}"
-        if i == 0:
-            parts.append(body if coeff >= 0 else f"-{body}")
-        else:
+    for key in sorted(monomials, key=lambda k: (-k[0], -k[1], k[2])):
+        coeff = monomials[key]
+        if not coeff:
+            continue
+        body = "*".join([repr(float(abs(coeff)))]
+                        + [name if power == 1 else f"{name}^{power}"
+                           for name, power in zip(names, key) if power])
+        if parts:
             parts.append(f"+ {body}" if coeff >= 0 else f"- {body}")
-    return " ".join(parts)
+        else:
+            parts.append(body if coeff >= 0 else f"-{body}")
+    return " ".join(parts) or "0.0"
+
+
+def parameter_names(text: str) -> set[str]:
+    """The names ``text`` reads besides z, zt and zx: the parameters it uses."""
+    return {value for kind, value, _ in _tokenize(text) if kind == "name"} - _SYMBOLS.keys()
 
 
 def parse_lagrangian(text: str, params: dict[str, float] | None = None) -> LagrangianSpec:
@@ -309,31 +312,24 @@ def parse_lagrangian(text: str, params: dict[str, float] | None = None) -> Lagra
     """
     poly = _Parser(_tokenize(text), params or {}).parse()
 
-    kinetic = 0.0
-    kinetic_linear = 0.0
-    gradient = 0.0
+    fields = dict.fromkeys(_FIELDS.values(), 0.0)
     pot = {}
-    for (iz, it, ix), coeff in poly.terms.items():
+    for (it, ix, iz), coeff in poly.terms.items():
         if not math.isfinite(coeff):
             raise NonFiniteCoefficient(f"monomial z^{iz}*zt^{it}*zx^{ix} has coefficient {coeff}")
         if coeff == 0.0:
             continue
-        if (iz, it, ix) == (0, 2, 0):
-            kinetic += coeff
-        elif (iz, it, ix) == (0, 1, 0):
-            kinetic_linear += coeff
-        elif (iz, it, ix) == (0, 0, 2):
-            gradient += coeff
+        if (it, ix, iz) in _FIELDS:
+            fields[_FIELDS[it, ix, iz]] = coeff
         elif it == ix == 0 and iz <= MAX_DEGREE:
-            pot[iz] = pot.get(iz, 0.0) - coeff
+            pot[iz] = -coeff
         else:
-            _refuse(iz, it, ix)
-    if kinetic <= 0.0:
-        raise NonQuadraticKinetic(f"kinetic coefficient {kinetic} is not positive")
+            _refuse(it, ix, iz)
+    if fields["kinetic_coeff"] <= 0.0:
+        raise NonQuadraticKinetic(f"kinetic coefficient {fields['kinetic_coeff']} is not positive")
 
-    degree = max(pot) if pot else -1
-    potential = tuple(pot.get(k, 0.0) for k in range(degree + 1))
-    return LagrangianSpec(kinetic, kinetic_linear, gradient, potential)
+    potential = tuple(pot.get(k, 0.0) for k in range(max(pot, default=-1) + 1))
+    return LagrangianSpec(potential=potential, **fields)
 
 
 @dataclass(frozen=True)
@@ -408,15 +404,8 @@ class HamiltonianDensity:
         """Normal-form text in (p, zx, z), e.g. ``0.5*p^2 + 0.5*zx^2 + 0.5*z^2``."""
         monomials = {(ip, ix, 0): coeff for (ip, ix), coeff in self.coefficients(v).items()}
         for k, coeff in enumerate(self.potential):
-            if coeff:
-                monomials[0, 0, k] = monomials.get((0, 0, k), 0.0) + coeff
-
-        def mono_text(key):
-            return "*".join(name if power == 1 else f"{name}^{power}"
-                            for name, power in zip(("p", "zx", "z"), key) if power)
-
-        items = sorted(monomials.items(), key=lambda kv: (-kv[0][0], -kv[0][1], kv[0][2]))
-        return _join_terms([(coeff, mono_text(key)) for key, coeff in items])
+            monomials[0, 0, k] = monomials.get((0, 0, k), 0.0) + coeff
+        return _join_terms(monomials, ("p", "zx", "z"))
 
 
 def legendre_transform(spec: LagrangianSpec) -> HamiltonianDensity:

@@ -306,15 +306,21 @@ def load_state(path, derivative: str = "spectral") -> WaveFunctional:
     return WaveFunctional(cfg, psi)
 
 
-def state_to_csv(state: WaveFunctional, path, meta_line: str | None = None) -> None:
-    """Flat CSV export (index, re, im); intended for small states."""
-    flat = state.psi.ravel()
+def write_csv(path, columns, rows, meta: dict | None = None) -> None:
+    """A CSV of ``repr`` cells: a run's stamp line from ``meta``, if given, then the
+    column names, then one line per row."""
     with open(path, "w") as fh:
-        if meta_line:
-            fh.write(f"# {meta_line}\n")
-        fh.write("index,re,im\n")
-        for i, amp in enumerate(flat):
-            fh.write(f"{i},{float(amp.real)!r},{float(amp.imag)!r}\n")
+        if meta:
+            fh.write(f"# config_sha256={meta['config_sha256']} version={meta['version']}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def state_to_csv(state: WaveFunctional, path, meta: dict | None = None) -> None:
+    """Flat CSV export (index, re, im), stamped as ``write_csv`` stamps; for small states."""
+    amps = enumerate(state.psi.ravel().tolist())
+    write_csv(path, ("index", "re", "im"), ((i, a.real, a.imag) for i, a in amps), meta)
 
 
 def site_moments(state: WaveFunctional):

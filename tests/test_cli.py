@@ -124,6 +124,34 @@ def test_evolve_zero_steps_round_trips_file(tmp_path):
     assert first_bytes == second_bytes
 
 
+@pytest.mark.parametrize("build,stamped", [
+    (lambda: evolve_config(5), {"trajectory.csv"}),
+    (lambda: surface_config(*SWEEPS), {"integrability.json"}),
+    (lambda: feynman_config(), {"comparison.json", "amplitudes.csv"}),
+    (lambda: classical_config({"t0": [0.0], "t1": [1.0], "z0": [0.3], "z1": [-0.4]}),
+     {"residuals.json", "extremal.csv"}),
+], ids=["evolve", "surface", "feynman", "classical"])
+def test_every_output_carries_the_run_stamp(tmp_path, build, stamped):
+    """Each CSV opens with the config hash and version line; each report holds the hash as
+    ``spec_hash`` and the run's meta as meta.json holds it."""
+    cfg = build()
+    assert run(tmp_path, cfg) == 0
+    out = tmp_path / "out"
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["config_sha256"] == fieldlab.cli.config_hash(cfg)
+    seen = set()
+    for path in out.iterdir():
+        if path.suffix == ".csv":
+            assert path.read_text().splitlines()[0] == (
+                f"# config_sha256={meta['config_sha256']} version={meta['version']}")
+            seen.add(path.name)
+        elif path.suffix == ".json" and path.name != "meta.json":
+            report = json.loads(path.read_text())
+            assert report["spec_hash"] == meta["config_sha256"] and report["meta"] == meta
+            seen.add(path.name)
+    assert seen == stamped
+
+
 def test_evolve_trajectory_columns(tmp_path):
     assert run(tmp_path, evolve_config(10)) == 0
     lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
@@ -458,6 +486,22 @@ def test_feynman_identity_flag(tmp_path):
     for line in amps[2:]:  # plain float reprs, no numpy scalar wrapper
         _, re_part, im_part = line.split(",")
         assert [repr(float(re_part)), repr(float(im_part))] == [re_part, im_part]
+
+
+def test_feynman_identity_is_judged_against_the_amplitudes_scale(tmp_path):
+    """The Riemann kernel's unnormalized amplitudes reach 83 here; the history sum and the
+    transfer steps agree to roundoff at that scale, about 1e-12 absolute."""
+    cfg = feynman_config(dt=0.05, kernel="lagrangian_riemann", identity="force")
+    cfg["lagrangian"] = {"text": "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4", "params": {}}
+    cfg["lattice"]["n_sites"] = 2
+    cfg["feynman"]["initial"] = {"kind": "gaussian", "centers": [0.0, 0.0], "widths": [1.0, 1.0]}
+    assert run(tmp_path, cfg) == 0
+    identity = json.loads((tmp_path / "out" / "comparison.json").read_text())["identity"]
+    rows = np.loadtxt(tmp_path / "out" / "amplitudes.csv", delimiter=",", skiprows=2)
+    scale = np.abs(rows[:, 1] + 1j * rows[:, 2]).max()
+    assert 80.0 < scale < 90.0
+    assert 1e-12 < identity["max_abs_err"] <= 1e-12 * scale
+    assert identity["passes_1e12"] is True
 
 
 def test_feynman_level_zero_is_the_configured_run(tmp_path, monkeypatch):
@@ -875,10 +919,16 @@ def without_output_dir():
     (lambda tmp: with_key(classical_config({"t0": [0.0], "t1": [1.0], "z0": [0.3], "z1": [-0.4]}),
                              ("classical", "boundary"), "spacng", 1.0),
      True, "classical.boundary.spacng: unknown key"),
+    (lambda tmp: with_key(base_config({"legendre": {}}), "lagrangian", "params",
+                          {"m": 1.0, "mm": 2.0}), True,
+     "lagrangian.params.mm: not used by lagrangian.text"),
+    (lambda tmp: with_key(base_config({"legendre": {}}), "lagrangian", "text",
+                          "0.5*zt^2 - 0.5*zx^2 - 0.5*z^2"), True,
+     "lagrangian.params.m: not used by lagrangian.text"),
 ], ids=["move-site", "ground-state-centers", "negative-mass", "state-lattice", "root-list",
         "no-output-dir", "degree-by-product", "move-entry-length", "evolve-key", "root-key",
         "lattice-key", "initial-key-of-another-kind", "schedule-key-of-another-kind",
-        "boundary-key"])
+        "boundary-key", "unused-param", "param-dropped-from-text"])
 def test_config_errors_print_one_line(tmp_path, capsys, build, out, line):
     """Each config error exits 2 with its one message line on stderr and writes nothing."""
     path = write_config(tmp_path, build(tmp_path))
@@ -979,7 +1029,7 @@ def test_non_finite_lattice_number_rejected(tmp_path, capsys):
 def test_long_exponent_literal(tmp_path, capsys, exponent, code):
     """An exponent literal past int()'s 4,300-digit limit is read by its significant digits."""
     cfg = base_config({"legendre": {}})
-    cfg["lagrangian"]["text"] = f"0.5*zt^2 - z^{exponent}"
+    cfg["lagrangian"] = {"text": f"0.5*zt^2 - z^{exponent}", "params": {}}
     assert run(tmp_path, cfg) == code
     if code == 0:
         cfg["lagrangian"]["text"] = "0.5*zt^2 - z^2"

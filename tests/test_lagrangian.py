@@ -410,6 +410,48 @@ def test_diagonal_density():
             density.to_lagrangian()
 
 
+@pytest.mark.parametrize("density,v,text", [
+    (diagonal_density(), 0.0, "0.0"),
+    (diagonal_density(0.0, (0.0, -0.0)), 0.7, "0.0"),
+    (diagonal_density(0.3, (0.0, -0.0, 0.5)), 0.7, "-0.3*zx^2 + 0.5*z^2"),
+    (legendre_transform(LagrangianSpec(0.5, 0.0, -0.5, (-0.0, 0.0, 0.5))), -0.7,
+     "0.9803921568627451*p^2 + 1.372549019607843*p*zx + 0.980392156862745*zx^2 + 0.5*z^2"),
+    # the constant c1^2/(4 c2) = 0.5 cancels V(0) = -0.5: a zero term is not written
+    (legendre_transform(parse_lagrangian("0.5*zt^2 + zt + 0.5 - 0.5*z^2")), 0.0,
+     "0.5*p^2 - 1.0*p + 0.5*z^2"),
+], ids=["empty", "zero-potential", "diagonal", "sloped", "cancelled-constant"])
+def test_hamiltonian_normal_form(density, v, text):
+    """Terms by p power, then zx power descending, then z power ascending; zero
+    coefficients dropped, and ``0.0`` for a density with no term."""
+    assert density.emit(v) == text
+
+
+@pytest.mark.parametrize("spec,text", [
+    (LagrangianSpec(0.5, -0.0, 0.0, (0.0, 0.0, -0.0, -1.0)), "0.5*zt^2 + 1.0*z^3"),
+    (LagrangianSpec(2.0, 0.25, -1e-300, (-3e17, 0.0, 0.5)),
+     "2.0*zt^2 + 0.25*zt - 1e-300*zx^2 + 3e+17 - 0.5*z^2"),
+    (LagrangianSpec(0.0, -0.7), "-0.7*zt"),
+    (LagrangianSpec(0.0), "0.0"),
+], ids=["zero-potential-terms", "every-field", "linear-only", "empty"])
+def test_lagrangian_normal_form(spec, text):
+    assert spec.emit() == text
+
+
+@pytest.mark.parametrize("text", ["0.5*zt^2 + z^3 - z^3", "0.5*zt^2 + 0*z^3",
+                                  "0.5*zt^2 + zx^2 - zx^2 + 0*zt"])
+def test_cancelled_monomials_leave_no_coefficient(text):
+    """A monomial whose coefficient sums to zero is dropped, not kept as a zero coefficient."""
+    assert parse_lagrangian(text) == LagrangianSpec(0.5, 0.0, 0.0, ())
+    assert parse_lagrangian(text).emit() == "0.5*zt^2"
+
+
+def test_to_lagrangian_trims_trailing_zero_potential():
+    density = legendre_transform(LagrangianSpec(0.5, 0.0, 0.0, (0.0, 0.5, 0.0, -0.0)))
+    spec = density.to_lagrangian()
+    assert spec.potential == (0.0, 0.5)
+    assert spec.emit() == "0.5*zt^2 - 0.5*z"
+
+
 @pytest.mark.parametrize("g", [-0.5, 0.0, 0.5])
 def test_slope_with_no_finite_square(g):
     """A slope whose square overflows is refused before the table holds inf or NaN."""

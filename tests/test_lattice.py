@@ -229,6 +229,10 @@ def test_serialization_round_trip(tmp_path, rng):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "index,re,im"
     assert len(lines) == 1 + cfg.dim
+    flat = state.psi.ravel()
+    assert lines[1:] == [f"{i},{float(a.real)!r},{float(a.imag)!r}" for i, a in enumerate(flat)]
+    state_to_csv(state, csv_path, {"config_sha256": "ab12", "version": "9.9", "seed": 3})
+    assert csv_path.read_text().splitlines() == ["# config_sha256=ab12 version=9.9"] + lines
 
 
 @pytest.mark.parametrize("keep", [0, 20, 40, 40 + 16 * 63, 40 + 16 * 65])
