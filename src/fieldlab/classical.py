@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, NewtonDivergence, SingularBVP
 from .lagrangian import LagrangianSpec, legendre_transform
-from .lattice import field_action, link_difference, spacelike
+from .lattice import field_action, link_difference, refinement_verdict, spacelike
 
 COND_LIMIT = 1e12
 NEWTON_TOL = 1e-10
@@ -642,16 +642,16 @@ def reparameterization_check(base: ExtremalSolution) -> dict:
 
     Cyclic and reflected site orders are exact symmetries of the periodic
     lattice (reflection needs the zx-even densities this grammar produces);
-    the refinement ratio quantifies the O(dt^2) discretization movement.
+    the refinement ratio of successive action differences (``refinement_verdict``'s,
+    signed) quantifies the O(dt^2) discretization movement.
     A relabeling that maps the surfaces onto themselves (flat ones, say)
     re-solves on ``base``'s grid; the other solves build their own.
     """
     bd, dt_c, s_base = base.bd, base.dt_c, base.action
     s_cyclic, s_parity, s_shift, s_half, s_quarter = (
         _resolve(base, varied, dt).action for varied, dt in reparameterizations(bd, dt_c))
-    diff_1 = s_base - s_half
-    diff_2 = s_half - s_quarter
-    ratio = diff_1 / diff_2 if diff_2 != 0.0 else None  # undefined, reported as null
+    (ratio,), _, _ = refinement_verdict((dt_c, dt_c / 2.0),
+                                        (s_base - s_half, s_half - s_quarter))
     return {
         "action": s_base,
         "cyclic_diff": abs(s_cyclic - s_base),

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import DimensionTooLarge, EnumerationTooLarge, ShapeMismatch
 from .evolve import MAX_STEPS, ExactPropagator
 from .lagrangian import LagrangianSpec, legendre_transform
-from .lattice import LatticeConfig, WaveFunctional, field_action, fit_order, norm
+from .lattice import (ROUNDOFF_FLOOR, LatticeConfig, WaveFunctional, field_action, norm,
+                      refinement_verdict)
 from .operators import _trotter_steps, check_dense, compile_hamiltonian
 
 ENUMERATION_GUARD = 2 ** 22
@@ -222,9 +223,9 @@ def feynman_vs_schrodinger(state: WaveFunctional, specs: list[PathIntegralSpec],
     """Transfer-operator evolution down a ``ladder_specs`` ladder against the exact exponential.
 
     Returns the report and level 0's transfer state.  The report carries L2
-    distances, the fitted order in dt, and a flag for each level whose distance
-    grew as dt halved (a ladder that diverges, not a failure).  At zero total
-    time every distance is 0, and only level 0 is evolved.
+    distances, ``refinement_verdict``'s fitted order in dt, and a flag for each level
+    whose distance grew past ROUNDOFF_FLOOR as dt halved (a ladder that diverges, not
+    a failure).  At zero total time every distance is 0, and only level 0 is evolved.
     """
     cfg, total_time = state.cfg, specs[0].total_time
     if total_time:
@@ -237,13 +238,14 @@ def feynman_vs_schrodinger(state: WaveFunctional, specs: list[PathIntegralSpec],
         evolved = [TransferOperator(specs[0], lagr, cfg).evolve(state)]
         distances = [0.0] * len(specs)
     dt_values = [spec.dt for spec in specs]
+    _, _, order = refinement_verdict(dt_values, distances)
     flags = [f"level {i}: distance grew from {distances[i - 1]:.3e} to {distances[i]:.3e} "
              f"as dt halved to {dt_values[i]}"
-             for i in range(1, len(specs)) if distances[i] > distances[i - 1]]
+             for i in range(1, len(specs)) if distances[i] > max(distances[i - 1], ROUNDOFF_FLOOR)]
     return {
         "dt_values": dt_values,
         "distances": distances,
-        "fitted_order": fit_order(dt_values, distances),
+        "fitted_order": order,
         "flags": flags,
         "kernel": specs[0].kernel,
         "total_time": total_time,

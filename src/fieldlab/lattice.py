@@ -25,6 +25,7 @@ from .errors import (
 )
 
 MEMORY_GUARD = 2 ** 24
+ROUNDOFF_FLOOR = 1e-14  # a refinement error at most this is roundoff
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,16 @@ def field_action(z, lagr, spacing: float, steps, rule: tuple[float, float], slop
     return cells.sum(axis=(-2, -1))
 
 
-def fit_order(dt_values, errors) -> float:
-    """Least-squares slope of log error against log dt; 0.0 without two distinct usable dt."""
-    dt_values, errors = np.asarray(dt_values, dtype=float), np.asarray(errors, dtype=float)
-    mask = np.isfinite(errors) & (errors > 0) & (dt_values > 0)
-    if np.unique(dt_values[mask]).size < 2:
-        return 0.0
-    return float(np.polyfit(np.log(dt_values[mask]), np.log(errors[mask]), 1)[0])
+def refinement_verdict(steps, errors) -> tuple[list, bool, float]:
+    """A ladder's ratios e_i / e_(i+1) (sign kept, None over a zero e_(i+1)), whether it is
+    degenerate (every |e_i| at most ROUNDOFF_FLOOR), and its fitted order, the slope of log e
+    against log step: 0.0 when degenerate or short of two distinct steps > 0 with finite e > 0."""
+    ratios = [e / finer if finer != 0 else None for e, finer in zip(errors, errors[1:])]
+    degenerate = all(abs(e) <= ROUNDOFF_FLOOR for e in errors)
+    usable = [(step, e) for step, e in zip(steps, errors) if step > 0 and 0 < e < math.inf]
+    if degenerate or len({step for step, _ in usable}) < 2:
+        return ratios, degenerate, 0.0
+    return ratios, degenerate, float(np.polyfit(*np.log(usable).T, 1)[0])
 
 
 def spacelike(slopes: np.ndarray, what: str = "link slopes") -> np.ndarray:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DimensionTooLarge, ScheduleMismatch
 from .lagrangian import HamiltonianDensity
-from .lattice import LatticeConfig, WaveFunctional, fit_order, link_difference, norm, spacelike
+from .lattice import (ROUNDOFF_FLOOR, LatticeConfig, WaveFunctional, link_difference, norm,
+                      refinement_verdict, spacelike)
 from .operators import compile_hamiltonian
 
 MAX_MOVES = 10_000  # moves in one schedule; the largest committed ladder builds 48
@@ -213,10 +214,10 @@ def integrability_test(state: WaveFunctional, density: HamiltonianDensity,
     ``schedules`` holds one (schedule_a, schedule_b) pair per step of
     ``dt_values``, the ladder that ``DeformationSchedule.sweep`` or ``refined``
     builds; each pair must share its start and end surfaces (``shared_endpoints``).
-    The report carries the L2 discrepancies, consecutive-halving ratios, the
-    fitted convergence order, and flags for any ratio below ``ratio_floor`` (a
-    flagged run is a reported finding, not a failure: path independence here is
-    a conjecture).
+    The report carries the L2 discrepancies, ``refinement_verdict``'s ratios,
+    fitted order and ``degenerate`` verdict, and flags each ratio below ``ratio_floor``
+    whose coarser discrepancy is above ROUNDOFF_FLOOR (a flagged run is a reported
+    finding, not a failure: path independence here is a conjecture).
     """
     dt_values = [float(dt) for dt in dt_values]
     for pair in schedules:
@@ -228,19 +229,11 @@ def integrability_test(state: WaveFunctional, density: HamiltonianDensity,
         psi_b = evolver.run_schedule(state, sched_b).psi
         discrepancies.append(norm(WaveFunctional(state.cfg, psi_a - psi_b)))
 
-    ratios = []
-    flags = []
-    for i in range(len(discrepancies) - 1):
-        later = discrepancies[i + 1]
-        ratio = discrepancies[i] / later if later > 0 else None  # undefined, reported as null
-        ratios.append(ratio)
-        if ratio is not None and ratio < ratio_floor and discrepancies[i] > 1e-14:
-            flags.append(
-                f"ratio {ratio:.3f} between dt={dt_values[i]} and dt={dt_values[i + 1]} "
-                f"below floor {ratio_floor}"
-            )
-    degenerate = all(d <= 1e-14 for d in discrepancies)
-    order = 0.0 if degenerate else fit_order(dt_values, discrepancies)
+    ratios, degenerate, order = refinement_verdict(dt_values, discrepancies)
+    flags = [f"ratio {ratio:.3f} between dt={dt_values[i]} and dt={dt_values[i + 1]} "
+             f"below floor {ratio_floor}"
+             for i, ratio in enumerate(ratios)
+             if ratio is not None and ratio < ratio_floor and discrepancies[i] > ROUNDOFF_FLOOR]
     return {
         "dt_values": dt_values,
         "discrepancies": discrepancies,

@@ -22,6 +22,7 @@ from fieldlab.cli import SCHEMA, main
 from fieldlab.errors import ConfigError
 from fieldlab.lagrangian import parse_lagrangian
 from fieldlab.lattice import (
+    ROUNDOFF_FLOOR,
     LatticeConfig,
     WaveFunctional,
     free_ground_state_covariance,
@@ -571,6 +572,19 @@ def test_feynman_flags_levels_whose_distance_grows(tmp_path, kernel, flagged):
     grew = [i for i in (1, 2) if report["distances"][i] > report["distances"][i - 1]]
     assert grew == flagged
     assert [int(flag.split(":")[0].split()[1]) for flag in report["flags"]] == flagged
+
+
+def test_feynman_roundoff_ladder_is_degenerate(tmp_path):
+    """The fresnel_exact step is exact for 0.5*zt^2: four distances of 5.6e-15 to 6.2e-15 are
+    roundoff, so the ladder is degenerate and its growth is not flagged."""
+    cfg = json.loads((CONFIGS / "feynman_quartic.json").read_text())
+    cfg["lagrangian"] = {"text": "0.5*zt^2", "params": {}}
+    cfg["feynman"]["levels"] = 4
+    assert run(tmp_path, cfg) == 0
+    report = json.loads((tmp_path / "out" / "comparison.json").read_text())
+    assert max(report["distances"]) <= ROUNDOFF_FLOOR
+    assert report["flags"] == []
+    assert report["fitted_order"] == 0.0
 
 
 def test_feynman_oversized_enumeration(tmp_path, capsys):

@@ -22,10 +22,10 @@ from fieldlab.lattice import (
     LatticeConfig,
     WaveFunctional,
     free_ground_state_covariance,
-    fit_order,
     init_wavefunctional,
     norm,
     normalize,
+    refinement_verdict,
     site_moments,
 )
 from fieldlab.operators import DENSE_GUARD, compile_hamiltonian
@@ -609,7 +609,7 @@ def test_strang_ladder_past_the_dense_guard_is_second_order():
     for dt in dt_values:
         out = evolve_strang(op, state, EvolveParams(dt, int(round(0.8 / dt))))
         errors.append(norm(WaveFunctional(cfg, out.psi - reference.psi)))
-    assert abs(fit_order(dt_values, errors) - 2.0) <= 0.05
+    assert abs(refinement_verdict(dt_values, errors)[2] - 2.0) <= 0.05
 
 
 @pytest.mark.parametrize("dt,steps,message", [

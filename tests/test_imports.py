@@ -65,6 +65,14 @@ def test_run_loads_no_other_command_modules(tmp_path, config, own):
     assert set(loaded) & COMMAND_MODULES == own
 
 
+@pytest.mark.parametrize("config", ["surface_sweeps", "feynman_quartic"])
+def test_ladder_runs_leave_numpy_ma_unloaded(tmp_path, config):
+    """A refinement verdict counts distinct steps without ``np.unique``, which imports
+    ``numpy.ma`` (11-18 ms of a run's start)."""
+    loaded = modules_after(RUN, str(CONFIGS / f"{config}.json"), str(tmp_path / "out"))
+    assert "numpy.ma" not in loaded
+
+
 def classical_checks_config(tmp_path) -> Path:
     """A 2-site quartic classical config that runs both checks."""
     config = json.loads((CONFIGS / "classical_oscillator.json").read_text())

@@ -1,6 +1,7 @@
-"""Grid, state storage, Gaussian initial data, and serialization."""
+"""Grid, state storage, Gaussian initial data, serialization, and refinement verdicts."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fieldlab.errors import (
 )
 from fieldlab.lagrangian import legendre_transform
 from fieldlab.lattice import (
+    ROUNDOFF_FLOOR,
     GaussianStateSpec,
     LatticeConfig,
     WaveFunctional,
@@ -25,6 +27,7 @@ from fieldlab.lattice import (
     load_state,
     norm,
     normalize,
+    refinement_verdict,
     save_state,
     site_moments,
     spacelike,
@@ -286,6 +289,29 @@ def test_spacelike_bound_is_strict():
     for edge in (1.0, -1.0):
         with pytest.raises(NotSpacelike, match=r"t0 link slopes .* violate \|v\| < 1"):
             spacelike(np.array([0.0, edge]), "t0 link slopes")
+
+
+# (steps, errors) -> (ratios, degenerate, fitted order), the edges the command reports pin
+@pytest.mark.parametrize("steps,errors,verdict", [
+    ([0.05, 0.025], [0.0, 0.0], ([None], True, 0.0)),
+    ([0.05, 0.05], [0.3, 0.3], ([1.0], False, 0.0)),
+    ([5e-324, 5e-324 / 2], [0.2, 0.1], ([2.0], False, 0.0)),
+    ([1e-2, 5e-3], [-4e-6, 1e-6], ([-4.0], False, 0.0)),
+    ([1e-2, 5e-3], [-4e-6, -1e-6], ([4.0], False, 0.0)),
+    ([0.1, 0.05, 0.025, 0.0125], [5.65e-15, 5.64e-15, 5.87e-15, 6.22e-15],
+     ([5.65e-15 / 5.64e-15, 5.64e-15 / 5.87e-15, 5.87e-15 / 6.22e-15], True, 0.0)),
+    ([0.1, 0.05, 0.025], [ROUNDOFF_FLOOR, -ROUNDOFF_FLOOR, 0.0], ([-1.0, None], True, 0.0)),
+    ([0.1, 0.05], [0.0, 2 * ROUNDOFF_FLOOR], ([0.0], False, 0.0)),
+    ([0.1, 0.05, 0.025], [8e-3, 2e-3, 5e-4], ([4.0, 4.0], False, 2.0)),
+], ids=["zero-over-zero", "repeated-step", "subnormal-step-halves-to-zero", "signed-ratio",
+        "negative-errors", "roundoff-ladder", "at-the-floor", "one-error-above-the-floor", "second-order"])
+def test_refinement_verdict_edges(steps, errors, verdict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a repeated step leaves polyfit nothing to fit: no RankWarning
+        ratios, degenerate, order = refinement_verdict(steps, errors)
+    assert ratios == verdict[0]
+    assert degenerate is verdict[1]
+    assert order == pytest.approx(verdict[2], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("spec,error,message", [

@@ -306,6 +306,8 @@ def test_integrability_potential_only():
     pairs = sweep_pairs(SpacelikeSurface.flat(3), 0.1, [0.05, 0.025])
     report = integrability_test(state, density, pairs, [0.05, 0.025])
     assert max(report["discrepancies"]) <= 1e-12
+    # roundoff discrepancies (about 5e-17) whose ratio is below the floor raise no flag
+    assert report["degenerate"] and report["fitted_order"] == 0.0 and report["flags"] == []
 
 
 def test_integrability_free_field_first_order():
