@@ -31,6 +31,7 @@ MAX_STEPS = 100_000  # time steps in one run; committed configs and benchmarks t
 LANCZOS_MAXITER = 500  # products on H in one Crank-Nicolson Lanczos run
 LANCZOS_STORE = 12  # Lanczos vectors held at once; a longer run remakes the rest
 RUN_STEPS = 32  # Cayley steps one Lanczos run considers; its small-space work is k x steps
+SECTOR_CHUNK = 64  # rows of a momentum-sector block filled at once
 
 
 @dataclass
@@ -78,16 +79,29 @@ def _sector_block(mat: np.ndarray, orbits: np.ndarray, k: int, scale: np.ndarray
     """H_k[a, b] = s_a s_b sum_m w^(k m) mat[r_a, S^m r_b], w = exp(2 pi i / M), over the
     orbit columns ``orbits`` (M, R_k) with s = sqrt(L / M), L the orbit lengths.
 
-    Real when ``mat`` is and w^k = +-1.
+    Real when ``mat`` is and w^k = +-1.  Filled in place ``SECTOR_CHUNK`` rows at a
+    time, so its only temporaries are one chunk's; each entry takes the operations of
+    the whole-matrix sum in its order, so the block is bit for bit the same.
     """
-    m_order, reps = len(orbits), orbits[0]
-    block = mat[np.ix_(reps, reps)]
-    for m in range(1, m_order):
-        turns = 2 * k * m / m_order  # w^(k m) = exp(i pi turns)
-        phase = (-1.0) ** turns if turns.is_integer() else np.exp(1j * np.pi * turns)
-        block = block + phase * mat[np.ix_(reps, orbits[m])]
-    block *= scale[:, None]
-    block *= scale
+    turns = [2 * k * m / len(orbits) for m in range(1, len(orbits))]  # w^(k m) = exp(i pi turns)
+    phases = [(-1.0) ** t if t.is_integer() else np.exp(1j * np.pi * t) for t in turns]
+    real = np.isrealobj(mat)  # then a real phase only adds or subtracts
+    reps = orbits[0]
+    block = np.empty((len(reps), len(reps)), dtype=np.result_type(mat, *phases))
+    for lo in range(0, len(reps), SECTOR_CHUNK):
+        rows, chunk = reps[lo:lo + SECTOR_CHUNK], block[lo:lo + SECTOR_CHUNK]
+        chunk[...] = mat[np.ix_(rows, reps)]
+        for phase, cols in zip(phases, orbits[1:]):
+            term = mat[np.ix_(rows, cols)]
+            if real and phase == 1.0:
+                chunk += term
+            elif real and phase == -1.0:
+                chunk -= term
+            else:
+                chunk += phase * term
+            del term  # freed before the next gather
+        chunk *= scale[lo:lo + SECTOR_CHUNK, None]
+        chunk *= scale
     return block
 
 
@@ -215,8 +229,12 @@ def _cayley_steps(hamiltonian: LatticeHamiltonian, psi: np.ndarray, alpha: float
                         _lanczos_vector(hamiltonian.apply(v), v, v_prev, i - 1, a, b))
         for state, c in zip(states, row):
             state += np.multiply(c, v, out=term)
+    del basis, v, v_prev, w  # the store, whose rows these may view, is freed before the check
     new, old = states[-2:]
-    residual = _norm(new - old + 1j * alpha * hamiltonian.apply(new + old))
+    # new - old + 1j alpha H(new + old), in the operations of that expression, in ``term``
+    product = hamiltonian.apply(np.add(new, old, out=term))
+    product *= 1j * alpha
+    residual = _norm(np.add(np.subtract(new, old, out=term), product, out=term))
     if not residual <= tol * psi_norm:
         raise SolverDivergence(f"crank-nicolson residual {residual:.3g} above {tol * psi_norm:.3g}")
     return [*zip(inside, states), (taken, new)]
@@ -271,12 +289,6 @@ def evolve_strang(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
                   params: EvolveParams) -> WaveFunctional:
     """The state after ``params.steps`` Strang steps h K h, K P the Lie-Trotter step."""
     return list(trajectory(hamiltonian, state, "strang", params, params.steps or 1))[-1][1]
-
-
-def evolve_crank_nicolson(hamiltonian: LatticeHamiltonian, state: WaveFunctional,
-                          params: EvolveParams) -> WaveFunctional:
-    """The state after ``params.steps`` Cayley steps, up to ``RUN_STEPS`` per Lanczos run."""
-    return list(trajectory(hamiltonian, state, "crank_nicolson", params, params.steps or 1))[-1][1]
 
 
 def observables(state: WaveFunctional, hamiltonian: LatticeHamiltonian) -> dict:

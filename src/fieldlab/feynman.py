@@ -229,7 +229,7 @@ def feynman_vs_schrodinger(state: WaveFunctional, specs: list[PathIntegralSpec],
     """
     cfg, total_time = state.cfg, specs[0].total_time
     if total_time:
-        # the dense propagator first; after the transfer runs, peak RSS rose 0.3 MB (N=2, Q=32)
+        # the dense propagator first; after the transfer runs, peak RSS rose 0.4 MB (N=2, Q=32)
         density = legendre_transform(lagr)
         exact = ExactPropagator(compile_hamiltonian(density, cfg)).propagate(state, total_time)
         evolved = [TransferOperator(spec, lagr, cfg).evolve(state) for spec in specs]

@@ -139,7 +139,8 @@ class SurfaceEvolver:
     V g(w) V^H block by block: g is the exponential for ``'exact'`` and the
     Cayley factor of one Crank-Nicolson step, solved exactly, for
     ``'crank_nicolson'``.  Slopes are rounded once from exact times, so
-    equal slopes share one cache entry.
+    equal slopes share one cache entry.  The eigh cache lives as long as the
+    evolver; ``keep_steps`` drops the propagators of steps no later move takes.
     """
 
     def __init__(self, density: HamiltonianDensity, cfg: LatticeConfig, integrator: str):
@@ -165,6 +166,10 @@ class SurfaceEvolver:
             g = np.exp(-1j * x) if self.integrator == "exact" else (1 - 0.5j * x) / (1 + 0.5j * x)
             self._prop_cache[key] = (vecs * g[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
         return self._prop_cache[key]
+
+    def keep_steps(self, steps) -> None:
+        """Drop the cached propagators of every step outside ``steps``."""
+        self._prop_cache = {key: u for key, u in self._prop_cache.items() if key[1] in steps}
 
     def deform_step(self, state: WaveFunctional, surface: SpacelikeSurface,
                     site: int, dt) -> WaveFunctional:
@@ -217,17 +222,21 @@ def integrability_test(state: WaveFunctional, density: HamiltonianDensity,
     The report carries the L2 discrepancies, ``refinement_verdict``'s ratios,
     fitted order and ``degenerate`` verdict, and flags each ratio below ``ratio_floor``
     whose coarser discrepancy is above ROUNDOFF_FLOOR (a flagged run is a reported
-    finding, not a failure: path independence here is a conjecture).
+    finding, not a failure: path independence here is a conjecture).  Once a level
+    is run, the propagators of the steps no later level takes are dropped, so the
+    ladder holds about one level of them and builds each once.
     """
     dt_values = [float(dt) for dt in dt_values]
     for pair in schedules:
         shared_endpoints(*pair)
+    steps = [{float(dt) for sched in pair for _, dt in sched.moves} for pair in schedules]
     evolver = SurfaceEvolver(density, state.cfg, integrator)
     discrepancies = []
-    for sched_a, sched_b in schedules:
+    for i, (sched_a, sched_b) in enumerate(schedules):
         psi_a = evolver.run_schedule(state, sched_a).psi
         psi_b = evolver.run_schedule(state, sched_b).psi
         discrepancies.append(norm(WaveFunctional(state.cfg, psi_a - psi_b)))
+        evolver.keep_steps(set().union(*steps[i + 1:]))
 
     ratios, degenerate, order = refinement_verdict(dt_values, discrepancies)
     flags = [f"ratio {ratio:.3f} between dt={dt_values[i]} and dt={dt_values[i + 1]} "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fieldlab.evolve import trajectory
 from fieldlab.lagrangian import parse_lagrangian
 
 
@@ -32,6 +33,13 @@ def kinetic_phase(op, dt):
     for term in op.terms:
         mult = mult + term.mult.reshape(cfg.axis_shape(term.site))
     return np.exp(-1j * dt * mult / cfg.hbar)
+
+
+def evolved(op, state, method, params):
+    """The state after ``params.steps`` steps of ``method``: the last row of a ``trajectory``
+    that logs its end alone."""
+    *_, (_, out) = trajectory(op, state, method, params, max(params.steps, 1))
+    return out
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from fieldlab.evolve import (
     EvolveParams,
     ExactPropagator,
     crank_nicolson_step,
-    evolve_crank_nicolson,
     evolve_strang,
 )
 from fieldlab.feynman import (PathIntegralSpec, TransferOperator, brute_force_amplitudes,
@@ -42,6 +41,8 @@ from fieldlab.lattice import (
 )
 from fieldlab.operators import compile_hamiltonian
 from fieldlab.surface import DeformationSchedule, SpacelikeSurface, integrability_test
+
+from conftest import evolved
 
 FREE = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*m^2*z^2", {"m": 1.0})
 QUARTIC = parse_lagrangian("0.5*zt^2 - 0.5*zx^2 - 0.5*z^2 - 0.1*z^4")
@@ -131,7 +132,7 @@ def test_criterion_3_flat_evolution():
         for dt in (1e-3, 5e-4):
             steps = int(round(1.0 / dt))
             s_out = evolve_strang(op, state, EvolveParams(dt, steps))
-            c_out = evolve_crank_nicolson(op, state, EvolveParams(dt, steps))
+            c_out = evolved(op, state, "crank_nicolson", EvolveParams(dt, steps))
             errors["strang"].append(norm(WaveFunctional(cfg, s_out.psi - exact.psi)))
             errors["crank_nicolson"].append(norm(WaveFunctional(cfg, c_out.psi - exact.psi)))
             if dt == 1e-3:

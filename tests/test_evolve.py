@@ -1,5 +1,7 @@
 """Integrator hierarchy: exact exponential, Strang splitting, Crank-Nicolson."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from fieldlab.evolve import (
     EvolveParams,
     ExactPropagator,
     crank_nicolson_step,
-    evolve_crank_nicolson,
     evolve_strang,
     observables,
     trajectory,
@@ -30,7 +31,7 @@ from fieldlab.lattice import (
 )
 from fieldlab.operators import DENSE_GUARD, compile_hamiltonian
 
-from conftest import gaussian_reference, kinetic_phase
+from conftest import evolved, gaussian_reference, kinetic_phase
 
 
 def coherent_center(t, z0, omega=1.0):
@@ -109,6 +110,57 @@ def test_exact_momentum_sectors_match_dense_eigh(text, n, a, q, lq, v_sites, sit
     expected = vecs @ (np.exp(-0.7j * w) * (vecs.conj().T @ state.psi.ravel()))
     assert np.max(np.abs(prop.propagate(state, 0.7).psi.ravel() - expected)) < 1e-12
     assert abs(prop.ground_energy() - w[0]) < 1e-12
+
+
+def whole_sector_block(mat, orbits, k, scale):
+    """The momentum-sector block summed over whole (R, R) gathers, term by term."""
+    m_order, reps = len(orbits), orbits[0]
+    block = mat[np.ix_(reps, reps)]
+    for m in range(1, m_order):
+        turns = 2 * k * m / m_order
+        phase = (-1.0) ** turns if turns.is_integer() else np.exp(1j * np.pi * turns)
+        block = block + phase * mat[np.ix_(reps, orbits[m])]
+    block *= scale[:, None]
+    block *= scale
+    return block
+
+
+@pytest.mark.parametrize("text,n,q,sites,order", [
+    (FREE_TEXT, 1, 32, None, 1),
+    (DRIFT_TEXT, 3, 8, [0], 1),
+    (FREE_TEXT, 2, 32, None, 2),
+    (DRIFT_TEXT, 2, 16, None, 2),
+    (FREE_TEXT + " - 0.1*z^4", 3, 8, None, 3),
+    (DRIFT_TEXT, 3, 8, None, 3),
+], ids=["m1", "m1-drift", "m2", "m2-drift", "m3-quartic", "m3-drift"])
+def test_sector_block_is_built_in_place_bit_for_bit(text, n, q, sites, order):
+    """Chunked sector blocks equal the whole-matrix sum bit for bit, and building one
+    holds no more than the block, one chunk's gather and phased copy, and NumPy's
+    fixed-size iteration buffers.
+
+    The whole sum holds two or three (R, R) temporaries at once.  R = 528, 176
+    and 136 are not multiples of the chunk.
+    """
+    cfg = LatticeConfig(n, 1.0, q, 6.0)
+    op = compile_hamiltonian(legendre_transform(parse_lagrangian(text)), cfg, sites=sites)
+    mat = op.dense_matrix()
+    orbits = evolve._shift_orbits(cfg, op.translation_invariant)
+    assert len(orbits) == order
+    length = order // np.sum(orbits == orbits[0], axis=0)
+    for k in range(order):
+        rows = np.flatnonzero(k * length % order == 0)
+        args = (mat, orbits[:, rows], k, np.sqrt(length[rows] / order))
+        expected = whole_sector_block(*args)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            block = evolve._sector_block(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert block.dtype == expected.dtype and block.tobytes() == expected.tobytes()
+        chunk = evolve.SECTOR_CHUNK * len(rows) * (mat.itemsize + block.itemsize)
+        assert peak <= block.nbytes + chunk + 16 * np.getbufsize() + 65536, (k, peak)
 
 
 def test_exact_unitarity(rng):
@@ -203,14 +255,14 @@ def test_crank_nicolson_matches_exact():
         cfg)
     t_total = 0.5
     params = EvolveParams(1e-3, 500)
-    out = evolve_crank_nicolson(op, state, params)
+    out = evolved(op, state, "crank_nicolson", params)
     exact = ExactPropagator(op).propagate(state, t_total)
     assert norm(WaveFunctional(cfg, out.psi - exact.psi)) < 1e-6
 
 
 def test_crank_nicolson_norm_drift():
     cfg, op, state = free_setup(q=16)
-    out = evolve_crank_nicolson(op, state, EvolveParams(1e-2, 1))
+    out = evolved(op, state, "crank_nicolson", EvolveParams(1e-2, 1))
     assert abs(norm(out) - 1.0) < 1e-9
 
 
@@ -225,7 +277,7 @@ def test_crank_nicolson_second_order():
     errors = []
     for dt in (0.02, 0.01):
         steps = int(round(t_total / dt))
-        out = evolve_crank_nicolson(op, state, EvolveParams(dt, steps))
+        out = evolved(op, state, "crank_nicolson", EvolveParams(dt, steps))
         errors.append(norm(WaveFunctional(cfg, out.psi - exact.psi)))
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.5
@@ -237,7 +289,7 @@ def test_crank_nicolson_divergence(monkeypatch):
     monkeypatch.setattr(evolve, "LANCZOS_MAXITER", 3)
     params = EvolveParams(0.1, 1, cn_tol=1e-14)
     with pytest.raises(SolverDivergence, match="no crank-nicolson step"):
-        evolve_crank_nicolson(op, state, params)
+        evolved(op, state, "crank_nicolson", params)
 
 
 def test_observables_ground_state():
@@ -271,7 +323,7 @@ def test_method_agreement_quartic():
     t_total = 0.2
     exact = ExactPropagator(op).propagate(state, t_total)
     strang = evolve_strang(op, state, EvolveParams(1e-3, 200))
-    cn = evolve_crank_nicolson(op, state, EvolveParams(1e-3, 200))
+    cn = evolved(op, state, "crank_nicolson", EvolveParams(1e-3, 200))
     assert norm(WaveFunctional(cfg, strang.psi - exact.psi)) < 1e-5
     assert norm(WaveFunctional(cfg, cn.psi - exact.psi)) < 1e-5
 
@@ -284,7 +336,7 @@ def test_unitarity_all_integrators(rng):
         state = normalize(WaveFunctional(cfg, psi))
         assert abs(norm(propagator.propagate(state, 0.3)) - 1.0) < 1e-12
         assert abs(norm(evolve_strang(op, state, EvolveParams(0.05, 6))) - 1.0) < 1e-12
-        cn = evolve_crank_nicolson(op, state, EvolveParams(0.05, 2))
+        cn = evolved(op, state, "crank_nicolson", EvolveParams(0.05, 2))
         assert abs(norm(cn) - 1.0) < 1e-9
 
 
@@ -371,9 +423,9 @@ def test_crank_nicolson_chunk_saves_matvecs():
     dt, tol = 0.01, 1e-10
     stepped = state
     for _ in range(10):
-        stepped = evolve_crank_nicolson(op, stepped, EvolveParams(dt, 1, cn_tol=tol))
+        stepped = evolved(op, stepped, "crank_nicolson", EvolveParams(dt, 1, cn_tol=tol))
     inputs = counting_apply(op)
-    out = evolve_crank_nicolson(op, state, EvolveParams(dt, 10, cn_tol=tol))
+    out = evolved(op, state, "crank_nicolson", EvolveParams(dt, 10, cn_tol=tol))
     assert len(inputs) < 10 * 9
     assert norm(WaveFunctional(cfg, out.psi - stepped.psi)) < 2 * 10 * tol
 
@@ -386,13 +438,13 @@ def test_crank_nicolson_logged_steps_share_lanczos_runs():
     inputs = counting_apply(op)
     stepped = state
     for _ in range(32):
-        stepped = evolve_crank_nicolson(op, stepped, EvolveParams(params.dt, 1))
+        stepped = evolved(op, stepped, "crank_nicolson", EvolveParams(params.dt, 1))
     one_step_runs = len(inputs)
     inputs.clear()
     rows = list(trajectory(op, state, "crank_nicolson", params, 1))
     assert [n for n, _ in rows] == list(range(33))
     assert 2 * len(inputs) <= one_step_runs
-    assert np.array_equal(rows[-1][1].psi, evolve_crank_nicolson(op, state, params).psi)
+    assert np.array_equal(rows[-1][1].psi, evolved(op, state, "crank_nicolson", params).psi)
     assert norm(WaveFunctional(cfg, rows[-1][1].psi - stepped.psi)) < 2 * 32 * params.cn_tol
 
 
@@ -472,7 +524,7 @@ def test_crank_nicolson_chunk_steps_meet_tol_on_true_residual(text, n, slopes, t
     monkeypatch.setattr(evolve, "_lanczos_vector", lambda hv, v, v_prev, i, a, b: runs.append(
         (a, b)) or lanczos_vector(hv, v, v_prev, i, a, b))
     inputs = counting_apply(op)
-    out = evolve_crank_nicolson(op, WaveFunctional(cfg, psi), EvolveParams(dt, steps, tol))
+    out = evolved(op, WaveFunctional(cfg, psi), "crank_nicolson", EvolveParams(dt, steps, tol))
     a, b = runs[-1]
     assert all(run[0] is a for run in runs)  # one run
     k = len(a)
@@ -499,7 +551,7 @@ def test_crank_nicolson_small_and_large_store_agree_bit_for_bit(monkeypatch):
     for store in (2, evolve.LANCZOS_MAXITER):
         monkeypatch.setattr(evolve, "LANCZOS_STORE", store)
         inputs.clear()
-        outs.append(evolve_crank_nicolson(op, state, EvolveParams(0.02, 12)).psi)
+        outs.append(evolved(op, state, "crank_nicolson", EvolveParams(0.02, 12)).psi)
         products.append(len(inputs))
     assert np.array_equal(outs[0], outs[1])
     assert products[0] > products[1]

@@ -355,6 +355,49 @@ def test_pair_cache_one_entry_per_slope():
         assert (len(evolver._eig_cache), len(evolver._prop_cache)) == (7, 9), integrator
 
 
+def level_keys(pair):
+    """The (site slope, step) propagator keys the moves of a level's two schedules take."""
+    return {(surface.site_slope(site), float(dt)) for sched in pair
+            for surface, (site, dt) in zip(sched.surfaces, sched.moves) if dt}
+
+
+@pytest.mark.parametrize("kind,builds", [("sweep", 9), ("moves", 30)])
+def test_ladder_holds_one_level_of_pair_propagators(kind, builds, monkeypatch):
+    """Each (slope, step) propagator of a 3-level ladder is built once, as many as a ladder
+    that kept every level's would build, and while a level runs the cache holds its keys alone.
+
+    The ladders are the benchmark's flat sweep and curved ``moves`` ladders; no two of
+    their levels share a step.
+    """
+    cfg, density, state = free_setup(q=8, lq=4.0)
+    dt_values = [0.05, 0.025, 0.0125]
+    if kind == "sweep":
+        pairs = sweep_pairs(SpacelikeSurface.flat(3), 0.2, dt_values)
+    else:
+        start = SpacelikeSurface((0.06, -0.02, -0.04))
+        moves = [[(j, (0.05, 0.04, 0.03)[j]) for _ in range(2) for j in order]
+                 for order in ([0, 1, 2], [2, 1, 0])]
+        pairs = [tuple(DeformationSchedule.refined(start, m, dt) for m in moves)
+                 for dt in dt_values]
+    levels = [level_keys(pair) for pair in pairs]
+    held, built = [], []
+    propagator = SurfaceEvolver._propagator
+
+    def recorded(self, v_site, dt):
+        before = len(self._prop_cache)
+        u = propagator(self, v_site, dt)
+        built.append(len(self._prop_cache) > before)
+        held.append((dt, set(self._prop_cache)))
+        return u
+
+    monkeypatch.setattr(SurfaceEvolver, "_propagator", recorded)
+    integrability_test(state, density, pairs, dt_values)
+    assert sum(built) == len(set().union(*levels)) == builds
+    for dt, keys in held:
+        [level] = [keys_ for keys_ in levels if dt in {step for _, step in keys_}]
+        assert keys <= level
+
+
 def test_every_ladder_level_ends_on_level_zeros_end():
     """A sweep advances every site by exactly its total time, and ``refined`` splits each
     advance into exact parts, so every level of a ladder ends on level 0's end surface."""
