@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 resource guard.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -40,12 +39,23 @@ from .lattice import (
     write_csv,
 )
 
+# CPython's built-in SHA-256, as the random module takes its SHA-512: hashlib would load
+# OpenSSL's libcrypto, 3.3 MB of every run's RSS, to hash a few hundred bytes.  hashlib
+# serves only an interpreter built without the built-in module.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 COMMANDS = ("legendre", "evolve", "surface", "feynman", "classical")
 
 
 def config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def _require_finite(values, what: str) -> None:
@@ -111,6 +121,8 @@ _POSITIVE = _rule(lambda value: value > 0, "must be positive")
 _NONNEGATIVE = _rule(lambda value: value >= 0, "must be nonnegative")
 _AT_LEAST_1 = _rule(lambda value: value >= 1, "must be at least 1")
 _NONEMPTY = _rule(len, "needs at least one entry")
+_NONEMPTY_TEXT = _rule(len, "must not be empty")
+_NO_NUL = _rule(lambda value: "\0" not in value, "holds a NUL character")
 
 REQUIRED = object()  # default of a key that must be present
 
@@ -120,10 +132,12 @@ REQUIRED = object()  # default of a key that must be present
 # {str: kind} (an object, each value of that kind at path.name).  Code that
 # depends on another field decides the rest: the root's `lattice` is required
 # by evolve, surface and feynman, and `initial` and `schedule` name by their
-# `kind` the table of their remaining keys.  Any other key is refused, but the
-# root's `output_dir` and command block.
+# `kind` the table of their remaining keys.  `output_dir` is needed only without
+# --out, but is checked either way.  Any other key is refused, but the root's
+# command block.
 SCHEMA = {
-    "": {"lagrangian": (dict, REQUIRED), "lattice": (dict, None), "seed": (int, 0)},
+    "": {"lagrangian": (dict, REQUIRED), "lattice": (dict, None), "seed": (int, 0),
+         "output_dir": (str, None, _NONEMPTY_TEXT, _NO_NUL)},
     "lagrangian": {"text": (str, REQUIRED), "params": ({str: float}, {})},
     "lattice": {
         "n_sites": (int, REQUIRED),
@@ -339,6 +353,7 @@ def _build_schedule_factory(block: dict, path: str, start, total_time: float):
     kind = _read(block, path, SCHEMA["schedule"], known=block)["kind"]  # its kind refuses the rest
     opts = _read(block, path, SCHEMA[f"schedule.{kind}"], known=SCHEMA["schedule"])
     if kind == "sweep":
+        _POSITIVE(total_time, "surface.total_time")  # moves schedules never read it
         return lambda dt: DeformationSchedule.sweep(start, total_time, dt, opts["direction"])
     moves = opts["moves"]
     for i, (site, _) in enumerate(moves):
@@ -440,7 +455,9 @@ def cmd_classical(lagr, lattice, opts: dict, outdir: Path, meta: dict, base_dir:
 
 # --- entry point -------------------------------------------------------------
 
-def run_config(config: dict, outdir: Path, base_dir: Path) -> None:
+def run_config(config: dict, outdir: Path | None, base_dir: Path) -> None:
+    """Run ``config`` into ``outdir``, or when it is None into its ``output_dir`` under
+    ``base_dir``."""
     if not isinstance(config, dict):
         raise ConfigError("", "config root must be an object")
     present = [name for name in COMMANDS if name in config]
@@ -449,7 +466,11 @@ def run_config(config: dict, outdir: Path, base_dir: Path) -> None:
     command = present[0]
     if not isinstance(config[command], dict):
         raise ConfigError(command, "command block must be an object")
-    root = _read(config, "", SCHEMA[""], known=("output_dir", command))
+    root = _read(config, "", SCHEMA[""], known=(command,))
+    if outdir is None:
+        if root["output_dir"] is None:
+            raise ConfigError("output_dir", "missing (or pass --out)")
+        outdir = base_dir / root["output_dir"]
     opts = _read(config[command], command, SCHEMA[command])
     lagr = _build_lagrangian(root["lagrangian"])
     meta = {
@@ -499,16 +520,8 @@ def main(argv=None) -> int:
         print(f"config error: cannot read {config_path}: {exc}", file=sys.stderr)
         return 2
 
-    if args.out is not None:
-        outdir = Path(args.out)
-    elif isinstance(config, dict) and isinstance(config.get("output_dir"), str):
-        outdir = config_path.parent / config["output_dir"]
-    else:
-        print("config error: output_dir: missing (or pass --out)", file=sys.stderr)
-        return 2
-
     try:
-        run_config(config, outdir, config_path.parent)
+        run_config(config, None if args.out is None else Path(args.out), config_path.parent)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

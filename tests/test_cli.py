@@ -153,6 +153,25 @@ def test_every_output_carries_the_run_stamp(tmp_path, build, stamped):
     assert seen == stamped
 
 
+STAMP_CASES = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+STAMP_CASES |= {
+    "non-ascii": {"lagrangian": {"text": "0.5*zt^2 - λ*z^4", "params": {"λ": 0.1}},
+                  "output_dir": "résultats/☃", "legendre": {}},
+    "float-edges": {"lagrangian": {"text": FREE_TEXT, "params": {"m": -0.0, "lam": 1e308}},
+                    "legendre": {"slope": 1e-320}},
+    "nested-moves": {"surface": {"schedule_a": {"kind": "moves", "moves": [[0, 0.05]]},
+                                 "schedule_b": {"kind": "moves",
+                                                "moves": [[1, -0.0], [[0, 1e-320], [2, 1e308]]]}}},
+}
+
+
+@pytest.mark.parametrize("cfg", STAMP_CASES.values(), ids=list(STAMP_CASES))
+def test_config_hash_is_the_sha256_of_canonical_json(cfg):
+    """The stamp is hashlib's SHA-256 of the sorted, compact JSON, whichever module computes it."""
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    assert fieldlab.cli.config_hash(cfg) == hashlib.sha256(canon.encode()).hexdigest()
+
+
 def test_evolve_trajectory_columns(tmp_path):
     assert run(tmp_path, evolve_config(10)) == 0
     lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
@@ -347,6 +366,19 @@ def test_surface_step_errors_are_config_errors(tmp_path, capsys, schedules, dt_v
     assert err.startswith(f"config error: surface.dt_values[{index}]: ") and needle in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "integrability.json").exists()
+
+
+@pytest.mark.parametrize("total_time", [-0.1, 0.0, -0.0])
+def test_surface_sweep_refuses_non_positive_total_time(tmp_path, capsys, total_time):
+    """A sweep runs until total_time, so a non-positive one is refused there before any
+    ladder step is built; moves schedules never read it."""
+    cfg = surface_config(*SWEEPS)
+    cfg["surface"]["total_time"] = total_time
+    assert run(tmp_path, cfg) == 2
+    assert capsys.readouterr().err == "config error: surface.total_time: must be positive\n"
+    cfg = surface_config(*MOVES, dt_values=[0.05])
+    cfg["surface"]["total_time"] = total_time
+    assert run(tmp_path, cfg) == 0
 
 
 def test_surface_non_multiple_later_step(tmp_path, capsys):
@@ -1220,6 +1252,25 @@ def test_unreadable_initial_path_is_reported_there(tmp_path, capsys, path, reaso
     assert run(tmp_path, evolve_config(5, initial={"kind": "file", "path": path})) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: evolve.initial.path: ") and reason in err
+
+
+@pytest.mark.parametrize("value,message", [
+    (5, "expected str, got 5"),
+    (True, "expected str, got True"),
+    (["a"], "expected str, got ['a']"),
+    ("", "must not be empty"),
+    ("a\0b", "holds a NUL character"),
+], ids=["int", "bool", "list", "empty", "nul"])
+@pytest.mark.parametrize("out", [False, True], ids=["config", "--out"])
+def test_output_dir_must_be_a_nonempty_path(tmp_path, capsys, value, message, out):
+    """A bad output_dir exits 2 at output_dir even when --out overrides it, and writes
+    nothing; an empty one would put the results beside the config."""
+    path = write_config(tmp_path, with_key(base_config({"legendre": {}}), None, "output_dir",
+                                           value))
+    argv = ["run", str(path)] + (["--out", str(tmp_path / "out")] if out else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: output_dir: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_output_dir_from_config(tmp_path):

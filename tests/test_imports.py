@@ -1,4 +1,5 @@
-"""No command imports the scipy package, and a run imports no other command's modules.
+"""No command imports the scipy package or OpenSSL, and a run imports no other command's
+modules.
 
 ``classical`` loads scipy's compiled LAPACK extension at its first
 factorization, straight from its file, so no ``scipy`` module is left in
@@ -104,6 +105,25 @@ def test_sample_run_loads_no_numpy_polynomial(tmp_path, name):
     assert not [m for m in loaded if m.startswith("numpy.polynomial")]
     if name == "feynman_quartic":
         assert "fractions" not in loaded
+
+
+@pytest.mark.parametrize("name", [None, "legendre_free", "evolve_coherent", "feynman_quartic",
+                                  "surface_sweeps", "classical_oscillator"])
+def test_import_and_sample_runs_load_no_openssl(tmp_path, name):
+    """The config stamp is CPython's built-in SHA-256: ``hashlib`` would load ``_hashlib``,
+    which maps OpenSSL's libcrypto (3.3 MB of a run's RSS)."""
+    if name is None:
+        loaded = modules_after("import fieldlab.cli")
+    else:
+        loaded = modules_after(RUN, str(CONFIGS / f"{name}.json"), str(tmp_path / "out"))
+    assert "_hashlib" not in loaded
+
+
+def test_stamp_falls_back_to_hashlib_without_the_builtin_module():
+    """An interpreter built without ``_sha2`` and ``_sha256`` stamps through hashlib."""
+    modules_after("sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                  "import fieldlab.cli, hashlib\n"
+                  "assert fieldlab.cli.sha256 is hashlib.sha256")
 
 
 def test_surface_crank_nicolson_loads_no_scipy(tmp_path):
