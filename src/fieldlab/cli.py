@@ -11,6 +11,8 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 resource guard.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from pathlib import Path
@@ -49,6 +51,12 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10 and 3.11
     except ImportError:
         from hashlib import sha256
+
+# At exit, move the heap built so far (numpy's and fieldlab's modules) to the permanent
+# generation, so finalization leaves it to the OS instead of freeing it object by object.
+# Registered at import, not in main, so no in-process caller's garbage is pinned.  A file a
+# run left open in a cycle would then go unflushed: every run closes its files itself.
+atexit.register(gc.freeze)
 
 COMMANDS = ("legendre", "evolve", "surface", "feynman", "classical")
 
@@ -282,6 +290,15 @@ def _build_lattice(block: dict | None) -> LatticeConfig:
     return _build_at("lattice", LatticeConfig, **_read(block, "lattice", SCHEMA["lattice"]))
 
 
+def _check_centers(centers, path: str, cfg: LatticeConfig) -> None:
+    """Refuse a centre off the field grid, whose periodic sampling would see only a tail."""
+    half = cfg.q_extent / 2
+    for i, center in enumerate(centers):
+        if not -half <= center < half:
+            raise ConfigError(f"{path}.centers[{i}]",
+                              f"{center!r} lies outside the field grid [{-half!r}, {half!r})")
+
+
 def _build_initial(block: dict, path: str, cfg: LatticeConfig, base_dir: Path):
     kind = _read(block, path, SCHEMA["initial"], known=block)["kind"]  # its kind refuses the rest
     opts = _read(block, path, SCHEMA[f"initial.{kind}"], known=SCHEMA["initial"])
@@ -291,12 +308,14 @@ def _build_initial(block: dict, path: str, cfg: LatticeConfig, base_dir: Path):
         if centers is not None:
             if len(centers) != cfg.n_sites:
                 raise ConfigError(f"{path}.centers", f"expected {cfg.n_sites} entries")
+            _check_centers(centers, path, cfg)
             spec = GaussianStateSpec(tuple(centers), covariance=spec.covariance)
         return _build_at(path, init_wavefunctional, spec, cfg)
     if kind == "gaussian":
         centers, widths = opts["centers"], opts["widths"]
         if len(centers) != cfg.n_sites or len(widths) != cfg.n_sites:
             raise ConfigError(path, f"centers and widths must have {cfg.n_sites} entries")
+        _check_centers(centers, path, cfg)
         spec = _build_at(f"{path}.widths", GaussianStateSpec, tuple(centers),
                          widths=tuple(widths), phase=opts["phase"])
         return _build_at(f"{path}.widths", init_wavefunctional, spec, cfg)

@@ -1,5 +1,6 @@
 """Config-driven commands: outputs, validation, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -170,6 +171,20 @@ def test_config_hash_is_the_sha256_of_canonical_json(cfg):
     """The stamp is hashlib's SHA-256 of the sorted, compact JSON, whichever module computes it."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     assert fieldlab.cli.config_hash(cfg) == hashlib.sha256(canon.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_sample_runs_close_their_files_and_freeze_nothing(tmp_path, config):
+    """Every file a run opens is closed before ``main`` returns, even one caught in a cycle:
+    at exit ``gc.freeze`` keeps finalization from collecting the heap, so such a file would
+    never be flushed, and no warning would show.  In-process, ``main`` freezes nothing."""
+    frozen = gc.get_freeze_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert gc.get_freeze_count() == frozen
 
 
 def test_evolve_trajectory_columns(tmp_path):
@@ -1135,6 +1150,37 @@ def test_initial_state_errors_are_config_errors(tmp_path, capsys, initial, needl
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {needle}: ") and reason in err
     assert "Traceback" not in err
+
+
+def off_grid_initial(command, kind, center):
+    """A 1-site ``command`` config on the grid [-8, 8) whose initial state is centred at
+    ``center``."""
+    build = {"evolve": lambda: evolve_config(5), "surface": lambda: surface_config(*SWEEPS),
+             "feynman": feynman_config}[command]
+    cfg = build()
+    cfg["lattice"] = {"n_sites": 1, "q_points": 16, "q_extent": 16.0}
+    initial = {"kind": "gaussian", "widths": [1.0]} if kind == "gaussian" else {
+        "kind": "ground_state", "mass": 1.0}
+    cfg[command]["initial"] = {**initial, "centers": [center]}
+    return cfg
+
+
+@pytest.mark.parametrize("center", [20.0, 60.0, -50.0, 8.0, -8.000001])
+@pytest.mark.parametrize("kind", ["gaussian", "ground_state"])
+@pytest.mark.parametrize("command", ["evolve", "surface", "feynman"])
+def test_centre_off_the_grid_is_a_config_error(tmp_path, capsys, command, kind, center):
+    """A centre outside [-q_extent/2, q_extent/2) is refused at its path before sampling: the
+    periodic grid would see only the state's wrapped tail (a 1-site evolve run centred at
+    20 on [-8, 8) started at energy 110), or nothing, which read as a widths error."""
+    assert run(tmp_path, off_grid_initial(command, kind, center)) == 2
+    assert capsys.readouterr().err == (f"config error: {command}.initial.centers[0]: {center!r} "
+                                       "lies outside the field grid [-8.0, 8.0)\n")
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("center", [-8.0, 7.999])
+def test_centre_at_the_grid_edges_is_sampled(tmp_path, center):
+    assert run(tmp_path, off_grid_initial("evolve", "gaussian", center)) == 0
 
 
 @pytest.mark.parametrize("n_sites", [1, 3])

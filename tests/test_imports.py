@@ -1,5 +1,5 @@
-"""No command imports the scipy package or OpenSSL, and a run imports no other command's
-modules.
+"""No command imports the scipy package or OpenSSL, a run imports no other command's
+modules, and importing ``cli`` sets the interpreter's exit to skip tearing down its heap.
 
 ``classical`` loads scipy's compiled LAPACK extension at its first
 factorization, straight from its file, so no ``scipy`` module is left in
@@ -23,14 +23,20 @@ SRC = Path(fieldlab.__file__).resolve().parent.parent
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def modules_after(code: str, *args: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter; return the modules it left loaded."""
-    probe = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-             "print(json.dumps(sorted(sys.modules)))")
+def stdout_of(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports fieldlab from this checkout; return
+    its standard output, exit handlers' lines included."""
+    probe = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{code}"
     done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout
+
+
+def modules_after(code: str, *args: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; return the modules it left loaded."""
+    return json.loads(stdout_of(f"{code}\nprint(json.dumps(sorted(sys.modules)))",
+                                *args).splitlines()[-1])
 
 
 def scipy_modules_after(code: str, *args: str) -> list[str]:
@@ -117,6 +123,33 @@ def test_import_and_sample_runs_load_no_openssl(tmp_path, name):
     else:
         loaded = modules_after(RUN, str(CONFIGS / f"{name}.json"), str(tmp_path / "out"))
     assert "_hashlib" not in loaded
+
+
+def test_exit_freezes_the_heap_after_a_run(tmp_path):
+    """``cli`` registers ``gc.freeze`` to run at exit, so finalization leaves the heap built
+    at import to the OS.  Exit handlers run last in, first out: one registered before the
+    import runs after the freeze."""
+    out = stdout_of("import atexit, gc\n"
+                    "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0))\n"
+                    + RUN, str(CONFIGS / "evolve_coherent.json"), str(tmp_path / "out"))
+    assert out.splitlines()[-1] == "frozen: True"
+
+
+def test_exit_freeze_is_registered_once(tmp_path):
+    """Repeated imports, calls of ``main`` and ``python -m fieldlab`` register it once."""
+    out = stdout_of(
+        "import atexit, gc, runpy\n"
+        "funcs, register = [], atexit.register\n"
+        "atexit.register = lambda func, *a, **k: (funcs.append(func), register(func, *a, **k))[1]\n"
+        f"import fieldlab.cli\n{RUN}\n{RUN}\nimport fieldlab, fieldlab.cli\n"
+        "sys.argv[1:] = ['run', sys.argv[1], '--out', sys.argv[2]]\n"
+        "try:\n"
+        "    runpy.run_module('fieldlab', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "print(funcs.count(gc.freeze))",
+        str(CONFIGS / "legendre_free.json"), str(tmp_path / "out"))
+    assert out.splitlines()[-1] == "1"
 
 
 def test_stamp_falls_back_to_hashlib_without_the_builtin_module():
